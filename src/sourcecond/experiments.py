@@ -193,8 +193,7 @@ def run_lasso_experiment(cfg: Lasso1DConfig, out_dir: str | None = None,
 
     t0 = time.perf_counter()
     solve_cfg = SolveConfig(max_iters=max_iters, grad_tol=grad_tol,
-                            tau=1.0 / phi.norm_bound ** 2, seed=cfg.seed,
-                            record_every=record_every)
+                            tau=1.0 / phi.norm_bound ** 2, record_every=record_every)
     report = solve_source_gd(w_true, phi, ProxFunctional("l1"), solve_cfg)
     timings["solve"] = time.perf_counter() - t0
 
@@ -382,7 +381,7 @@ def _build_mask(cfg: Fourier2DConfig, u_true: np.ndarray):
             raise InputError("mask file does not match the configured size")
         return SamplingMask(grid != 0), None
     palm_cfg = SolveConfig(max_iters=cfg.palm_max_iters, grad_tol=0.0,
-                           seed=cfg.seed, record_every=cfg.record_every)
+                           record_every=cfg.record_every)
     palm = solve_palm(u_true, grad2(*cfg.size), ProxFunctional("group_l21"),
                       cfg.mask_beta, palm_cfg)
     return extract_mask(palm.v), palm
@@ -393,7 +392,7 @@ def _certificate_stage(u_true, mask, cfg: Fourier2DConfig):
     fwd = fourier_sampling(mask)
     a = grad2(*u_true.shape)
     cd_cfg = SolveConfig(max_iters=cfg.cd_max_iters, grad_tol=cfg.cd_tol,
-                         seed=cfg.seed, record_every=cfg.record_every)
+                         record_every=cfg.record_every)
     report = solve_range_cd(u_true, fwd, a, ProxFunctional("group_l21"), cd_cfg)
     backproj = fwd.adjoint(report.v)
     imag_res = float(np.linalg.norm(np.imag(
@@ -401,7 +400,7 @@ def _certificate_stage(u_true, mask, cfg: Fourier2DConfig):
     check = verify_tv_subgradient(backproj, report.q, u_true, cfg.verify_tol)
     g_alpha = range_data(u_true, fwd, report.v, cfg.alpha)
     pdhg_cfg = SolveConfig(max_iters=cfg.pdhg_max_iters, grad_tol=cfg.pdhg_tol,
-                           seed=cfg.seed, record_every=cfg.record_every)
+                           record_every=cfg.record_every)
     problem = VarRegProblem(K=fwd, data=g_alpha, alpha=cfg.alpha, A=a)
     solution, dual, pdhg_report = solve_pdhg(problem, pdhg_cfg)
     baseline = fwd.adjoint(fwd.apply(u_true))

@@ -19,6 +19,13 @@ def _magnitude(z: np.ndarray) -> np.ndarray:
     return np.abs(z)
 
 
+def _pair_norm(z: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the 2-vectors along the trailing axis, from channel
+    views; equal bit for bit to ``sqrt(sum(z * z, axis=-1))``."""
+    z0, z1 = z[..., 0], z[..., 1]
+    return np.sqrt(z0 * z0 + z1 * z1)
+
+
 def soft_threshold(z: np.ndarray, beta: float = 1.0) -> np.ndarray:
     """Componentwise shrinkage towards zero by ``beta``.
 
@@ -42,9 +49,12 @@ def group_soft_threshold(z: np.ndarray, beta: float = 1.0) -> np.ndarray:
     if beta < 0:
         raise InputError("shrinkage weight must be nonnegative")
     z = np.asarray(z, dtype=float)
-    r = np.sqrt(np.sum(z * z, axis=-1, keepdims=True))
-    factor = np.where(r > 0, np.maximum(r - beta, 0.0) / np.where(r > 0, r, 1.0), 0.0)
-    return z * factor
+    if z.ndim < 1 or z.shape[-1] != 2:
+        raise InputError(f"group shrinkage needs a trailing axis of length 2, got {z.shape}")
+    r = _pair_norm(z)
+    factor = np.maximum(r - beta, 0.0)
+    factor /= np.where(r > 0, r, 1.0)
+    return z * factor[..., None]
 
 
 def project_group_ball(z: np.ndarray, radius: float = 1.0) -> np.ndarray:
@@ -56,7 +66,7 @@ def project_group_ball(z: np.ndarray, radius: float = 1.0) -> np.ndarray:
     """
     z = np.asarray(z)
     if z.ndim >= 2 and z.shape[-1] == 2 and not np.iscomplexobj(z):
-        r = np.sqrt(np.sum(z * z, axis=-1, keepdims=True))
+        r = _pair_norm(z)[..., None]
     else:
         r = np.abs(z)
     with np.errstate(divide="ignore", invalid="ignore"):

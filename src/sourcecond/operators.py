@@ -65,9 +65,10 @@ class MatrixMap(LinearMap):
         if matrix.ndim != 2:
             raise InputError("MatrixMap needs a 2D matrix")
         self.matrix = matrix
+        super().__init__((matrix.shape[1],), (matrix.shape[0],),
+                         0.0 if norm_bound is None else norm_bound)
         if norm_bound is None:
-            norm_bound = _power_norm_matrix(matrix)
-        super().__init__((matrix.shape[1],), (matrix.shape[0],), norm_bound)
+            self.norm_bound = power_norm(self)
 
     def apply(self, x):
         self._check_domain(x)
@@ -276,24 +277,6 @@ def power_norm(m: LinearMap, iters: int = 100, tol: float = 1e-10) -> float:
     lam = 0.0
     for _ in range(iters):
         z = m.adjoint(m.apply(x))
-        lam_new = float(np.linalg.norm(z))
-        if lam_new == 0.0:
-            return 0.0
-        x = z / lam_new
-        if abs(lam_new - lam) <= tol * lam_new:
-            lam = lam_new
-            break
-        lam = lam_new
-    return math.sqrt(lam)
-
-
-def _power_norm_matrix(matrix: np.ndarray, iters: int = 100, tol: float = 1e-10) -> float:
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(matrix.shape[1])
-    x /= np.linalg.norm(x)
-    lam = 0.0
-    for _ in range(iters):
-        z = matrix.T @ (matrix @ x)
         lam_new = float(np.linalg.norm(z))
         if lam_new == 0.0:
             return 0.0

@@ -11,9 +11,7 @@ from .errors import ConfigurationError, InputError, VerificationError
 from .functionals import project_group_ball, tv_value
 from .operators import (FourierSamplingMap, IdentityMap, LinearMap, MatrixMap,
                         grad2, real_inner)
-from .solvers import SolveConfig, _finish
-
-_BOUND_SLACK = 1.0 + 1e-12
+from .solvers import _BOUND_SLACK, SolveConfig, _finish
 
 
 @dataclass

@@ -192,6 +192,11 @@ class TestPowerNorm:
         m = sc.MatrixMap(np.arange(12.0).reshape(4, 3))
         assert sc.power_norm(m) == sc.power_norm(m)
 
+    def test_matrix_map_default_bound(self):
+        m = sc.vandermonde(np.linspace(0, 1, 50), 20)
+        assert m.norm_bound == sc.power_norm(sc.MatrixMap(m.matrix, norm_bound=1.0))
+        assert m.norm_bound == pytest.approx(np.linalg.norm(m.matrix, 2), rel=1e-8)
+
 
 class TestLinearMapInvariants:
     def test_adjoint_consistency_randomized(self, rng):

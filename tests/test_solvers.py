@@ -3,6 +3,59 @@ import pytest
 
 import sourcecond as sc
 from sourcecond.errors import ConfigurationError, InputError
+from sourcecond.solvers import _finish
+
+
+def _range_cd_metric(v, q, a_field, fwd, grad_op, prox_h):
+    """Mean of the two partial-derivative norms of the range-condition objective."""
+    d = fwd.adjoint(v) - grad_op.adjoint(q)
+    r_v = float(np.linalg.norm(fwd.apply(d)))
+    r_q = float(np.linalg.norm(-grad_op.apply(d) + prox_h.prox(a_field + q) - a_field))
+    return 0.5 * (r_v + r_q)
+
+
+def reference_range_cd(u_true, fwd, grad_op, prox_h, cfg, b=None):
+    """Range-condition coordinate descent that evaluates the stopping metric
+    apart from the step: five FFTs, two group proxes, two gradients and two
+    divergences an iteration.  ``solve_range_cd`` must match it bit for bit."""
+    lam_k = fwd.norm_bound ** 2
+    tau = cfg.tau if cfg.tau is not None else (1.0 / lam_k if lam_k > 0 else 1.0)
+    sigma = cfg.sigma if cfg.sigma is not None else 1.0 / (grad_op.norm_bound ** 2 + 1.0)
+    a_field = grad_op.apply(u_true)
+    if b is not None:
+        a_field = a_field + b
+    dtype = complex if fwd.codomain_complex else float
+    v = np.zeros(fwd.codomain_shape, dtype=dtype)
+    q = np.zeros(grad_op.codomain_shape)
+    history = []
+
+    metric = _range_cd_metric(v, q, a_field, fwd, grad_op, prox_h)
+    history.append((0, metric))
+    if metric <= cfg.grad_tol:
+        return _finish(v, q, 0, metric, history, "tolerance")
+
+    for k in range(1, cfg.max_iters + 1):
+        aq = grad_op.adjoint(q)
+        v = v - tau * fwd.apply(fwd.adjoint(v) - aq)
+        kv = fwd.adjoint(v)
+        q = q - sigma * (grad_op.apply(aq - kv) + prox_h.prox(a_field + q) - a_field)
+
+        metric = _range_cd_metric(v, q, a_field, fwd, grad_op, prox_h)
+        if k % cfg.record_every == 0 or k == cfg.max_iters:
+            history.append((k, metric))
+        if metric <= cfg.grad_tol:
+            return _finish(v, q, k, metric, history, "tolerance")
+
+    return _finish(v, q, cfg.max_iters, metric, history, "max_iters")
+
+
+def assert_same_solve(got, want):
+    assert np.array_equal(got.v, want.v)
+    assert np.array_equal(got.q, want.q)
+    assert got.history == want.history
+    assert got.iterations == want.iterations
+    assert got.termination == want.termination
+    assert got.final_grad_norm == want.final_grad_norm
 
 
 class TestSolveConfig:
@@ -168,13 +221,38 @@ class TestSolveRangeCd:
         assert np.max(np.abs(prox_h.prox(target + rep.q) - target)) < 1e-9
 
     def test_fixed_point_soundness(self, denoise_cert):
-        from sourcecond.solvers import _range_cd_metric
-
         rep = denoise_cert["report"]
         a_field = denoise_cert["grad_op"].apply(denoise_cert["u"])
         metric = _range_cd_metric(rep.v, rep.q, a_field, denoise_cert["fwd"],
                                   denoise_cert["grad_op"], sc.ProxFunctional("group_l21"))
         assert metric == pytest.approx(rep.final_grad_norm, abs=1e-12)
+
+    def test_matches_reference_full_mask_to_tolerance(self, phantom64):
+        args = (phantom64, sc.fourier_sampling(sc.full_mask((64, 64))), sc.grad2(64, 64),
+                sc.ProxFunctional("group_l21"),
+                sc.SolveConfig(max_iters=5000, grad_tol=3.84e-14, record_every=10))
+        rep = sc.solve_range_cd(*args)
+        assert rep.termination == "tolerance"
+        assert_same_solve(rep, reference_range_cd(*args))
+
+    def test_matches_reference_even_width_lowpass_at_budget(self):
+        from sourcecond.experiments import shepp_logan
+
+        args = (shepp_logan(48), sc.fourier_sampling(sc.lowpass_mask((48, 48), 20, 13)),
+                sc.grad2(48, 48), sc.ProxFunctional("group_l21"),
+                sc.SolveConfig(max_iters=300, grad_tol=0.0, record_every=7))
+        rep = sc.solve_range_cd(*args)
+        assert rep.termination == "max_iters" and rep.iterations == 300
+        assert_same_solve(rep, reference_range_cd(*args))
+
+    def test_matches_reference_with_offset_field(self, rng):
+        a = sc.grad2(8, 8)
+        b = 0.05 * rng.standard_normal(a.codomain_shape)
+        args = (np.zeros((8, 8)), sc.IdentityMap((8, 8)), a, sc.ProxFunctional("group_l21"),
+                sc.SolveConfig(max_iters=50_000, grad_tol=1e-11))
+        rep = sc.solve_range_cd(*args, b=b)
+        assert rep.termination == "tolerance"
+        assert_same_solve(rep, reference_range_cd(*args, b=b))
 
 
 class TestSolvePalm:
