@@ -379,6 +379,8 @@ def _build_mask(cfg: Fourier2DConfig, u_true: np.ndarray):
         grid = fileio.read_pfm(cfg.mask_path)
         if grid.ndim != 2 or grid.shape != tuple(cfg.size):
             raise InputError("mask file does not match the configured size")
+        if not np.all(np.isfinite(grid)):
+            raise InputError("mask file has non-finite values")
         return SamplingMask(grid != 0), None
     palm_cfg = SolveConfig(max_iters=cfg.palm_max_iters, grad_tol=0.0,
                            record_every=cfg.record_every)

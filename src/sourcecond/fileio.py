@@ -64,8 +64,28 @@ def _read_pnm_header(f):
             tok += c
 
     magic = token()
-    w, h, maxval = int(token()), int(token()), int(token())
+    try:
+        w, h, maxval = int(token()), int(token()), int(token())
+    except ValueError as exc:
+        raise InputError(f"bad graymap header in {f.name}: {exc}") from None
+    _check_size(w, h)
+    if not 0 < maxval < 65536:
+        raise InputError(f"graymap maxval {maxval} outside 1..65535")
     return magic, w, h, maxval
+
+
+def _check_size(w: int, h: int) -> None:
+    if w < 1 or h < 1:
+        raise InputError(f"image size {w}x{h} is empty")
+
+
+def _read_samples(f, dtype, count: int, path: str) -> np.ndarray:
+    """The next ``count`` binary samples of ``f``; short data is an input error."""
+    raw = f.read()
+    need = count * np.dtype(dtype).itemsize
+    if len(raw) < need:
+        raise InputError(f"truncated image data in {path}: {len(raw)} of {need} bytes")
+    return np.frombuffer(raw, dtype=dtype, count=count)
 
 
 def read_pgm16(path: str) -> np.ndarray:
@@ -75,12 +95,15 @@ def read_pgm16(path: str) -> np.ndarray:
         if magic != b"P5":
             raise InputError(f"not a P5 graymap: {path}")
         dtype = ">u2" if maxval > 255 else np.uint8
-        raw = np.frombuffer(f.read(), dtype=dtype, count=w * h).reshape(h, w)
+        raw = _read_samples(f, dtype, w * h, path).reshape(h, w)
     sidecar = path + ".json"
     if os.path.exists(sidecar):
         with open(sidecar, "r", encoding="ascii") as f:
-            meta = json.load(f)
-        lo, hi = meta["min"], meta["max"]
+            try:
+                meta = json.load(f)
+                lo, hi = float(meta["min"]), float(meta["max"])
+            except (ValueError, KeyError, TypeError) as exc:
+                raise InputError(f"bad scaling sidecar {sidecar}: {exc!r}") from None
         if hi > lo:
             return lo + raw.astype(float) / maxval * (hi - lo)
         return np.full(raw.shape, lo, dtype=float)
@@ -112,11 +135,15 @@ def read_pfm(path: str) -> np.ndarray:
         magic = f.readline().strip()
         if magic not in (b"Pf", b"PF"):
             raise InputError(f"not a floatmap: {path}")
-        w, h = (int(t) for t in f.readline().split())
-        scale = float(f.readline())
+        try:
+            w, h = (int(t) for t in f.readline().split())
+            scale = float(f.readline())
+        except ValueError as exc:
+            raise InputError(f"bad floatmap header in {path}: {exc}") from None
+        _check_size(w, h)
         channels = 3 if magic == b"PF" else 1
         dtype = "<f4" if scale < 0 else ">f4"
-        data = np.frombuffer(f.read(), dtype=dtype, count=w * h * channels)
+        data = _read_samples(f, dtype, w * h * channels, path)
     data = data.reshape(h, w, channels)[::-1]
     return data[:, :, 0] if channels == 1 else data
 
@@ -156,6 +183,8 @@ def load_grayscale(path: str) -> np.ndarray:
     else:
         raise InputError(f"unsupported image file {path!r} (use PGM/PPM/PFM)")
     img = np.asarray(img, dtype=float)
+    if not np.all(np.isfinite(img)):
+        raise InputError(f"image {path!r} has non-finite values")
     lo, hi = float(img.min()), float(img.max())
     return (img - lo) / (hi - lo) if hi > lo else np.zeros_like(img)
 
@@ -163,12 +192,18 @@ def load_grayscale(path: str) -> np.ndarray:
 def _read_pnm_generic(path: str) -> np.ndarray:
     with open(path, "rb") as f:
         magic, w, h, maxval = _read_pnm_header(f)
+        count = w * h * (3 if magic in (b"P3", b"P6") else 1)
         if magic in (b"P2", b"P3"):
-            values = np.array(f.read().split(), dtype=float)
+            try:
+                values = np.array(f.read().split()[:count], dtype=float)
+            except ValueError as exc:
+                raise InputError(f"bad sample in {path}: {exc}") from None
+            if values.size < count:
+                raise InputError(f"truncated image data in {path}: "
+                                 f"{values.size} of {count} samples")
         else:
             dtype = ">u2" if maxval > 255 else np.uint8
-            channels = 3 if magic == b"P6" else 1
-            values = np.frombuffer(f.read(), dtype=dtype, count=w * h * channels).astype(float)
+            values = _read_samples(f, dtype, count, path).astype(float)
     values = values / maxval
     if magic in (b"P3", b"P6"):
         rgb = values.reshape(h, w, 3)

@@ -62,13 +62,16 @@ def project_group_ball(z: np.ndarray, radius: float = 1.0) -> np.ndarray:
 
     Real arrays with a trailing axis of length 2 are treated as vector fields
     (one ball per 2-vector); anything else is clamped componentwise, complex
-    entries in modulus.
+    entries in modulus.  A group holding NaN comes out NaN in every entry.
     """
     z = np.asarray(z)
     if z.ndim >= 2 and z.shape[-1] == 2 and not np.iscomplexobj(z):
         r = _pair_norm(z)[..., None]
     else:
         r = np.abs(z)
+    if 0 < radius < np.inf:
+        # radius / radius == 1.0 exactly, so groups inside the ball are kept
+        return z * (radius / np.maximum(r, radius))
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.where(r > radius, radius / np.where(r > 0, r, 1.0), 1.0)
     return z * scale

@@ -73,13 +73,17 @@ def _data_prox_factory(problem: VarRegProblem, tau: float):
         return prox_identity
     if isinstance(K, FourierSamplingMap):
         # The normal operator of the real-linear composite is diagonal in
-        # Fourier space with the symmetrized mask as its symbol.
-        symbol = 1.0 + tau * K.symmetrized()
+        # Fourier space with the symmetrized mask as its symbol.  The symbol
+        # is even under k -> -k and the input is real, so the half spectrum
+        # of a real FFT carries the whole solve.
+        shape = K.domain_shape
+        symbol = 1.0 + tau * K.symmetrized()[:, :shape[1] // 2 + 1]
         kg = tau * K.adjoint(g)
 
         def prox_fourier(z):
-            rhs = np.fft.fft2(z + kg, norm="ortho")
-            return np.real(np.fft.ifft2(rhs / symbol, norm="ortho"))
+            rhs = np.fft.rfft2(z + kg, norm="ortho")
+            rhs /= symbol
+            return np.fft.irfft2(rhs, s=shape, norm="ortho")
 
         return prox_fourier
     if isinstance(K, MatrixMap):
@@ -131,13 +135,19 @@ def solve_pdhg(problem: VarRegProblem, cfg: SolveConfig):
     history = []
     metric = float("inf")
 
+    # With grad_tol == 0 the metric is only read at record steps, so it is
+    # computed only there; in between it is stale, and the strict test
+    # ``metric < cfg.grad_tol`` cannot pass on it.
+    check_every_step = cfg.grad_tol > 0
     for k in range(1, cfg.max_iters + 1):
         q_new = project_group_ball(q + sigma * A.apply(u_bar), problem.alpha)
         u_new = data_prox(u - tau * A.adjoint(q_new))
         u_bar = 2.0 * u_new - u
-        metric = 0.5 * (_relative_change(u_new, u) + _relative_change(q_new, q))
+        record = k % cfg.record_every == 0 or k == cfg.max_iters
+        if record or check_every_step:
+            metric = 0.5 * (_relative_change(u_new, u) + _relative_change(q_new, q))
         u, q = u_new, q_new
-        if k % cfg.record_every == 0 or k == cfg.max_iters:
+        if record:
             history.append((k, metric))
         if metric < cfg.grad_tol:
             report = _finish(u, q, k, metric, history, "tolerance")

@@ -48,6 +48,43 @@ class TestUsageErrors:
                      "--tol", "-1"]) == 2
 
 
+class TestMalformedInputs:
+    """Bad image and mask files are input errors (exit 2), not crashes."""
+
+    def run_with_image(self, tmp_path, image_path, **extra):
+        cfg = write_cfg(tmp_path, "c.json", {
+            "image_source": "file", "image_path": image_path, "size": [16, 16],
+            "cd_max_iters": 5, "pdhg_max_iters": 5, **extra})
+        return main(["fourier2d", "--config", cfg, "--out", str(tmp_path / "o")])
+
+    def test_truncated_pfm(self, tmp_path):
+        path = str(tmp_path / "img.pfm")
+        fileio.write_pfm(path, np.ones((16, 16)))
+        with open(path, "r+b") as f:
+            f.truncate(os.path.getsize(path) - 10)
+        assert self.run_with_image(tmp_path, path) == 2
+
+    def test_pfm_with_non_integer_size(self, tmp_path):
+        path = str(tmp_path / "img.pfm")
+        with open(path, "wb") as f:
+            f.write(b"Pf\n16 x6\n-1.0\n" + np.ones(256, dtype="<f4").tobytes())
+        assert self.run_with_image(tmp_path, path) == 2
+
+    def test_image_with_nan_pixel(self, tmp_path):
+        img = np.linspace(0.0, 1.0, 256).reshape(16, 16)
+        img[3, 4] = np.nan
+        path = str(tmp_path / "img.pfm")
+        fileio.write_pfm(path, img)
+        assert self.run_with_image(tmp_path, path) == 2
+
+    def test_nan_mask_file(self, tmp_path):
+        image = str(tmp_path / "img.pfm")
+        fileio.write_pfm(image, np.linspace(0.0, 1.0, 256).reshape(16, 16))
+        mask = str(tmp_path / "mask.pfm")
+        fileio.write_pfm(mask, np.full((16, 16), np.nan))
+        assert self.run_with_image(tmp_path, image, mask_kind="file", mask_path=mask) == 2
+
+
 class TestLassoCommand:
     def test_end_to_end(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "l.json", {

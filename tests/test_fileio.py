@@ -146,3 +146,37 @@ class TestLoadGrayscale:
         fileio.write_pgm16(path, arr)
         img = fileio.load_grayscale(path)
         assert img.min() == 0.0 and img.max() == 1.0
+
+
+class TestMalformedImages:
+    @pytest.mark.parametrize("payload", [
+        b"P5\n4 4\n255\n" + bytes(15),        # one byte short
+        b"P5\n4 four\n255\n" + bytes(16),     # non-integer size
+        b"P5\n4 4\n70000\n" + bytes(32),      # maxval out of range
+        b"P6\n2 2\n255\n" + bytes(11),        # color, one byte short
+        b"P2\n2 2\n255\n1 2 3\n",             # ascii, one sample short
+        b"P2\n2 2\n255\n1 2 x 4\n",           # ascii, bad sample
+        b"Pf\n0 4\n-1.0\n",                   # empty floatmap
+        b"Pf\n4 4\nscale\n" + bytes(64),      # bad scale line
+    ])
+    def test_rejected_as_input_error(self, tmp_path, payload):
+        path = str(tmp_path / "bad.img")
+        with open(path, "wb") as f:
+            f.write(payload)
+        with pytest.raises(InputError):
+            fileio.load_grayscale(path)
+
+    @pytest.mark.parametrize("sidecar", ['{"min": 0.0', '{"min": 0.0}', '[0, 1]'])
+    def test_bad_scaling_sidecar(self, tmp_path, sidecar):
+        path = str(tmp_path / "g.pgm")
+        fileio.write_pgm16(path, np.eye(4))
+        with open(path + ".json", "w") as f:
+            f.write(sidecar)
+        with pytest.raises(InputError):
+            fileio.load_grayscale(path)
+
+    def test_ascii_graymap_reads(self, tmp_path):
+        path = str(tmp_path / "ok.pgm")
+        with open(path, "wb") as f:
+            f.write(b"P2\n2 2\n4\n0 1\n2 4\n")
+        assert np.array_equal(fileio.load_grayscale(path), [[0.0, 0.25], [0.5, 1.0]])

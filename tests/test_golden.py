@@ -11,6 +11,8 @@ Regenerate the file (only in a change that says so) with::
     PYTHONPATH=src python tests/test_golden.py --write
 """
 
+import contextlib
+import io
 import json
 import os
 import sys
@@ -63,22 +65,14 @@ def pinned_metrics(summary):
     return _stage_pins(summary)
 
 
-def run_desk(name, out_dir, capsys=None):
+def run_desk(name, out_dir):
+    """Run one desk config through the CLI; returns the printed summary."""
     command, config = DESK_RUNS[name]
-    argv = [command, "--config", os.path.join(ROOT, config), "--out", out_dir]
-    if capsys is None:
-        import contextlib
-        import io
-
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            rc = main(argv)
-        out = buf.getvalue()
-    else:
-        rc = main(argv)
-        out = capsys.readouterr().out
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main([command, "--config", os.path.join(ROOT, config), "--out", out_dir])
     assert rc == 0
-    return json.loads(out.strip().splitlines()[-1])
+    return json.loads(buf.getvalue().strip().splitlines()[-1])
 
 
 def _compare(got, want, where):
@@ -94,8 +88,8 @@ def golden():
 
 
 @pytest.mark.parametrize("name", sorted(DESK_RUNS))
-def test_desk_metrics_match_golden(name, golden, tmp_path, capsys):
-    got = pinned_metrics(run_desk(name, str(tmp_path / name), capsys))
+def test_desk_metrics_match_golden(name, golden, tmp_path):
+    got = pinned_metrics(run_desk(name, str(tmp_path / name)))
     want = golden[name]
     if "stages" in want:
         assert got["exact"] == want["exact"], name

@@ -1,5 +1,12 @@
 """Property tests: the channel-view TV prox kernels equal, bit for bit, the
-``sum(z * z, axis=-1, keepdims=True)`` expressions they replace."""
+``sum(z * z, axis=-1, keepdims=True)`` expressions they replace, and the ball
+projection ``z * (radius / max(r, radius))`` equals the ``np.where`` form it
+replaces.
+
+The one input where the kernels differ is a group holding NaN: the old
+expressions kept the other channel of a two-channel group (shrinkage made it
+0, the projection left it as it was), the new ones make it NaN.
+"""
 
 import numpy as np
 import pytest
@@ -21,11 +28,15 @@ def keepdims_group_soft_threshold(z, beta):
     return z * factor
 
 
-def keepdims_project_group_ball(z, radius):
-    r = keepdims_norm(z)
-    with np.errstate(divide="ignore", invalid="ignore"):
+def where_project_ball(z, r, radius):
+    # radius / r overflows for subnormal r; np.where discards those entries
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         scale = np.where(r > radius, radius / np.where(r > 0, r, 1.0), 1.0)
     return z * scale
+
+
+def keepdims_project_group_ball(z, radius):
+    return where_project_ball(z, keepdims_norm(z), radius)
 
 
 def assert_bits_equal(got, want):
@@ -88,3 +99,41 @@ def test_zero_field_and_one_by_one():
 def test_group_soft_threshold_rejects_other_trailing_lengths(shape):
     with pytest.raises(InputError):
         sc.group_soft_threshold(np.ones(shape), 1.0)
+
+
+_moduli = st.floats(min_value=0.0, max_value=1e150)
+
+
+@st.composite
+def componentwise_arrays(draw):
+    """1-D real arrays and complex grids (whose trailing axis may be 2): the
+    inputs that ``project_group_ball`` clamps entry by entry, in modulus."""
+    if draw(st.booleans()):
+        z = draw(hnp.arrays(np.float64, st.integers(1, 12), elements=_entries))
+    else:
+        shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+        z = draw(hnp.arrays(np.complex128, shape, elements=st.complex_numbers(
+            max_magnitude=1e150, allow_nan=False, allow_infinity=False)))
+    zeros = draw(hnp.arrays(np.bool_, z.shape))
+    z[zeros] = 0.0
+    return z
+
+
+@settings(max_examples=300, deadline=None)
+@given(componentwise_arrays(), st.one_of(st.just(0.0), _moduli), st.data())
+def test_project_ball_componentwise_bit_identical(z, radius, data):
+    r = np.abs(z)
+    assert_bits_equal(sc.project_group_ball(z, radius), where_project_ball(z, r, radius))
+    # radius equal to an entry's modulus: that entry is kept as it is
+    on_boundary = float(r.ravel()[data.draw(st.integers(0, r.size - 1))])
+    assert_bits_equal(sc.project_group_ball(z, on_boundary),
+                      where_project_ball(z, r, on_boundary))
+
+
+def test_project_ball_nan_group():
+    # the old expression left the finite channel as it was; NaN now fills the group
+    z = np.array([[[np.nan, 0.5], [3.0, 4.0]]])
+    got, old = sc.project_group_ball(z, 1.0), keepdims_project_group_ball(z, 1.0)
+    assert np.isnan(got[0, 0]).all()
+    assert np.isnan(old[0, 0, 0]) and old[0, 0, 1] == 0.5
+    assert_bits_equal(got[0, 1], old[0, 1])

@@ -4,6 +4,71 @@ import pytest
 import sourcecond as sc
 from sourcecond.errors import ConfigurationError, InputError, VerificationError
 from sourcecond.experiments import shepp_logan
+from sourcecond.functionals import _pair_norm
+from sourcecond.solvers import _finish
+from sourcecond.varreg import _data_prox_factory, _relative_change
+
+
+def reference_pdhg(problem, cfg):
+    """PDHG with the full complex-FFT data prox for Fourier maps, the
+    ``np.where`` ball projection and the stopping metric on every step.
+    ``solve_pdhg`` must match it to rounding (Fourier maps) or bit for bit
+    (other maps)."""
+    tau = cfg.tau if cfg.tau is not None else 1.0 / 8.0
+    sigma = cfg.sigma if cfg.sigma is not None else 1.0
+    K, A = problem.K, problem.A
+    if isinstance(K, sc.FourierSamplingMap):
+        symbol = 1.0 + tau * K.symmetrized()
+        kg = tau * K.adjoint(problem.data)
+
+        def data_prox(z):
+            rhs = np.fft.fft2(z + kg, norm="ortho")
+            return np.real(np.fft.ifft2(rhs / symbol, norm="ortho"))
+    else:
+        data_prox = _data_prox_factory(problem, tau)
+
+    def project_ball(z, radius):
+        r = _pair_norm(z)[..., None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = np.where(r > radius, radius / np.where(r > 0, r, 1.0), 1.0)
+        return z * scale
+
+    u = np.zeros(A.domain_shape)
+    q = np.zeros(A.codomain_shape)
+    u_bar = u
+    history = []
+    metric = float("inf")
+    for k in range(1, cfg.max_iters + 1):
+        q_new = project_ball(q + sigma * A.apply(u_bar), problem.alpha)
+        u_new = data_prox(u - tau * A.adjoint(q_new))
+        u_bar = 2.0 * u_new - u
+        metric = 0.5 * (_relative_change(u_new, u) + _relative_change(q_new, q))
+        u, q = u_new, q_new
+        if k % cfg.record_every == 0 or k == cfg.max_iters:
+            history.append((k, metric))
+        if metric < cfg.grad_tol:
+            return u, q, _finish(u, q, k, metric, history, "tolerance")
+    return u, q, _finish(u, q, cfg.max_iters, metric, history, "max_iters")
+
+
+def noisy_fourier_problem(shape, mask):
+    rng = np.random.default_rng(1)
+    fwd = sc.fourier_sampling(mask)
+    g = fwd.apply(shepp_logan(*shape) + 0.05 * rng.standard_normal(shape))
+    return sc.VarRegProblem(K=fwd, data=g, alpha=0.5, A=sc.grad2(*shape))
+
+
+def assert_close_solve(got, want):
+    """Same iterations and record steps; iterates and metrics equal to rounding."""
+    (u, q, rep), (u_ref, q_ref, ref) = got, want
+    assert rep.iterations == ref.iterations
+    assert rep.termination == ref.termination
+    assert [h[0] for h in rep.history] == [h[0] for h in ref.history]
+    assert np.linalg.norm(u - u_ref) <= 1e-12 * np.linalg.norm(u_ref)
+    assert np.linalg.norm(q - q_ref) <= 1e-12 * np.linalg.norm(q_ref)
+    np.testing.assert_allclose([h[1] for h in rep.history], [h[1] for h in ref.history],
+                               rtol=1e-10, atol=0.0)
+    assert rep.final_grad_norm == pytest.approx(ref.final_grad_norm, rel=1e-10, abs=0.0)
 
 
 class TestErrorEstimate:
@@ -151,3 +216,42 @@ class TestSolvePdhg:
         assert rep.termination == "tolerance"
         assert rep.final_grad_norm < 1e-6
         assert rep.history[-1][1] == rep.final_grad_norm
+
+
+class TestPdhgMatchesReference:
+    def test_full_mask(self):
+        prob = noisy_fourier_problem((64, 64), sc.full_mask((64, 64)))
+        cfg = sc.SolveConfig(max_iters=400, record_every=50)
+        assert_close_solve(sc.solve_pdhg(prob, cfg), reference_pdhg(prob, cfg))
+
+    def test_odd_width_asymmetric_lowpass(self):
+        # odd n_x exercises irfft2(s=...); the even-width band is not
+        # symmetric, so the symbol differs from the mask
+        prob = noisy_fourier_problem((48, 47), sc.lowpass_mask((48, 47), 20, 13))
+        cfg = sc.SolveConfig(max_iters=400, record_every=7)
+        assert_close_solve(sc.solve_pdhg(prob, cfg), reference_pdhg(prob, cfg))
+
+    def test_stops_by_tolerance_at_same_iteration(self):
+        # the metric crosses 1e-4 at step 665 (9.993e-5, after 1.0016e-4),
+        # far from rounding
+        prob = noisy_fourier_problem((64, 64), sc.full_mask((64, 64)))
+        cfg = sc.SolveConfig(max_iters=5000, grad_tol=1e-4, record_every=100)
+        got = sc.solve_pdhg(prob, cfg)
+        assert got[2].termination == "tolerance" and got[2].iterations == 665
+        assert_close_solve(got, reference_pdhg(prob, cfg))
+
+    def test_identity_map_bit_identical(self, rng):
+        # only the on-demand metric and the ball projection differ here, and
+        # both are exact: record steps read a fresh metric
+        u0 = shepp_logan(32)
+        prob = sc.VarRegProblem(K=sc.IdentityMap(u0.shape),
+                                data=u0 + 0.05 * rng.standard_normal(u0.shape),
+                                alpha=0.3, A=sc.grad2(32, 32))
+        for cfg in (sc.SolveConfig(max_iters=300, record_every=7),
+                    sc.SolveConfig(max_iters=5000, grad_tol=1e-5, record_every=11)):
+            u, q, rep = sc.solve_pdhg(prob, cfg)
+            u_ref, q_ref, ref = reference_pdhg(prob, cfg)
+            assert np.array_equal(u, u_ref) and np.array_equal(q, q_ref)
+            assert rep.history == ref.history
+            assert (rep.iterations, rep.termination, rep.final_grad_norm) == \
+                (ref.iterations, ref.termination, ref.final_grad_norm)
