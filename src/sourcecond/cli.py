@@ -154,16 +154,22 @@ def _cmd_phantom(args) -> int:
     return 0
 
 
+def _finite(array: np.ndarray, path: str) -> np.ndarray:
+    if not np.all(np.isfinite(array)):
+        raise InputError(f"{path!r} has non-finite values")
+    return array
+
+
 def _read_image_arg(path: str) -> np.ndarray:
     if path.endswith(".pfm"):
-        return np.asarray(fileio.read_pfm(path), dtype=float)
-    return fileio.read_pgm16(path)
+        return _finite(np.asarray(fileio.read_pfm(path), dtype=float), path)
+    return _finite(fileio.read_pgm16(path), path)
 
 
 def _cmd_verify(args) -> int:
     u = _read_image_arg(args.u)
     v = _read_image_arg(args.v)
-    q = fileio.read_pfm(args.q)
+    q = _finite(fileio.read_pfm(args.q), args.q)
     if q.ndim == 3:
         q = fileio.field_from_pfm(q)
     else:

@@ -15,10 +15,6 @@ from .errors import InputError
 from .operators import grad2
 
 
-def _magnitude(z: np.ndarray) -> np.ndarray:
-    return np.abs(z)
-
-
 def _pair_norm(z: np.ndarray) -> np.ndarray:
     """Euclidean norms of the 2-vectors along the trailing axis, from channel
     views; equal bit for bit to ``sqrt(sum(z * z, axis=-1))``."""
@@ -30,15 +26,20 @@ def soft_threshold(z: np.ndarray, beta: float = 1.0) -> np.ndarray:
     """Componentwise shrinkage towards zero by ``beta``.
 
     Real entries follow ``sign(z) * max(|z| - beta, 0)``; complex entries are
-    shrunk in modulus, with 0 mapping to 0.
+    shrunk in modulus, with 0 mapping to 0.  The result is ``z * factor`` with
+    ``factor = max(|z| - beta, 0) / |z|`` where ``|z| > 0`` and 0 elsewhere,
+    so an infinite entry (``inf / inf``) comes out NaN, as does a NaN entry,
+    without a floating-point warning.
     """
-    if beta < 0:
+    if not beta >= 0:
         raise InputError("shrinkage weight must be nonnegative")
     z = np.asarray(z)
-    mag = _magnitude(z)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        factor = np.where(mag > 0, np.maximum(mag - beta, 0.0) / np.where(mag > 0, mag, 1.0), 0.0)
-    return z * factor
+    mag = np.abs(z)
+    with np.errstate(invalid="ignore"):  # raised by infinite entries only
+        # np.maximum returns a scalar for 0-d input; out= needs an array
+        factor = np.asarray(np.maximum(mag - beta, 0.0))
+        np.divide(factor, mag, out=factor, where=mag > 0)
+        return z * factor
 
 
 def group_soft_threshold(z: np.ndarray, beta: float = 1.0) -> np.ndarray:

@@ -19,8 +19,15 @@ GRAD2_NORM_BOUND = math.sqrt(8.0)
 
 
 def real_inner(x: np.ndarray, y: np.ndarray) -> float:
-    """Real inner product; complex arrays count as stacked real pairs."""
-    return float(np.real(np.sum(np.asarray(x) * np.conj(y))))
+    """Real inner product; complex arrays count as stacked real pairs.
+
+    Real operands skip the conjugate and the real part; ``np.add.reduce`` is
+    the pairwise sum ``np.sum`` runs, so both branches round alike.
+    """
+    x, y = np.asarray(x), np.asarray(y)
+    if x.dtype.kind == "c" or y.dtype.kind == "c":
+        return float(np.real(np.sum(x * np.conj(y))))
+    return float(np.add.reduce(x * y, axis=None))
 
 
 class LinearMap(ABC):

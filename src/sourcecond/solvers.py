@@ -102,6 +102,11 @@ def source_gradient(v: np.ndarray, u_true: np.ndarray, fwd: LinearMap,
         raise InputError("v must live in the data space of the forward map")
     if np.shape(u_true) != fwd.domain_shape:
         raise InputError("u_true must live in the domain of the forward map")
+    return _source_gradient(v, u_true, fwd, prox)
+
+
+def _source_gradient(v, u_true, fwd, prox):
+    # source_gradient without its shape checks, for a loop that made them once
     return fwd.apply(prox.prox(u_true + fwd.adjoint(v)) - u_true)
 
 
@@ -141,10 +146,8 @@ def solve_source_gd(u_true: np.ndarray, fwd: LinearMap, prox: ProxFunctional,
     t = 1.0
     history = []
 
-    def grad_norm_at(point):
-        return float(np.linalg.norm(source_gradient(point, u_true, fwd, prox)))
-
-    gnorm = grad_norm_at(v)
+    # the shapes are checked once, here; the loop skips the checks
+    gnorm = float(np.linalg.norm(source_gradient(v, u_true, fwd, prox)))
     history.append((0, gnorm))
     if monitor is not None:
         monitor(0, v)
@@ -152,7 +155,7 @@ def solve_source_gd(u_true: np.ndarray, fwd: LinearMap, prox: ProxFunctional,
         return _finish(v, None, 0, gnorm, history, "tolerance")
 
     for k in range(1, cfg.max_iters + 1):
-        g = source_gradient(y, u_true, fwd, prox)
+        g = _source_gradient(y, u_true, fwd, prox)
         v_next = y - tau * g
         if accelerate:
             step = v_next - v
@@ -169,7 +172,7 @@ def solve_source_gd(u_true: np.ndarray, fwd: LinearMap, prox: ProxFunctional,
         v = v_next
 
         if k % cfg.record_every == 0 or k == cfg.max_iters:
-            gnorm = grad_norm_at(v)
+            gnorm = float(np.linalg.norm(_source_gradient(v, u_true, fwd, prox)))
             history.append((k, gnorm))
             if monitor is not None:
                 monitor(k, v)

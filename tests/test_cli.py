@@ -84,6 +84,13 @@ class TestMalformedInputs:
         fileio.write_pfm(mask, np.full((16, 16), np.nan))
         assert self.run_with_image(tmp_path, image, mask_kind="file", mask_path=mask) == 2
 
+    def test_mask_file_of_wrong_size(self, tmp_path):
+        image = str(tmp_path / "img.pfm")
+        fileio.write_pfm(image, np.linspace(0.0, 1.0, 256).reshape(16, 16))
+        mask = str(tmp_path / "mask.pfm")
+        fileio.write_pfm(mask, np.ones((16, 15)))
+        assert self.run_with_image(tmp_path, image, mask_kind="file", mask_path=mask) == 2
+
 
 class TestLassoCommand:
     def test_end_to_end(self, tmp_path, capsys):
@@ -141,6 +148,21 @@ class TestVerifyCommand:
                    "--v", os.path.join(out, "backprojection.pfm"),
                    "--q", bad, "--tol", "1e-6"])
         assert rc == 3
+
+    @pytest.mark.parametrize("which", ["u", "v", "q"])
+    def test_verify_rejects_nan_file(self, stored_run, tmp_path, which):
+        # a NaN in any input file is malformed input (2), not a failed check (3)
+        out, _ = stored_run
+        files = {"u": os.path.join(out, "u_true.pfm"),
+                 "v": os.path.join(out, "backprojection.pfm"),
+                 "q": os.path.join(out, "q.pfm")}
+        data = fileio.read_pfm(files[which]).copy()
+        data[3, 4] = np.nan
+        files[which] = str(tmp_path / f"nan_{which}.pfm")
+        fileio.write_pfm(files[which], data[:, :, :2] if which == "q" else data)
+        rc = main(["verify", "--u", files["u"], "--v", files["v"], "--q", files["q"],
+                   "--tol", "1e-6"])
+        assert rc == 2
 
     def test_verify_with_pgm_input(self, stored_run, tmp_path):
         out, res = stored_run

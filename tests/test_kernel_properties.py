@@ -1,12 +1,16 @@
 """Property tests: the channel-view TV prox kernels equal, bit for bit, the
-``sum(z * z, axis=-1, keepdims=True)`` expressions they replace, and the ball
+``sum(z * z, axis=-1, keepdims=True)`` expressions they replace, the ball
 projection ``z * (radius / max(r, radius))`` equals the ``np.where`` form it
-replaces.
+replaces, and so do the in-place one-norm shrinkage and the real inner
+product (``np.add.reduce`` for real operands) against ``np.where`` shrinkage
+and ``sum(x * conj(y))``.
 
 The one input where the kernels differ is a group holding NaN: the old
 expressions kept the other channel of a two-channel group (shrinkage made it
 0, the projection left it as it was), the new ones make it NaN.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -137,3 +141,108 @@ def test_project_ball_nan_group():
     assert np.isnan(got[0, 0]).all()
     assert np.isnan(old[0, 0, 0]) and old[0, 0, 1] == 0.5
     assert_bits_equal(got[0, 1], old[0, 1])
+
+
+def where_soft_threshold(z, beta):
+    mag = np.abs(z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        factor = np.where(mag > 0, np.maximum(mag - beta, 0.0) / np.where(mag > 0, mag, 1.0), 0.0)
+    return z * factor
+
+
+def conj_real_inner(x, y):
+    return float(np.real(np.sum(np.asarray(x) * np.conj(y))))
+
+
+# Real entries over the whole finite range, with subnormals drawn on purpose;
+# complex moduli stay below 1e150 so that |z| cannot overflow.
+_real_entries = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.floats(min_value=-1e-307, max_value=1e-307))
+_complex_entries = st.complex_numbers(max_magnitude=1e150, allow_nan=False,
+                                      allow_infinity=False)
+
+
+@st.composite
+def shrinkage_inputs(draw):
+    """0-d and 1-D real arrays and complex grids, some entries exactly zero
+    (all of them, at times)."""
+    kind = draw(st.sampled_from(["0-d", "real", "complex"]))
+    if kind == "0-d":
+        z = draw(hnp.arrays(np.float64, (), elements=_real_entries))
+    elif kind == "real":
+        z = draw(hnp.arrays(np.float64, st.integers(1, 12), elements=_real_entries))
+    else:
+        shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+        z = draw(hnp.arrays(np.complex128, shape, elements=_complex_entries))
+    if z.ndim:
+        z[draw(hnp.arrays(np.bool_, z.shape))] = 0.0
+    return z
+
+
+@settings(max_examples=400, deadline=None)
+@given(shrinkage_inputs(), st.one_of(st.just(0.0), _moduli, st.floats(0.0, 1e-307)),
+       st.data())
+def test_soft_threshold_bit_identical(z, beta, data):
+    assert_bits_equal(sc.soft_threshold(z, beta), where_soft_threshold(z, beta))
+    # beta equal to an entry's modulus: that entry shrinks to zero
+    mag = np.abs(z).ravel()
+    on_boundary = float(mag[data.draw(st.integers(0, mag.size - 1))])
+    assert_bits_equal(sc.soft_threshold(z, on_boundary), where_soft_threshold(z, on_boundary))
+
+
+@pytest.mark.parametrize("z", [np.zeros(5), np.zeros((3, 4), dtype=complex), np.array(0.0),
+                               np.array([-0.0, 0.0])])
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_soft_threshold_all_zeros(z, beta):
+    assert_bits_equal(sc.soft_threshold(z, beta), where_soft_threshold(z, beta))
+
+
+@pytest.mark.parametrize("z", [
+    np.array([np.inf, -np.inf, np.nan, 2.0, 0.0]),
+    np.array([complex(np.inf, 0.0), complex(1.0, -np.inf), complex(np.nan, 1.0), 3 + 4j, 0j]),
+    np.array(-np.inf),
+])
+@pytest.mark.parametrize("beta", [0.0, 1.0, np.inf])
+def test_soft_threshold_non_finite_entries(z, beta):
+    # infinite and NaN entries come out NaN, as before, and raise no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = where_soft_threshold(z, beta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sc.soft_threshold(z, beta)
+    assert_bits_equal(got, want)
+    assert np.array_equal(np.isnan(got), ~np.isfinite(z))
+
+
+def test_soft_threshold_rejects_nan_weight():
+    with pytest.raises(InputError):
+        sc.soft_threshold(np.ones(3), float("nan"))
+
+
+@st.composite
+def inner_product_pairs(draw):
+    """Equal-shape operand pairs: real/real, complex/complex and mixed."""
+    shape = draw(st.one_of(st.just(()), st.tuples(st.integers(1, 12)),
+                           st.tuples(st.integers(1, 5), st.integers(1, 5))))
+
+    def operand():
+        if draw(st.booleans()):
+            return draw(hnp.arrays(np.float64, shape, elements=_entries))
+        return draw(hnp.arrays(np.complex128, shape, elements=_complex_entries))
+
+    return operand(), operand()
+
+
+@settings(max_examples=400, deadline=None)
+@given(inner_product_pairs())
+def test_real_inner_bit_identical(pair):
+    x, y = pair
+    got, want = sc.real_inner(x, y), conj_real_inner(x, y)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_real_inner_accepts_sequences():
+    assert sc.real_inner([1.0, 2.0], [3.0, -4.0]) == -5.0
+    assert sc.real_inner([1j, 2.0], np.array([1j, 1.0])) == 3.0
