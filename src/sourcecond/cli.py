@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 configuration/usage error, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -19,28 +20,50 @@ from . import experiments, fileio
 from .errors import ConfigurationError, InputError, VerificationError
 from .functionals import verify_tv_subgradient
 
-_LASSO_KEYS = {"coeffs_true", "degree", "n_samples", "noise_std",
-               "sample_interval", "seed", "max_iters", "grad_tol",
-               "record_every", "verify_tol"}
-_FOURIER_KEYS = {"image_source", "image_path", "size", "mask_kind",
-                 "mask_width", "mask_height", "mask_beta", "mask_path",
-                 "alpha", "cd_max_iters", "cd_tol", "pdhg_max_iters",
-                 "pdhg_tol", "palm_max_iters", "verify_tol", "seed",
-                 "record_every"}
+# command -> (config class, driver name, {flag: config fields the flag sets}).
+# The driver is looked up in ``experiments`` at call time, so that a wrapper
+# installed on the module sees the call.
+_EXPERIMENTS = {
+    "lasso1d": (experiments.Lasso1DConfig, "run_lasso_experiment",
+                {"max_iters": ("max_iters",), "tol": ("grad_tol",)}),
+    "fourier2d": (experiments.Fourier2DConfig, "run_fourier_experiment",
+                  {"max_iters": ("cd_max_iters",), "tol": ("cd_tol",)}),
+    "optimal-sampling": (experiments.Fourier2DConfig, "run_optimal_sampling",
+                         {"max_iters": ("cd_max_iters", "palm_max_iters"),
+                          "tol": ("cd_tol",)}),
+}
 
 
-def _load_config(path: str, allowed: set) -> dict:
+def _load_config(args, cls, overrides: dict):
+    """Read ``--config``, apply the command-line overrides and build ``cls``.
+
+    The dataclass is the schema: its fields are the allowed keys, and a value
+    it cannot take is a configuration error.
+    """
+    raw = {}
+    if args.config:
+        try:
+            with open(args.config, "r", encoding="utf-8") as f:
+                raw = json.load(f)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigurationError(f"cannot read config {args.config}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigurationError("config must be a JSON object")
+        unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
+        if unknown:
+            raise ConfigurationError(f"unknown config keys: {unknown}")
+    if args.seed is not None:
+        raw["seed"] = args.seed
+    for flag, names in overrides.items():
+        value = getattr(args, flag)
+        if value is not None:
+            raw.update(dict.fromkeys(names, value))
+    if args.command == "optimal-sampling":
+        raw.setdefault("mask_kind", "learned")
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            raw = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigurationError("config must be a JSON object")
-    unknown = sorted(set(raw) - allowed)
-    if unknown:
-        raise ConfigurationError(f"unknown config keys: {unknown}")
-    return raw
+        return cls(**raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"bad config value: {exc}") from exc
 
 
 def _out_dir(args, command: str) -> str:
@@ -89,47 +112,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_lasso(args) -> int:
-    raw = _load_config(args.config, _LASSO_KEYS) if args.config else {}
-    solver = {k: raw.pop(k) for k in ("max_iters", "grad_tol", "record_every",
-                                      "verify_tol") if k in raw}
-    if "coeffs_true" in raw:
-        raw["coeffs_true"] = {int(k): float(v) for k, v in raw["coeffs_true"].items()}
-    if "sample_interval" in raw:
-        raw["sample_interval"] = tuple(raw["sample_interval"])
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    cfg = experiments.Lasso1DConfig(**raw)
-    if args.max_iters is not None:
-        solver["max_iters"] = args.max_iters
-    if args.tol is not None:
-        solver["grad_tol"] = args.tol
-    out = _out_dir(args, "lasso1d")
-    result = experiments.run_lasso_experiment(cfg, out_dir=out, **solver)
-    print(json.dumps(result["summary"], sort_keys=True))
-    return 0
-
-
-def _cmd_fourier(args, command: str) -> int:
-    raw = _load_config(args.config, _FOURIER_KEYS) if args.config else {}
-    if "size" in raw:
-        raw["size"] = tuple(raw["size"])
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.max_iters is not None:
-        raw["cd_max_iters"] = args.max_iters
-        if command == "optimal-sampling":
-            raw["palm_max_iters"] = args.max_iters
-    if args.tol is not None:
-        raw["cd_tol"] = args.tol
-    if command == "optimal-sampling":
-        raw.setdefault("mask_kind", "learned")
-    cfg = experiments.Fourier2DConfig(**raw)
-    out = _out_dir(args, command)
-    if command == "optimal-sampling":
-        result = experiments.run_optimal_sampling(cfg, out_dir=out, command=command)
-    else:
-        result = experiments.run_fourier_experiment(cfg, out_dir=out, command=command)
+def _cmd_experiment(args) -> int:
+    cls, driver, overrides = _EXPERIMENTS[args.command]
+    cfg = _load_config(args, cls, overrides)
+    out = _out_dir(args, args.command)
+    result = getattr(experiments, driver)(cfg, out_dir=out, command=args.command)
     print(json.dumps(result["summary"], sort_keys=True))
     return 0
 
@@ -175,13 +162,7 @@ def _cmd_verify(args) -> int:
     else:
         raise InputError("dual field file must have two channels")
     check = verify_tv_subgradient(v, q, u, args.tol)
-    print(json.dumps({
-        "passed": bool(check.passed),
-        "tol": check.tol,
-        "max_group_norm": check.max_group_norm,
-        "support_mismatch": check.support_mismatch,
-        "residual": check.residual,
-    }, sort_keys=True))
+    print(json.dumps(dataclasses.asdict(check), sort_keys=True))
     return 0 if check.passed else 3
 
 
@@ -192,10 +173,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        if args.command == "lasso1d":
-            return _cmd_lasso(args)
-        if args.command in ("fourier2d", "optimal-sampling"):
-            return _cmd_fourier(args, args.command)
+        if args.command in _EXPERIMENTS:
+            return _cmd_experiment(args)
         if args.command == "phantom":
             return _cmd_phantom(args)
         if args.command == "verify":

@@ -9,6 +9,7 @@ a JSON metric summary and a run manifest.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import time
@@ -119,6 +120,53 @@ def largest_coefficient_mask(u: np.ndarray, count: int) -> SamplingMask:
 
 
 # ---------------------------------------------------------------------------
+# run output
+
+
+def _history_columns(report, metric: str) -> dict:
+    return {"iteration": np.array([h[0] for h in report.history]),
+            metric: np.array([h[1] for h in report.history])}
+
+
+def _write_run(out_dir: str, command: str, experiment: str, cfg, timings: dict,
+               artifacts: dict) -> None:
+    """Write a run's artifacts in order, then its manifest.
+
+    ``artifacts`` maps file names to payloads, and the extension picks the
+    writer: ``.pfm``/``.pgm`` images, ``.csv`` column dicts, ``.json`` dicts,
+    ``.py`` text.  A payload may be a zero-argument callable, called in turn,
+    so that a summary can read back the files written before it.  The config
+    hash covers every field of ``cfg``.
+    """
+    t0 = time.perf_counter()
+    os.makedirs(out_dir, exist_ok=True)
+    names = []
+    for name, payload in artifacts.items():
+        if callable(payload):
+            payload = payload()
+        path = os.path.join(out_dir, name)
+        ext = os.path.splitext(name)[1]
+        if ext == ".pfm":
+            fileio.write_image(path, payload, "pfm")
+        elif ext == ".pgm":
+            fileio.write_image(path, payload, "pgm16")
+            names.append(name + ".json")
+        elif ext == ".csv":
+            fileio.write_series_csv(path, payload)
+        elif ext == ".json":
+            fileio.write_json(path, payload)
+        elif ext == ".py":
+            with open(path, "w", encoding="ascii") as f:
+                f.write(payload)
+        names.append(name)
+    timings["write"] = time.perf_counter() - t0
+    config = {"experiment": experiment, **dataclasses.asdict(cfg)}
+    fileio.write_manifest(out_dir, fileio.RunManifest(
+        command=command, config_hash=fileio.config_hash(config), seed=cfg.seed,
+        timings=timings, artifacts=names))
+
+
+# ---------------------------------------------------------------------------
 # 1D polynomial regression
 
 
@@ -128,7 +176,8 @@ class Lasso1DConfig:
 
     Samples default to the unit interval: certificates on symmetric intervals
     come out almost free (tiny norm), so [0, 1] is the regime in which the
-    low- vs high-degree contrast is meaningful.
+    low- vs high-degree contrast is meaningful.  The last four fields set the
+    accelerated-descent solve and its a-posteriori check.
     """
 
     coeffs_true: dict = field(default_factory=lambda: {0: -1.0, 2: 5.0, 5: -3.0})
@@ -137,9 +186,14 @@ class Lasso1DConfig:
     noise_std: float = 0.1
     sample_interval: tuple = (0.0, 1.0)
     seed: int = 0
+    max_iters: int = 1_000_000
+    grad_tol: float = 1e-12
+    record_every: int = 16
+    verify_tol: float = 1e-6
 
     def __post_init__(self):
         self.coeffs_true = {int(k): float(v) for k, v in self.coeffs_true.items()}
+        self.sample_interval = tuple(self.sample_interval)
         if self.n_samples < 1:
             raise ConfigurationError("n_samples must be at least 1")
         if self.noise_std < 0:
@@ -176,8 +230,6 @@ def make_lasso_data(cfg: Lasso1DConfig):
 
 
 def run_lasso_experiment(cfg: Lasso1DConfig, out_dir: str | None = None,
-                         max_iters: int = 1_000_000, grad_tol: float = 1e-12,
-                         record_every: int = 16, verify_tol: float = 1e-6,
                          command: str = "lasso1d") -> dict:
     """Compute and verify the certificate for a polynomial regression setup.
 
@@ -192,14 +244,14 @@ def run_lasso_experiment(cfg: Lasso1DConfig, out_dir: str | None = None,
     timings["data"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    solve_cfg = SolveConfig(max_iters=max_iters, grad_tol=grad_tol,
-                            tau=1.0 / phi.norm_bound ** 2, record_every=record_every)
+    solve_cfg = SolveConfig(max_iters=cfg.max_iters, grad_tol=cfg.grad_tol,
+                            tau=1.0 / phi.norm_bound ** 2, record_every=cfg.record_every)
     report = solve_source_gd(w_true, phi, ProxFunctional("l1"), solve_cfg)
     timings["solve"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     p = phi.adjoint(report.v)
-    check = verify_l1_subgradient(p, w_true, verify_tol)
+    check = verify_l1_subgradient(p, w_true, cfg.verify_tol)
     if delta > 0 and report.v_norm > 0:
         est = error_estimate(report.v, delta)
         alpha_star, bound = est.alpha_star, est.bound
@@ -225,56 +277,24 @@ def run_lasso_experiment(cfg: Lasso1DConfig, out_dir: str | None = None,
         "alpha_star": alpha_star,
         "error_bound": bound,
         "capped": report.termination == "max_iters",
-        "verify": {
-            "passed": bool(check.passed),
-            "tol": check.tol,
-            "max_group_norm": check.max_group_norm,
-            "support_mismatch": check.support_mismatch,
-        },
+        "verify": dataclasses.asdict(check),
     }
     result = {"summary": summary, "report": report, "check": check,
               "phi": phi, "f_clean": f_clean, "f_noisy": f_noisy,
               "g_alpha": g_alpha, "w_true": w_true, "dual_certificate": p}
 
     if out_dir is not None:
-        t0 = time.perf_counter()
-        os.makedirs(out_dir, exist_ok=True)
-        samples = np.linspace(lo, hi, cfg.n_samples)
-        fileio.write_series_csv(os.path.join(out_dir, "series.csv"), {
-            "sample": samples, "f_clean": f_clean, "f_noisy": f_noisy,
-            "g_alpha": g_alpha, "v": report.v,
+        _write_run(out_dir, command, "lasso1d", cfg, timings, {
+            "series.csv": {"sample": np.linspace(lo, hi, cfg.n_samples),
+                           "f_clean": f_clean, "f_noisy": f_noisy,
+                           "g_alpha": g_alpha, "v": report.v},
+            "coefficients.csv": {"degree": np.arange(cfg.degree + 1), "w_true": w_true,
+                                 "phi_t_v": p, "sign_w_true": np.sign(w_true)},
+            "history.csv": _history_columns(report, "grad_norm"),
+            "summary.json": summary,
+            "plot.py": plotscript.LASSO_PLOT,
         })
-        fileio.write_series_csv(os.path.join(out_dir, "coefficients.csv"), {
-            "degree": np.arange(cfg.degree + 1), "w_true": w_true,
-            "phi_t_v": p, "sign_w_true": np.sign(w_true),
-        })
-        fileio.write_series_csv(os.path.join(out_dir, "history.csv"), {
-            "iteration": np.array([h[0] for h in report.history]),
-            "grad_norm": np.array([h[1] for h in report.history]),
-        })
-        fileio.write_json(os.path.join(out_dir, "summary.json"), summary)
-        with open(os.path.join(out_dir, "plot.py"), "w", encoding="ascii") as f:
-            f.write(plotscript.LASSO_PLOT)
-        timings["write"] = time.perf_counter() - t0
-        manifest = fileio.RunManifest(
-            command=command, config_hash=fileio.config_hash(lasso_config_dict(cfg)),
-            seed=cfg.seed, timings=timings,
-            artifacts=["series.csv", "coefficients.csv", "history.csv",
-                       "summary.json", "plot.py"])
-        fileio.write_manifest(out_dir, manifest)
     return result
-
-
-def lasso_config_dict(cfg: Lasso1DConfig) -> dict:
-    return {
-        "experiment": "lasso1d",
-        "coeffs_true": {str(k): v for k, v in cfg.coeffs_true.items()},
-        "degree": cfg.degree,
-        "n_samples": cfg.n_samples,
-        "noise_std": cfg.noise_std,
-        "sample_interval": list(cfg.sample_interval),
-        "seed": cfg.seed,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +329,7 @@ class Fourier2DConfig:
     record_every: int = 1
 
     def __post_init__(self):
+        self.size = tuple(self.size)
         n_y, n_x = self.size
         if n_y < 2 or n_x < 2:
             raise ConfigurationError("size must be at least 2x2")
@@ -331,28 +352,6 @@ class Fourier2DConfig:
             raise ConfigurationError("mask_kind 'file' needs mask_path")
         if self.alpha <= 0:
             raise ConfigurationError("alpha must be positive")
-
-
-def fourier_config_dict(cfg: Fourier2DConfig) -> dict:
-    return {
-        "experiment": "fourier2d",
-        "image_source": cfg.image_source,
-        "image_path": cfg.image_path,
-        "size": list(cfg.size),
-        "mask_kind": cfg.mask_kind,
-        "mask_width": cfg.mask_width,
-        "mask_height": cfg.mask_height,
-        "mask_beta": cfg.mask_beta,
-        "mask_path": cfg.mask_path,
-        "alpha": cfg.alpha,
-        "cd_max_iters": cfg.cd_max_iters,
-        "cd_tol": cfg.cd_tol,
-        "pdhg_max_iters": cfg.pdhg_max_iters,
-        "pdhg_tol": cfg.pdhg_tol,
-        "palm_max_iters": cfg.palm_max_iters,
-        "verify_tol": cfg.verify_tol,
-        "seed": cfg.seed,
-    }
 
 
 def _load_image(cfg: Fourier2DConfig) -> np.ndarray:
@@ -407,6 +406,7 @@ def _certificate_stage(u_true, mask, cfg: Fourier2DConfig):
     solution, dual, pdhg_report = solve_pdhg(problem, pdhg_cfg)
     baseline = fwd.adjoint(fwd.apply(u_true))
     u_norm = float(np.linalg.norm(u_true))
+    q_norm = np.sqrt(np.sum(report.q ** 2, axis=-1))
     return {
         "fwd": fwd,
         "report": report,
@@ -420,7 +420,8 @@ def _certificate_stage(u_true, mask, cfg: Fourier2DConfig):
         "baseline": baseline,
         "rel_error": float(np.linalg.norm(solution - u_true)) / u_norm,
         "baseline_rel_error": float(np.linalg.norm(baseline - u_true)) / u_norm,
-        "q_max_norm": float(np.sqrt(np.sum(report.q ** 2, axis=-1)).max()),
+        "q_norm": q_norm,
+        "q_max_norm": float(q_norm.max()),
     }
 
 
@@ -438,13 +439,7 @@ def _stage_summary(stage, mask):
         "pdhg_iterations": stage["pdhg_report"].iterations,
         "rel_error": stage["rel_error"],
         "baseline_rel_error": stage["baseline_rel_error"],
-        "verify": {
-            "passed": bool(stage["check"].passed),
-            "tol": stage["check"].tol,
-            "max_group_norm": stage["check"].max_group_norm,
-            "support_mismatch": stage["check"].support_mismatch,
-            "residual": stage["check"].residual,
-        },
+        "verify": dataclasses.asdict(stage["check"]),
     }
 
 
@@ -457,39 +452,6 @@ def _artifact_verify_tol(out_dir: str) -> float | None:
         if verify_tv_subgradient(v, q, u, tol).passed:
             return tol
     return None
-
-
-def _write_fourier_artifacts(out_dir, u_true, mask, stage):
-    os.makedirs(out_dir, exist_ok=True)
-    arts = []
-
-    def put(name, array, fmt="pfm"):
-        fileio.write_image(os.path.join(out_dir, name), array, fmt)
-        arts.append(name)
-        if fmt == "pgm16":
-            arts.append(name + ".json")
-
-    put("u_true.pfm", u_true)
-    put("u_true.pgm", u_true, "pgm16")
-    put("mask.pfm", mask.grid.astype(float))
-    put("v_re.pfm", np.real(stage["report"].v))
-    put("v_im.pfm", np.imag(stage["report"].v))
-    put("backprojection.pfm", stage["backprojection"])
-    put("q.pfm", stage["report"].q)
-    put("q_norm.pfm", np.sqrt(np.sum(stage["report"].q ** 2, axis=-1)))
-    put("g_alpha_re.pfm", np.real(stage["g_alpha"]))
-    put("g_alpha_im.pfm", np.imag(stage["g_alpha"]))
-    put("solution.pfm", stage["solution"])
-    put("solution.pgm", stage["solution"], "pgm16")
-    put("baseline.pfm", stage["baseline"])
-    for name, rep in (("cd_history.csv", stage["report"]),
-                      ("pdhg_history.csv", stage["pdhg_report"])):
-        fileio.write_series_csv(os.path.join(out_dir, name), {
-            "iteration": np.array([h[0] for h in rep.history]),
-            "metric": np.array([h[1] for h in rep.history]),
-        })
-        arts.append(name)
-    return arts
 
 
 def run_fourier_experiment(cfg: Fourier2DConfig, out_dir: str | None = None,
@@ -524,19 +486,30 @@ def run_fourier_experiment(cfg: Fourier2DConfig, out_dir: str | None = None,
         result["palm_report"] = palm
 
     if out_dir is not None:
-        t0 = time.perf_counter()
-        arts = _write_fourier_artifacts(out_dir, u_true, mask, stage)
-        summary["artifact_verify_tol"] = _artifact_verify_tol(out_dir)
-        fileio.write_json(os.path.join(out_dir, "metrics.json"), summary)
-        arts.append("metrics.json")
-        with open(os.path.join(out_dir, "plot.py"), "w", encoding="ascii") as f:
-            f.write(plotscript.FOURIER_PLOT)
-        arts.append("plot.py")
-        timings["write"] = time.perf_counter() - t0
-        manifest = fileio.RunManifest(
-            command=command, config_hash=fileio.config_hash(fourier_config_dict(cfg)),
-            seed=cfg.seed, timings=timings, artifacts=arts)
-        fileio.write_manifest(out_dir, manifest)
+        def metrics():
+            summary["artifact_verify_tol"] = _artifact_verify_tol(out_dir)
+            return summary
+
+        report, pdhg_report = stage["report"], stage["pdhg_report"]
+        _write_run(out_dir, command, "fourier2d", cfg, timings, {
+            "u_true.pfm": u_true,
+            "u_true.pgm": u_true,
+            "mask.pfm": mask.grid.astype(float),
+            "v_re.pfm": np.real(report.v),
+            "v_im.pfm": np.imag(report.v),
+            "backprojection.pfm": stage["backprojection"],
+            "q.pfm": report.q,
+            "q_norm.pfm": stage["q_norm"],
+            "g_alpha_re.pfm": np.real(stage["g_alpha"]),
+            "g_alpha_im.pfm": np.imag(stage["g_alpha"]),
+            "solution.pfm": stage["solution"],
+            "solution.pgm": stage["solution"],
+            "baseline.pfm": stage["baseline"],
+            "cd_history.csv": _history_columns(report, "metric"),
+            "pdhg_history.csv": _history_columns(pdhg_report, "metric"),
+            "metrics.json": metrics,
+            "plot.py": plotscript.FOURIER_PLOT,
+        })
     return result
 
 
@@ -576,9 +549,10 @@ def run_optimal_sampling(cfg: Fourier2DConfig, out_dir: str | None = None,
     big_mask = largest_coefficient_mask(u_true, count)
     timings["learn"] = time.perf_counter() - t0
 
+    # this order is the "stages" block's and metric_table.csv's mask_id order
+    masks = {"learned": learned_mask, "lowpass": low_mask, "largest": big_mask}
     stages, stage_summaries = {}, {}
-    for name, mask in (("learned", learned_mask), ("lowpass", low_mask),
-                       ("largest", big_mask)):
+    for name, mask in masks.items():
         t0 = time.perf_counter()
         stages[name] = _certificate_stage(u_true, mask, cfg)
         stage_summaries[name] = _stage_summary(stages[name], mask)
@@ -608,45 +582,22 @@ def run_optimal_sampling(cfg: Fourier2DConfig, out_dir: str | None = None,
         "ordering_exceptions": exceptions,
     }
     result = {"summary": summary, "u_true": u_true, "palm_report": palm,
-              "masks": {"learned": learned_mask, "lowpass": low_mask,
-                        "largest": big_mask},
-              "stages": stages}
+              "masks": masks, "stages": stages}
 
     if out_dir is not None:
-        t0 = time.perf_counter()
-        os.makedirs(out_dir, exist_ok=True)
-        arts = []
-        fileio.write_image(os.path.join(out_dir, "u_true.pfm"), u_true)
-        arts.append("u_true.pfm")
-        fileio.write_image(os.path.join(out_dir, "vt_re.pfm"), np.real(palm.v))
-        fileio.write_image(os.path.join(out_dir, "vt_im.pfm"), np.imag(palm.v))
-        arts += ["vt_re.pfm", "vt_im.pfm"]
-        for name, mask in (("learned", learned_mask), ("lowpass", low_mask),
-                           ("largest", big_mask)):
-            fileio.write_image(os.path.join(out_dir, f"mask_{name}.pfm"),
-                               mask.grid.astype(float))
-            fileio.write_image(os.path.join(out_dir, f"solution_{name}.pfm"),
-                               stages[name]["solution"])
-            arts += [f"mask_{name}.pfm", f"solution_{name}.pfm"]
-        # mask_id order matches the "stages" block: 0 learned, 1 lowpass, 2 largest
-        fileio.write_series_csv(os.path.join(out_dir, "metric_table.csv"), {
-            "mask_id": np.arange(3),
-            "count": np.array([learned_mask.count, low_mask.count, big_mask.count]),
-            "rel_error": np.array([err["learned"], err["lowpass"], err["largest"]]),
-            "v_norm": np.array([stage_summaries[n]["v_norm"]
-                                for n in ("learned", "lowpass", "largest")]),
-            "residual": np.array([stage_summaries[n]["residual"]
-                                  for n in ("learned", "lowpass", "largest")]),
-        })
-        arts.append("metric_table.csv")
-        fileio.write_json(os.path.join(out_dir, "metrics.json"), summary)
-        arts.append("metrics.json")
-        with open(os.path.join(out_dir, "plot.py"), "w", encoding="ascii") as f:
-            f.write(plotscript.SAMPLING_PLOT)
-        arts.append("plot.py")
-        timings["write"] = time.perf_counter() - t0
-        manifest = fileio.RunManifest(
-            command=command, config_hash=fileio.config_hash(fourier_config_dict(cfg)),
-            seed=cfg.seed, timings=timings, artifacts=arts)
-        fileio.write_manifest(out_dir, manifest)
+        artifacts = {"u_true.pfm": u_true, "vt_re.pfm": np.real(palm.v),
+                     "vt_im.pfm": np.imag(palm.v)}
+        for name, mask in masks.items():
+            artifacts[f"mask_{name}.pfm"] = mask.grid.astype(float)
+            artifacts[f"solution_{name}.pfm"] = stages[name]["solution"]
+        artifacts["metric_table.csv"] = {
+            "mask_id": np.arange(len(masks)),
+            "count": np.array([mask.count for mask in masks.values()]),
+            "rel_error": np.array(list(err.values())),
+            "v_norm": np.array([s["v_norm"] for s in stage_summaries.values()]),
+            "residual": np.array([s["residual"] for s in stage_summaries.values()]),
+        }
+        artifacts["metrics.json"] = summary
+        artifacts["plot.py"] = plotscript.SAMPLING_PLOT
+        _write_run(out_dir, command, "optimal-sampling", cfg, timings, artifacts)
     return result

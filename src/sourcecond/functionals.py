@@ -157,7 +157,7 @@ def verify_l1_subgradient(p: np.ndarray, w: np.ndarray, tol: float = 1e-6) -> Su
     on = w != 0
     support_mismatch = float(np.max(np.abs(p[on] - np.sign(w[on])), initial=0.0))
     max_group_norm = float(np.max(np.abs(p[~on]), initial=0.0))
-    passed = support_mismatch <= tol and max_group_norm <= 1.0 + tol
+    passed = bool(support_mismatch <= tol and max_group_norm <= 1.0 + tol)
     return SubgradientCheck(max_group_norm, support_mismatch, 0.0, tol, passed)
 
 
@@ -187,5 +187,5 @@ def verify_tv_subgradient(v: np.ndarray, q: np.ndarray, u: np.ndarray,
         support_mismatch = float(np.max(np.linalg.norm(q[active] - unit, axis=-1)))
     else:
         support_mismatch = 0.0
-    passed = norm_ok and max_group_norm <= 1.0 + tol and support_mismatch <= tol
+    passed = bool(norm_ok and max_group_norm <= 1.0 + tol and support_mismatch <= tol)
     return SubgradientCheck(max_group_norm, support_mismatch, residual, tol, passed)

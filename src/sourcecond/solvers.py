@@ -312,7 +312,6 @@ def extract_mask(v_tilde: np.ndarray) -> SamplingMask:
     zero-mean subgradient fields cannot reach it on their own.
     """
     grid = np.asarray(v_tilde) != 0
-    grid = np.array(grid, copy=True)
     grid[0, 0] = True
     return SamplingMask(grid)
 

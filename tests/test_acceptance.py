@@ -151,10 +151,10 @@ def test_criterion_4_exact_sc_on_denoising(denoise_cert):
 
 @pytest.fixture(scope="module")
 def deg5_run():
-    cfg = Lasso1DConfig(coeffs_true=DEG5_COEFFS)
+    cfg = Lasso1DConfig(coeffs_true=DEG5_COEFFS, max_iters=100_000, grad_tol=1e-12,
+                        record_every=16)
     t0 = time.perf_counter()
-    res = run_lasso_experiment(cfg, max_iters=100_000, grad_tol=1e-12,
-                               record_every=16)
+    res = run_lasso_experiment(cfg)
     res["elapsed"] = time.perf_counter() - t0
     return res
 
@@ -170,14 +170,14 @@ def test_criterion_5_lasso_degree5(deg5_run):
 
 def test_criterion_6_lasso_hardness_contrast(deg5_run):
     t0 = time.perf_counter()
-    cfg = Lasso1DConfig(coeffs_true=DEG20_COEFFS)
-    res = run_lasso_experiment(cfg, max_iters=10_000_000, grad_tol=1e-6,
-                               record_every=256)
+    cfg = Lasso1DConfig(coeffs_true=DEG20_COEFFS, max_iters=10_000_000, grad_tol=1e-6,
+                        record_every=256)
+    res = run_lasso_experiment(cfg)
     s = res["summary"]
     # matched tolerance for the easy problem
-    cfg5 = Lasso1DConfig(coeffs_true=DEG5_COEFFS)
-    res5 = run_lasso_experiment(cfg5, max_iters=100_000, grad_tol=1e-6,
-                                record_every=16)
+    cfg5 = Lasso1DConfig(coeffs_true=DEG5_COEFFS, max_iters=100_000, grad_tol=1e-6,
+                         record_every=16)
+    res5 = run_lasso_experiment(cfg5)
     ratio = s["v_norm"] / res5["summary"]["v_norm"]
     capped_labelled = (s["termination"] != "max_iters") or s["capped"]
     elapsed = time.perf_counter() - t0
@@ -238,7 +238,8 @@ def test_criterion_9_determinism(tmp_path):
                 diffs.append(name)
         return diffs
 
-    lasso_cfg = Lasso1DConfig(coeffs_true=DEG5_COEFFS, seed=3)
+    lasso_cfg = Lasso1DConfig(coeffs_true=DEG5_COEFFS, seed=3, max_iters=20_000,
+                              grad_tol=1e-10)
     fourier_cfg = Fourier2DConfig(size=(32, 32), mask_kind="lowpass", mask_width=11,
                                   cd_max_iters=300, pdhg_max_iters=300,
                                   record_every=100)
@@ -246,8 +247,8 @@ def test_criterion_9_determinism(tmp_path):
                               cd_max_iters=200, pdhg_max_iters=200,
                               palm_max_iters=200, record_every=100)
     diffs = []
-    diffs += compare_runs(lambda d: run_lasso_experiment(
-        lasso_cfg, out_dir=d, max_iters=20_000, grad_tol=1e-10), "lasso")
+    diffs += compare_runs(lambda d: run_lasso_experiment(lasso_cfg, out_dir=d),
+                          "lasso")
     diffs += compare_runs(lambda d: run_fourier_experiment(fourier_cfg, out_dir=d),
                           "fourier")
     diffs += compare_runs(lambda d: run_optimal_sampling(opt_cfg, out_dir=d), "opt")

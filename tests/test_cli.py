@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from sourcecond import fileio
-from sourcecond.cli import main
+from sourcecond.cli import _EXPERIMENTS, _load_config, build_parser, main
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def write_cfg(tmp_path, name, payload):
@@ -40,6 +42,15 @@ class TestUsageErrors:
         path = str(tmp_path / "broken.json")
         open(path, "w").write("{not json")
         assert main(["lasso1d", "--config", path, "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("command, payload", [
+        ("fourier2d", {"size": [64]}),
+        ("lasso1d", {"coeffs_true": {"x": 1.0}}),
+        ("lasso1d", {"degree": "5"}),
+    ])
+    def test_value_of_wrong_type(self, tmp_path, command, payload):
+        cfg = write_cfg(tmp_path, "bad.json", payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
     def test_inadmissible_steps_exit_2(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json", {"size": [16, 16]})
@@ -115,6 +126,63 @@ class TestLassoCommand:
         summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert summary["seed"] == 5
         assert summary["iterations"] <= 10
+
+
+class TestConfigSchema:
+    """The config dataclasses are the schema: every shipped config loads, and
+    the manifest's hash covers every field."""
+
+    @pytest.mark.parametrize("name", sorted(os.listdir(os.path.join(ROOT, "configs"))))
+    def test_shipped_config_loads(self, name):
+        command = {"lasso": "lasso1d", "fourier": "fourier2d",
+                   "sampling": "optimal-sampling"}[name.split("_")[0]]
+        args = build_parser().parse_args(
+            [command, "--config", os.path.join(ROOT, "configs", name)])
+        cls, _, overrides = _EXPERIMENTS[command]
+        assert isinstance(_load_config(args, cls, overrides), cls)
+
+    def config_hash(self, tmp_path, command, payload, *flags):
+        name = f"run{len(os.listdir(tmp_path))}"
+        cfg = write_cfg(tmp_path, name + ".json", payload)
+        out = str(tmp_path / name)
+        assert main([command, "--config", cfg, "--out", out, *flags]) == 0
+        with open(os.path.join(out, "manifest.json")) as f:
+            return json.load(f)["config_hash"]
+
+    def test_fourier_hash_covers_record_every(self, tmp_path):
+        base = {"size": [16, 16], "cd_max_iters": 10, "pdhg_max_iters": 10}
+        h2 = self.config_hash(tmp_path, "fourier2d", {**base, "record_every": 2})
+        h5 = self.config_hash(tmp_path, "fourier2d", {**base, "record_every": 5})
+        again = self.config_hash(tmp_path, "fourier2d", {**base, "record_every": 2})
+        assert h2 != h5
+        assert h2 == again
+
+    def test_lasso_hash_covers_solver_settings(self, tmp_path):
+        base = {"degree": 20, "n_samples": 12, "max_iters": 50}
+        ref = self.config_hash(tmp_path, "lasso1d", base)
+        assert ref == self.config_hash(tmp_path, "lasso1d", dict(base))
+        assert ref != self.config_hash(tmp_path, "lasso1d", {**base, "grad_tol": 1e-3})
+        h10 = self.config_hash(tmp_path, "lasso1d", base, "--max-iters", "10")
+        h20 = self.config_hash(tmp_path, "lasso1d", base, "--max-iters", "20")
+        assert len({ref, h10, h20}) == 3
+
+
+class TestManifestArtifacts:
+    """A run's manifest lists exactly the files it wrote."""
+
+    @pytest.mark.parametrize("command, payload", [
+        ("lasso1d", {"degree": 20, "n_samples": 12, "max_iters": 50}),
+        ("fourier2d", {"size": [16, 16], "cd_max_iters": 10, "pdhg_max_iters": 10}),
+        ("optimal-sampling", {"size": [16, 16], "mask_beta": 0.08, "cd_max_iters": 10,
+                              "pdhg_max_iters": 10, "palm_max_iters": 10}),
+    ])
+    def test_artifacts_are_the_written_files(self, tmp_path, command, payload):
+        cfg = write_cfg(tmp_path, "c.json", payload)
+        out = str(tmp_path / "run")
+        assert main([command, "--config", cfg, "--out", out]) == 0
+        with open(os.path.join(out, "manifest.json")) as f:
+            artifacts = json.load(f)["artifacts"]
+        assert artifacts == sorted(set(os.listdir(out)) - {"manifest.json"})
 
 
 class TestVerifyCommand:

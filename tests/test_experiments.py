@@ -117,9 +117,8 @@ class TestLassoDriver:
 
     def test_artifacts_and_summary(self, tmp_path):
         out = str(tmp_path / "run")
-        cfg = Lasso1DConfig()
-        res = run_lasso_experiment(cfg, out_dir=out, max_iters=50_000,
-                                   grad_tol=1e-10)
+        cfg = Lasso1DConfig(max_iters=50_000, grad_tol=1e-10)
+        res = run_lasso_experiment(cfg, out_dir=out)
         for name in ("series.csv", "coefficients.csv", "history.csv",
                      "summary.json", "manifest.json"):
             assert os.path.exists(os.path.join(out, name))
@@ -130,8 +129,8 @@ class TestLassoDriver:
         assert "timings" in manifest and manifest["timings"]
 
     def test_range_data_definition(self):
-        cfg = Lasso1DConfig()
-        res = run_lasso_experiment(cfg, max_iters=50_000, grad_tol=1e-10)
+        cfg = Lasso1DConfig(max_iters=50_000, grad_tol=1e-10)
+        res = run_lasso_experiment(cfg)
         s = res["summary"]
         expected = res["f_clean"] + s["alpha_star"] * res["report"].v
         assert np.allclose(res["g_alpha"], expected)

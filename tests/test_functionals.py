@@ -150,6 +150,11 @@ class TestVerifyL1Subgradient:
         with pytest.raises(InputError):
             sc.verify_l1_subgradient(np.zeros(3), np.zeros(4))
 
+    def test_passed_is_python_bool(self):
+        chk = sc.verify_l1_subgradient(np.array([1.0, 0.3]), np.array([2.0, 0.0]),
+                                       np.float64(1e-6))
+        assert type(chk.passed) is bool
+
 
 class TestVerifyTvSubgradient:
     def test_trivial_zero_certificate(self):
@@ -172,3 +177,9 @@ class TestVerifyTvSubgradient:
         chk = sc.verify_tv_subgradient(v, np.zeros((4, 4, 2)), u)
         assert not chk.passed
         assert chk.residual == pytest.approx(1.0)
+
+    def test_passed_is_python_bool(self):
+        u = np.full((5, 5), 1.0)
+        chk = sc.verify_tv_subgradient(np.zeros((5, 5)), np.zeros((4, 4, 2)), u,
+                                       np.float64(1e-6))
+        assert type(chk.passed) is bool
