@@ -10,9 +10,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
+import typing
 
 import numpy as np
 
@@ -34,17 +36,39 @@ _EXPERIMENTS = {
 }
 
 
+def _reject_constant(name):
+    raise ConfigurationError(f"config value {name} is not a finite number")
+
+
+def _fits(value, kind) -> bool:
+    """Whether a JSON value can stand for a field annotated ``kind``: an
+    integer, a finite number, a string, an object, a list whose entries fit
+    a ``tuple[...]``, or any of these for ``X | None``."""
+    args = typing.get_args(kind)
+    if typing.get_origin(kind) is tuple:
+        return (isinstance(value, (list, tuple)) and len(value) == len(args)
+                and all(map(_fits, value, args)))
+    if args:  # ``X | None``
+        return any(_fits(value, k) for k in args)
+    if isinstance(value, bool):  # JSON true/false is no number
+        return kind is bool
+    if kind is float:
+        return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    return isinstance(value, kind)
+
+
 def _load_config(args, cls, overrides: dict):
     """Read ``--config``, apply the command-line overrides and build ``cls``.
 
-    The dataclass is the schema: its fields are the allowed keys, and a value
-    it cannot take is a configuration error.
+    The dataclass is the schema: its fields are the allowed keys, each value
+    must fit its field's annotation, and a value it cannot take is a
+    configuration error.
     """
     raw = {}
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as f:
-                raw = json.load(f)
+                raw = json.load(f, parse_constant=_reject_constant)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigurationError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(raw, dict):
@@ -60,6 +84,11 @@ def _load_config(args, cls, overrides: dict):
             raw.update(dict.fromkeys(names, value))
     if args.command == "optimal-sampling":
         raw.setdefault("mask_kind", "learned")
+    kinds = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        if f.name in raw and not _fits(raw[f.name], kinds[f.name]):
+            raise ConfigurationError(
+                f"bad config value: {f.name}={raw[f.name]!r} is not of type {f.type}")
     try:
         return cls(**raw)
     except (TypeError, ValueError) as exc:

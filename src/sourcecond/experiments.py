@@ -184,7 +184,7 @@ class Lasso1DConfig:
     degree: int = 75
     n_samples: int = 50
     noise_std: float = 0.1
-    sample_interval: tuple = (0.0, 1.0)
+    sample_interval: tuple[float, float] = (0.0, 1.0)
     seed: int = 0
     max_iters: int = 1_000_000
     grad_tol: float = 1e-12
@@ -312,7 +312,7 @@ class Fourier2DConfig:
 
     image_source: str = "shepp_logan"
     image_path: str | None = None
-    size: tuple = (64, 64)
+    size: tuple[int, int] = (64, 64)
     mask_kind: str = "full"
     mask_width: int | None = None
     mask_height: int | None = None

@@ -9,12 +9,13 @@ Three solvers are provided:
 * a proximal alternating scheme that additionally sparsifies the data-space
   certificate to learn a Fourier sampling pattern.
 
-All solvers start from zero arrays and report a full audit trail.
+All solvers start from zero arrays, share one loop and report a full audit trail.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,9 +32,11 @@ class SolveConfig:
     """Budget and step sizes for one solve.
 
     ``tau``/``sigma`` may be left as None, in which case the solver derives
-    the largest admissible value from the operator norm bounds.
-    ``record_every`` controls both history recording and (for the accelerated
-    scheme) how often the stopping criterion is evaluated.
+    the largest admissible value from the operator norm bounds.  Every
+    solver runs the loop ``_iterate``: it records every ``record_every``-th
+    iterate and the last, and stops at a metric ``<= grad_tol``, at a NaN
+    metric ("diverged") or at the budget.  Accelerated descent (and PDHG
+    with ``grad_tol == 0``) takes its metric only at record steps.
     """
 
     max_iters: int = 1000
@@ -43,16 +46,17 @@ class SolveConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ConfigurationError("max_iters must be at least 1")
-        if self.grad_tol < 0:
+        # ``not x >= 0`` and ``not x > 0`` also refuse NaN
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+            raise ConfigurationError("max_iters must be an integer of at least 1")
+        if not self.grad_tol >= 0:
             raise ConfigurationError("grad_tol must be nonnegative")
-        if self.tau is not None and self.tau <= 0:
+        if self.tau is not None and not self.tau > 0:
             raise ConfigurationError("tau must be positive")
-        if self.sigma is not None and self.sigma <= 0:
+        if self.sigma is not None and not self.sigma > 0:
             raise ConfigurationError("sigma must be positive")
-        if self.record_every < 1:
-            raise ConfigurationError("record_every must be at least 1")
+        if not isinstance(self.record_every, numbers.Integral) or self.record_every < 1:
+            raise ConfigurationError("record_every must be an integer of at least 1")
 
 
 @dataclass
@@ -110,9 +114,35 @@ def _source_gradient(v, u_true, fwd, prox):
     return fwd.apply(prox.prox(u_true + fwd.adjoint(v)) - u_true)
 
 
+def _iterate(cfg: SolveConfig, measure, advance, every_step: bool, start: int = 0):
+    """The iteration loop of every solver, over iterates ``start..max_iters``.
+
+    ``advance()`` steps from iterate ``k`` to ``k + 1``; ``measure()`` gives
+    the stopping metric at the current one, at record steps (which enter the
+    history) and, with ``every_step``, at all others.  The loop stops at the
+    first metric ``<= cfg.grad_tol``, at a NaN metric or at the budget, and
+    returns ``(iterations, metric, history, termination)``, the arguments
+    ``_finish`` takes after the iterates.
+    """
+    history = []
+    for k in range(start, cfg.max_iters + 1):
+        last = k == cfg.max_iters
+        record = last or k % cfg.record_every == 0
+        if record or every_step:
+            metric = measure()
+            if record:
+                history.append((k, metric))
+            if metric <= cfg.grad_tol:
+                return k, metric, history, "tolerance"
+            if math.isnan(metric):
+                return k, metric, history, "diverged"
+        if not last:
+            advance()
+    return cfg.max_iters, metric, history, "max_iters"
+
+
 def solve_source_gd(u_true: np.ndarray, fwd: LinearMap, prox: ProxFunctional,
-                    cfg: SolveConfig, accelerate: bool = True,
-                    monitor=None) -> SolveReport:
+                    cfg: SolveConfig, accelerate: bool = True) -> SolveReport:
     """Minimize the certificate objective by (accelerated) gradient descent.
 
     Uses heavy-ball extrapolation with the classical t-sequence and a
@@ -131,30 +161,26 @@ def solve_source_gd(u_true: np.ndarray, fwd: LinearMap, prox: ProxFunctional,
         Regularizer with closed-form prox.
     cfg : SolveConfig
         Step size ``tau`` (default ``1 / norm_bound^2``) and budgets.
-    monitor : callable, optional
-        Called as ``monitor(k, v)`` at every recording step.
     """
     lam = fwd.norm_bound ** 2
     tau = cfg.tau if cfg.tau is not None else (1.0 / lam if lam > 0 else 1.0)
     if lam > 0 and tau > _BOUND_SLACK / lam:
         raise ConfigurationError(
             f"tau={tau} exceeds the stability bound 1/norm_bound^2={1.0 / lam}")
+    # v is built in the data space; the loop skips source_gradient's checks
+    if np.shape(u_true) != fwd.domain_shape:
+        raise InputError("u_true must live in the domain of the forward map")
 
     dtype = complex if fwd.codomain_complex else float
     v = np.zeros(fwd.codomain_shape, dtype=dtype)
     y = v
     t = 1.0
-    history = []
 
-    # the shapes are checked once, here; the loop skips the checks
-    gnorm = float(np.linalg.norm(source_gradient(v, u_true, fwd, prox)))
-    history.append((0, gnorm))
-    if monitor is not None:
-        monitor(0, v)
-    if gnorm <= cfg.grad_tol:
-        return _finish(v, None, 0, gnorm, history, "tolerance")
+    def measure():
+        return float(np.linalg.norm(_source_gradient(v, u_true, fwd, prox)))
 
-    for k in range(1, cfg.max_iters + 1):
+    def advance():
+        nonlocal v, y, t
         g = _source_gradient(y, u_true, fwd, prox)
         v_next = y - tau * g
         if accelerate:
@@ -171,15 +197,8 @@ def solve_source_gd(u_true: np.ndarray, fwd: LinearMap, prox: ProxFunctional,
             y = v_next
         v = v_next
 
-        if k % cfg.record_every == 0 or k == cfg.max_iters:
-            gnorm = float(np.linalg.norm(_source_gradient(v, u_true, fwd, prox)))
-            history.append((k, gnorm))
-            if monitor is not None:
-                monitor(k, v)
-            if gnorm <= cfg.grad_tol:
-                return _finish(v, None, k, gnorm, history, "tolerance")
-
-    return _finish(v, None, cfg.max_iters, gnorm, history, "max_iters")
+    outcome = _iterate(cfg, measure, advance, every_step=False)
+    return _finish(v, None, *outcome)
 
 
 def solve_range_cd(u_true: np.ndarray, fwd: LinearMap, grad_op: LinearMap,
@@ -219,27 +238,26 @@ def solve_range_cd(u_true: np.ndarray, fwd: LinearMap, grad_op: LinearMap,
     dtype = complex if fwd.codomain_complex else float
     v = np.zeros(fwd.codomain_shape, dtype=dtype)
     q = np.zeros(grad_op.codomain_shape)
-    history = []
-
     kv = fwd.adjoint(v)
-    for k in range(cfg.max_iters + 1):
+    aq = kd = shrunk = None  # the terms the metric carries into the step
+
+    def measure():
+        nonlocal aq, kd, shrunk
         aq = grad_op.adjoint(q)
         d = kv - aq
         kd = fwd.apply(d)
         shrunk = prox_h.prox(a_field + q)
-        metric = 0.5 * (float(np.linalg.norm(kd))
-                        + float(np.linalg.norm(-grad_op.apply(d) + shrunk - a_field)))
-        if k % cfg.record_every == 0 or k == cfg.max_iters:
-            history.append((k, metric))
-        if metric <= cfg.grad_tol:
-            return _finish(v, q, k, metric, history, "tolerance")
-        if k == cfg.max_iters:
-            break
+        return 0.5 * (float(np.linalg.norm(kd))
+                      + float(np.linalg.norm(-grad_op.apply(d) + shrunk - a_field)))
+
+    def advance():
+        nonlocal v, kv, q
         v = v - tau * kd
         kv = fwd.adjoint(v)
         q = q - sigma * (grad_op.apply(aq - kv) + shrunk - a_field)
 
-    return _finish(v, q, cfg.max_iters, metric, history, "max_iters")
+    outcome = _iterate(cfg, measure, advance, every_step=True)
+    return _finish(v, q, *outcome)
 
 
 def solve_palm(u_true: np.ndarray, grad_op: LinearMap, prox_h: ProxFunctional,
@@ -251,6 +269,10 @@ def solve_palm(u_true: np.ndarray, grad_op: LinearMap, prox_h: ProxFunctional,
     Fourier sampling pattern.  Defaults: ``tau = 1`` (the smooth coupling of
     the data block is 1-Lipschitz because the DFT is unitary) and
     ``sigma = 1/(||A||^2 + 1)``.
+
+    The stopping metric at iterate ``k`` is the mean of ``||dv||/tau`` and
+    ``||dq||/sigma`` over the step *from* ``k``, so it is taken on every step
+    and the step reuses it; at the budget it measures a step not taken.
 
     Returns the complex certificate in ``report.v``, the dual field in
     ``report.q`` and the number of nonzero entries in ``report.nnz``.
@@ -267,42 +289,26 @@ def solve_palm(u_true: np.ndarray, grad_op: LinearMap, prox_h: ProxFunctional,
             f"sigma={sigma} exceeds the stability bound 1/(||A||^2+1)={1.0 / lam_a}")
 
     a_field = grad_op.apply(u_true)
-    n_y, n_x = u_true.shape
-    vt = np.zeros((n_y, n_x), dtype=complex)
+    vt = np.zeros(u_true.shape, dtype=complex)
     q = np.zeros(grad_op.codomain_shape)
+    vt_new = q_new = None  # the step the metric measured, taken by advance
 
-    def step(vt_cur, q_cur):
-        aq = grad_op.adjoint(q_cur)
+    def measure():
+        nonlocal vt_new, q_new
+        aq = grad_op.adjoint(q)
         coupled = np.fft.fft2(aq, norm="ortho")
-        vt_new = soft_threshold(vt_cur - tau * (vt_cur - coupled), tau * beta)
+        vt_new = soft_threshold(vt - tau * (vt - coupled), tau * beta)
         back = np.real(np.fft.ifft2(vt_new, norm="ortho"))
-        q_new = q_cur - sigma * (grad_op.apply(aq - back)
-                                 + prox_h.prox(q_cur + a_field) - a_field)
-        return vt_new, q_new
+        q_new = q - sigma * (grad_op.apply(aq - back) + prox_h.prox(q + a_field) - a_field)
+        return 0.5 * (float(np.linalg.norm(vt_new - vt)) / tau
+                      + float(np.linalg.norm(q_new - q)) / sigma)
 
-    def displacement(vt_cur, q_cur, vt_new, q_new):
-        dv = float(np.linalg.norm(vt_new - vt_cur)) / tau
-        dq = float(np.linalg.norm(q_new - q_cur)) / sigma
-        return 0.5 * (dv + dq)
-
-    history = []
-    k = 0
-    while k < cfg.max_iters:
-        vt_new, q_new = step(vt, q)
-        metric = displacement(vt, q, vt_new, q_new)
-        if metric <= cfg.grad_tol:
-            history.append((k, metric))
-            return _finish(vt, q, k, metric, history, "tolerance",
-                           nnz=int(np.count_nonzero(vt)))
-        k += 1
+    def advance():
+        nonlocal vt, q
         vt, q = vt_new, q_new
-        if k % cfg.record_every == 0:
-            history.append((k, metric))
 
-    probe = step(vt, q)
-    metric = displacement(vt, q, *probe)
-    return _finish(vt, q, cfg.max_iters, metric, history, "max_iters",
-                   nnz=int(np.count_nonzero(vt)))
+    outcome = _iterate(cfg, measure, advance, every_step=True)
+    return _finish(vt, q, *outcome, nnz=int(np.count_nonzero(vt)))
 
 
 def extract_mask(v_tilde: np.ndarray) -> SamplingMask:

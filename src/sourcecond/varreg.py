@@ -11,7 +11,7 @@ from .errors import ConfigurationError, InputError, VerificationError
 from .functionals import project_group_ball, tv_value
 from .operators import (FourierSamplingMap, IdentityMap, LinearMap, MatrixMap,
                         grad2, real_inner)
-from .solvers import _BOUND_SLACK, SolveConfig, _finish
+from .solvers import _BOUND_SLACK, SolveConfig, _finish, _iterate
 
 
 @dataclass
@@ -116,7 +116,8 @@ def solve_pdhg(problem: VarRegProblem, cfg: SolveConfig):
     quadratic data term stays in the primal prox, which is closed form for
     the supported forward maps.  Defaults ``tau = 1/8`` and ``sigma = 1`` so
     that ``tau * sigma * ||A||^2 <= 1``.  Stops when the mean relative change
-    of primal and dual iterates falls below ``cfg.grad_tol``.
+    of primal and dual iterates is at most ``cfg.grad_tol``; the change is
+    first taken after one step, and only at record steps if ``grad_tol == 0``.
 
     Returns ``(solution, dual_field, report)``.
     """
@@ -129,32 +130,22 @@ def solve_pdhg(problem: VarRegProblem, cfg: SolveConfig):
 
     data_prox = _data_prox_factory(problem, tau)
     A = problem.A
-    u = np.zeros(A.domain_shape)
-    q = np.zeros(A.codomain_shape)
-    u_bar = u
-    history = []
-    metric = float("inf")
+    u = u_bar = u_old = np.zeros(A.domain_shape)
+    q = q_old = np.zeros(A.codomain_shape)
 
-    # With grad_tol == 0 the metric is only read at record steps, so it is
-    # computed only there; in between it is stale, and the strict test
-    # ``metric < cfg.grad_tol`` cannot pass on it.
-    check_every_step = cfg.grad_tol > 0
-    for k in range(1, cfg.max_iters + 1):
-        q_new = project_group_ball(q + sigma * A.apply(u_bar), problem.alpha)
-        u_new = data_prox(u - tau * A.adjoint(q_new))
-        u_bar = 2.0 * u_new - u
-        record = k % cfg.record_every == 0 or k == cfg.max_iters
-        if record or check_every_step:
-            metric = 0.5 * (_relative_change(u_new, u) + _relative_change(q_new, q))
-        u, q = u_new, q_new
-        if record:
-            history.append((k, metric))
-        if metric < cfg.grad_tol:
-            report = _finish(u, q, k, metric, history, "tolerance")
-            return u, q, report
+    def measure():
+        return 0.5 * (_relative_change(u, u_old) + _relative_change(q, q_old))
 
-    report = _finish(u, q, cfg.max_iters, metric, history, "max_iters")
-    return u, q, report
+    def advance():
+        nonlocal u, q, u_bar, u_old, q_old
+        u_old, q_old = u, q
+        q = project_group_ball(q_old + sigma * A.apply(u_bar), problem.alpha)
+        u = data_prox(u_old - tau * A.adjoint(q))
+        u_bar = 2.0 * u - u_old
+
+    advance()
+    outcome = _iterate(cfg, measure, advance, every_step=cfg.grad_tol > 0, start=1)
+    return u, q, _finish(u, q, *outcome)
 
 
 def bregman_distance_tv(u: np.ndarray, w: np.ndarray, q_w: np.ndarray) -> float:

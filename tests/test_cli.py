@@ -47,10 +47,28 @@ class TestUsageErrors:
         ("fourier2d", {"size": [64]}),
         ("lasso1d", {"coeffs_true": {"x": 1.0}}),
         ("lasso1d", {"degree": "5"}),
+        ("lasso1d", {"coeffs_true": [1]}),
+        ("fourier2d", {"cd_tol": "x"}),
+        ("lasso1d", {"degree": "5", "coeffs_true": {}}),
+        ("fourier2d", {"cd_max_iters": 5.5}),
+        ("lasso1d", {"seed": 1.5}),
+        ("fourier2d", {"cd_tol": float("nan")}),
+        ("fourier2d", {"alpha": float("nan")}),
+        ("fourier2d", {"size": [16.5, 16]}),
+        ("lasso1d", {"sample_interval": [0.0, "x"]}),
     ])
     def test_value_of_wrong_type(self, tmp_path, command, payload):
+        # json.dump writes NaN as the bare constant the parser must refuse;
+        # every value is refused before the run writes anything
         cfg = write_cfg(tmp_path, "bad.json", payload)
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_nan_tolerance_flag(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["fourier2d", "--out", str(out), "--tol", "nan"]) == 2
+        assert not out.exists()
 
     def test_inadmissible_steps_exit_2(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json", {"size": [16, 16]})

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sourcecond as sc
 from sourcecond.errors import ConfigurationError, InputError
-from sourcecond.solvers import _finish
+from sourcecond.solvers import _finish, _iterate
 
 
 def _range_cd_metric(v, q, a_field, fwd, grad_op, prox_h):
@@ -104,6 +106,52 @@ def reference_source_gd(u_true, fwd, prox, cfg, accelerate=True):
     return _finish(v, None, cfg.max_iters, gnorm, history, "max_iters")
 
 
+def reference_palm(u_true, grad_op, prox_h, beta, cfg):
+    """PALM with its own loop: each history entry holds the step into its
+    iterate, and a budget stop probes one extra step for the final metric.
+    ``solve_palm`` must match its iterates, ``nnz``, iterations, termination
+    and final metric bit for bit."""
+    tau = cfg.tau if cfg.tau is not None else 1.0
+    sigma = cfg.sigma if cfg.sigma is not None else 1.0 / (grad_op.norm_bound ** 2 + 1.0)
+    a_field = grad_op.apply(u_true)
+    n_y, n_x = u_true.shape
+    vt = np.zeros((n_y, n_x), dtype=complex)
+    q = np.zeros(grad_op.codomain_shape)
+
+    def step(vt_cur, q_cur):
+        aq = grad_op.adjoint(q_cur)
+        coupled = np.fft.fft2(aq, norm="ortho")
+        vt_new = sc.soft_threshold(vt_cur - tau * (vt_cur - coupled), tau * beta)
+        back = np.real(np.fft.ifft2(vt_new, norm="ortho"))
+        q_new = q_cur - sigma * (grad_op.apply(aq - back)
+                                 + prox_h.prox(q_cur + a_field) - a_field)
+        return vt_new, q_new
+
+    def displacement(vt_cur, q_cur, vt_new, q_new):
+        dv = float(np.linalg.norm(vt_new - vt_cur)) / tau
+        dq = float(np.linalg.norm(q_new - q_cur)) / sigma
+        return 0.5 * (dv + dq)
+
+    history = []
+    k = 0
+    while k < cfg.max_iters:
+        vt_new, q_new = step(vt, q)
+        metric = displacement(vt, q, vt_new, q_new)
+        if metric <= cfg.grad_tol:
+            history.append((k, metric))
+            return _finish(vt, q, k, metric, history, "tolerance",
+                           nnz=int(np.count_nonzero(vt)))
+        k += 1
+        vt, q = vt_new, q_new
+        if k % cfg.record_every == 0:
+            history.append((k, metric))
+
+    probe = step(vt, q)
+    metric = displacement(vt, q, *probe)
+    return _finish(vt, q, cfg.max_iters, metric, history, "max_iters",
+                   nnz=int(np.count_nonzero(vt)))
+
+
 def assert_same_solve(got, want):
     assert got.v.dtype == want.v.dtype and got.v.tobytes() == want.v.tobytes()
     assert (got.q is None) == (want.q is None)
@@ -125,6 +173,14 @@ class TestSolveConfig:
             sc.SolveConfig(tau=0.0)
         with pytest.raises(ConfigurationError):
             sc.SolveConfig(sigma=-0.1)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"max_iters": 5.5}, {"record_every": 2.5}, {"grad_tol": math.nan},
+        {"tau": math.nan}, {"sigma": math.nan},
+    ], ids=["max_iters-float", "record_every-float", "grad_tol-nan", "tau-nan", "sigma-nan"])
+    def test_rejects_non_integer_budget_and_nan(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            sc.SolveConfig(**kwargs)
 
 
 class TestSourceGradient:
@@ -228,14 +284,12 @@ class TestSolveSourceGd:
         fwd = sc.MatrixMap(rng.standard_normal((4, 6)))
         u = sc.soft_threshold(rng.standard_normal(6), 0.5)
         prox = sc.ProxFunctional("l1")
-        values = []
-        cfg = sc.SolveConfig(max_iters=300, grad_tol=0.0, record_every=10)
-        sc.solve_source_gd(u, fwd, prox, cfg,
-                           monitor=lambda k, v: values.append(
-                               sc.source_objective(v, u, fwd, prox)))
+        values = [sc.source_objective(np.zeros(4), u, fwd, prox)]
+        for budget in range(10, 301, 10):
+            rep = sc.solve_source_gd(u, fwd, prox, sc.SolveConfig(max_iters=budget))
+            values.append(sc.source_objective(rep.v, u, fwd, prox))
         assert values[-1] <= values[0]
         assert max(values[len(values) // 2:]) <= values[0] + 1e-12
-
 
     def _lasso(self, coeffs):
         from sourcecond.experiments import Lasso1DConfig, make_lasso_data
@@ -396,6 +450,86 @@ class TestSolvePalm:
         assert np.iscomplexobj(rep.v)
         # zero-mean dual fields cannot generate a zero-frequency component
         assert rep.v[0, 0] == 0.0
+
+
+    @pytest.mark.parametrize("beta, cfg", [
+        (0.1, sc.SolveConfig(max_iters=47, grad_tol=0.0, record_every=10)),
+        (0.1, sc.SolveConfig(max_iters=1000, grad_tol=0.25, record_every=7)),
+        (1e6, sc.SolveConfig(max_iters=20, grad_tol=0.0, record_every=3)),
+        (0.1, sc.SolveConfig(max_iters=1, grad_tol=0.0)),
+    ], ids=["budget", "tolerance", "no-support", "one-step"])
+    def test_matches_reference(self, beta, cfg):
+        from sourcecond.experiments import shepp_logan
+
+        args = (shepp_logan(32), sc.grad2(32, 32), sc.ProxFunctional("group_l21"), beta, cfg)
+        rep, ref = sc.solve_palm(*args), reference_palm(*args)
+        assert rep.v.tobytes() == ref.v.tobytes() and rep.q.tobytes() == ref.q.tobytes()
+        assert (rep.nnz, rep.iterations, rep.termination, rep.final_grad_norm) == \
+            (ref.nnz, ref.iterations, ref.termination, ref.final_grad_norm)
+        # history entry k holds the step from iterate k, taken at record steps
+        assert rep.history[0][0] == 0
+        assert rep.history[-1] == (rep.iterations, rep.final_grad_norm)
+
+
+class TestIterate:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 30), st.integers(1, 7), st.sampled_from([0.0, 0.5]),
+           st.booleans(), st.integers(0, 1),
+           st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 2.0, math.nan]),
+                    min_size=31, max_size=31))
+    def test_scripted_metrics(self, max_iters, record_every, grad_tol, every_step, start,
+                              metrics):
+        cfg = sc.SolveConfig(max_iters=max_iters, grad_tol=grad_tol,
+                             record_every=record_every)
+        at = [start]
+        measured = []
+
+        def measure():
+            measured.append(at[0])
+            return metrics[at[0]]
+
+        def advance():
+            at[0] += 1
+
+        k, metric, history, termination = _iterate(cfg, measure, advance, every_step, start)
+
+        def recorded(j):
+            return j % record_every == 0 or j == max_iters
+
+        taken = [j for j in range(start, max_iters + 1) if every_step or recorded(j)]
+        stop = next((j for j in taken if metrics[j] <= grad_tol or math.isnan(metrics[j])),
+                    max_iters)
+        assert k == stop and at[0] == stop  # one advance call per step taken
+        assert measured == [j for j in taken if j <= stop]
+        # list equality tries identity first, so the scripted NaN compares equal
+        assert history == [(j, metrics[j]) for j in measured if recorded(j)]
+        assert metric is metrics[stop]
+        if metrics[stop] <= grad_tol:
+            assert termination == "tolerance"
+        elif math.isnan(metrics[stop]):
+            assert termination == "diverged"
+        else:
+            assert termination == "max_iters"
+
+    @pytest.mark.parametrize("solver", ["gd", "cd", "palm", "pdhg"])
+    def test_nan_input_diverges(self, solver):
+        u = np.zeros((8, 8))
+        u[3, 4] = np.nan
+        a, prox_h = sc.grad2(8, 8), sc.ProxFunctional("group_l21")
+        cfg = sc.SolveConfig(max_iters=500)
+        if solver == "gd":
+            rep = sc.solve_source_gd(u.ravel(), sc.IdentityMap((64,)),
+                                     sc.ProxFunctional("l1"), cfg)
+        elif solver == "cd":
+            rep = sc.solve_range_cd(u, sc.IdentityMap(u.shape), a, prox_h, cfg)
+        elif solver == "palm":
+            rep = sc.solve_palm(u, a, prox_h, 0.1, cfg)
+        else:
+            problem = sc.VarRegProblem(K=sc.IdentityMap(u.shape), data=u, alpha=0.5, A=a)
+            rep = sc.solve_pdhg(problem, cfg)[2]
+        assert rep.termination == "diverged"
+        assert rep.iterations == (1 if solver == "pdhg" else 0)
+        assert math.isnan(rep.final_grad_norm)
 
 
 class TestExtractMask:
