@@ -35,10 +35,13 @@ class LinearMap(ABC):
 
     ``norm_bound`` is an upper bound on the operator norm with respect to the
     real inner product, used by the solvers to derive admissible step sizes.
+    ``normal_is_identity`` marks maps with ``K* K = I``: their normal operator
+    and the closed-form data prox of PDHG take no transform at all.
     """
 
     domain_complex = False
     codomain_complex = False
+    normal_is_identity = False
 
     def __init__(self, domain_shape, codomain_shape, norm_bound: float):
         self.domain_shape = tuple(domain_shape)
@@ -52,6 +55,17 @@ class LinearMap(ABC):
     @abstractmethod
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """Adjoint action with respect to the real inner product."""
+
+    def normal(self, x: np.ndarray) -> tuple[np.ndarray, float]:
+        """Normal operator and image norm: ``(K* K x, ||K x||)``.
+
+        When ``K* K = I`` this is ``(x, ||x||)``, with ``x`` itself returned.
+        """
+        if self.normal_is_identity:
+            self._check_domain(x)
+            return x, float(np.linalg.norm(x))
+        kx = self.apply(x)
+        return self.adjoint(kx), float(np.linalg.norm(kx))
 
     def _check_domain(self, x):
         if np.shape(x) != self.domain_shape:
@@ -87,6 +101,8 @@ class MatrixMap(LinearMap):
 
 
 class IdentityMap(LinearMap):
+    normal_is_identity = True
+
     def __init__(self, shape):
         super().__init__(shape, shape, 1.0)
 
@@ -173,15 +189,34 @@ class FourierSamplingMap(LinearMap):
 
     Acts on real images.  As a real-linear map its adjoint under the real
     inner product is ``v -> Re(ifft2(mask * v))``.
+
+    The normal operator ``K* K`` is diagonal in Fourier space with the
+    symmetrized mask as its symbol.  The symbol is even under ``k -> -k`` and
+    images are real, so ``half_symbol``, its part on the half spectrum of a
+    real FFT, carries every normal product and solve.  A full mask makes the
+    symbol 1 everywhere, and then ``K* K = I``.
     """
 
     codomain_complex = True
 
     def __init__(self, mask: SamplingMask):
         self.mask = mask
+        self.normal_is_identity = mask.count == mask.grid.size
+        symbol = self.symmetrized()
+        n_x = mask.shape[1]
+        self.half_symbol = np.ascontiguousarray(symbol[:, :n_x // 2 + 1])
+        self.half_symbol.flags.writeable = False
+        # ||K x||^2 over the half spectrum: a column whose mirror is not
+        # stored counts twice; column 0 and, for even widths, column n_x/2
+        # are their own mirrors and count once.
+        weight = np.full(n_x // 2 + 1, 2.0)
+        weight[0] = 1.0
+        if n_x % 2 == 0:
+            weight[-1] = 1.0
+        self._norm_weight = weight * self.half_symbol
         # The largest singular value of the real-linear composite is governed
         # by the symmetrized mask (frequency k paired with -k).
-        peak = float(self.symmetrized().max()) if mask.count > 0 else 0.0
+        peak = float(symbol.max()) if mask.count > 0 else 0.0
         super().__init__(mask.shape, mask.shape, math.sqrt(peak))
 
     def symmetrized(self) -> np.ndarray:
@@ -197,6 +232,18 @@ class FourierSamplingMap(LinearMap):
     def adjoint(self, y):
         self._check_codomain(y)
         return np.real(np.fft.ifft2(np.where(self.mask.grid, y, 0), norm="ortho"))
+
+    def normal(self, x):
+        """``(K* K x, ||K x||)`` from one ``rfft2`` and one ``irfft2``, or
+        with no transform when the mask is full."""
+        if self.normal_is_identity:
+            return super().normal(x)
+        self._check_domain(x)
+        half = np.fft.rfft2(x, norm="ortho")
+        power = half.real * half.real + half.imag * half.imag
+        norm = math.sqrt(float(np.add.reduce(self._norm_weight * power, axis=None)))
+        half *= self.half_symbol
+        return np.fft.irfft2(half, s=self.domain_shape, norm="ortho"), norm
 
 
 class GradientMap(LinearMap):

@@ -212,14 +212,15 @@ def solve_range_cd(u_true: np.ndarray, fwd: LinearMap, grad_op: LinearMap,
     ``sigma <= 1/(||A||^2 + 1)``; the stopping metric is the mean of the two
     partial-derivative norms evaluated at the current pair.
 
-    The metric at a pair and the step from it share ``K* v``, ``A* q``,
-    ``d = K* v - A* q``, ``K d`` and ``prox(a + q)``; each is computed once
-    and carried into the step.  An iteration therefore applies ``K*`` (to the
-    new ``v``) and ``K`` (to ``d``) once each, which is two FFTs for Fourier
-    sampling, the gradient twice, the divergence once and the prox once.
-    Every carried term is the same floating-point expression as when the
-    metric is evaluated apart from the step, so the iterates, the history
-    and the termination are bit for bit those of the unshared loop.
+    ``v`` starts at zero and each step moves it by ``-tau K d`` with
+    ``d = K* v - A* q``, so ``v = K D`` for the real image ``D``, the sum of
+    the ``-tau d``.  The solver holds ``D`` and the carried ``K* v`` instead
+    of ``v``: a step updates ``K* v`` by ``-tau K* K d`` and ``v = K D`` is
+    formed once, at the end.  The metric at a pair and the step from it share
+    ``A* q``, ``d``, ``K* K d`` and ``prox(a + q)``, so an iteration calls
+    ``fwd.normal`` once (one real FFT pair for Fourier sampling, no transform
+    for a full mask), the gradient twice, the divergence once and the prox
+    once.
     """
     lam_k = fwd.norm_bound ** 2
     lam_a = grad_op.norm_bound ** 2 + 1.0
@@ -235,29 +236,28 @@ def solve_range_cd(u_true: np.ndarray, fwd: LinearMap, grad_op: LinearMap,
     a_field = grad_op.apply(u_true)
     if b is not None:
         a_field = a_field + b
-    dtype = complex if fwd.codomain_complex else float
-    v = np.zeros(fwd.codomain_shape, dtype=dtype)
+    image = np.zeros(fwd.domain_shape)  # D, with v = K D
+    kv = np.zeros(fwd.domain_shape)  # K* v
     q = np.zeros(grad_op.codomain_shape)
-    kv = fwd.adjoint(v)
-    aq = kd = shrunk = None  # the terms the metric carries into the step
+    aq = d = kkd = shrunk = None  # the terms the metric carries into the step
 
     def measure():
-        nonlocal aq, kd, shrunk
+        nonlocal aq, d, kkd, shrunk
         aq = grad_op.adjoint(q)
         d = kv - aq
-        kd = fwd.apply(d)
+        kkd, kd_norm = fwd.normal(d)
         shrunk = prox_h.prox(a_field + q)
-        return 0.5 * (float(np.linalg.norm(kd))
+        return 0.5 * (kd_norm
                       + float(np.linalg.norm(-grad_op.apply(d) + shrunk - a_field)))
 
     def advance():
-        nonlocal v, kv, q
-        v = v - tau * kd
-        kv = fwd.adjoint(v)
+        nonlocal image, kv, q
+        image -= tau * d
+        kv -= tau * kkd
         q = q - sigma * (grad_op.apply(aq - kv) + shrunk - a_field)
 
     outcome = _iterate(cfg, measure, advance, every_step=True)
-    return _finish(v, q, *outcome)
+    return _finish(fwd.apply(image), q, *outcome)
 
 
 def solve_palm(u_true: np.ndarray, grad_op: LinearMap, prox_h: ProxFunctional,

@@ -9,8 +9,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InputError, VerificationError
 from .functionals import project_group_ball, tv_value
-from .operators import (FourierSamplingMap, IdentityMap, LinearMap, MatrixMap,
-                        grad2, real_inner)
+from .operators import FourierSamplingMap, LinearMap, MatrixMap, grad2, real_inner
 from .solvers import _BOUND_SLACK, SolveConfig, _finish, _iterate
 
 
@@ -64,20 +63,17 @@ def error_estimate(v: np.ndarray, delta: float) -> ErrorEstimate:
 def _data_prox_factory(problem: VarRegProblem, tau: float):
     """Closed-form solver for ``argmin_x 0.5||x - z||^2 + (tau/2)||Kx - g||^2``."""
     K, g = problem.K, problem.data
-    if isinstance(K, IdentityMap):
-        kg = tau * np.asarray(g, dtype=float)
+    if K.normal_is_identity:
+        kg = tau * K.adjoint(g)
 
         def prox_identity(z):
             return (z + kg) / (1.0 + tau)
 
         return prox_identity
     if isinstance(K, FourierSamplingMap):
-        # The normal operator of the real-linear composite is diagonal in
-        # Fourier space with the symmetrized mask as its symbol.  The symbol
-        # is even under k -> -k and the input is real, so the half spectrum
-        # of a real FFT carries the whole solve.
+        # K* K is diagonal on the half spectrum of a real FFT
         shape = K.domain_shape
-        symbol = 1.0 + tau * K.symmetrized()[:, :shape[1] // 2 + 1]
+        symbol = 1.0 + tau * K.half_symbol
         kg = tau * K.adjoint(g)
 
         def prox_fourier(z):
