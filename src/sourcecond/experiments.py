@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -192,6 +193,9 @@ class Lasso1DConfig:
     verify_tol: float = 1e-6
 
     def __post_init__(self):
+        for v in self.coeffs_true.values():
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+                raise ConfigurationError(f"coeffs_true value {v!r} is not a finite number")
         self.coeffs_true = {int(k): float(v) for k, v in self.coeffs_true.items()}
         self.sample_interval = tuple(self.sample_interval)
         if self.n_samples < 1:
@@ -200,6 +204,8 @@ class Lasso1DConfig:
             raise ConfigurationError("noise_std must be nonnegative")
         if self.coeffs_true and max(self.coeffs_true) > self.degree:
             raise ConfigurationError("degree must cover every nonzero coefficient")
+        if self.verify_tol < 0:
+            raise ConfigurationError("verify_tol must be nonnegative")
 
     def coefficient_vector(self) -> np.ndarray:
         w = np.zeros(self.degree + 1)
@@ -352,6 +358,8 @@ class Fourier2DConfig:
             raise ConfigurationError("mask_kind 'file' needs mask_path")
         if self.alpha <= 0:
             raise ConfigurationError("alpha must be positive")
+        if self.verify_tol < 0:
+            raise ConfigurationError("verify_tol must be nonnegative")
 
 
 def _load_image(cfg: Fourier2DConfig) -> np.ndarray:

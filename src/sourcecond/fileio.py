@@ -22,6 +22,15 @@ def _float_repr(x) -> str:
     return format(float(x), ".17g")
 
 
+def _open_input(path: str):
+    """Open an input image for binary reading; a file that cannot be opened
+    (missing, a directory, unreadable) is an input error."""
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise InputError(f"cannot read {path!r}: {exc.strerror}") from None
+
+
 # ---------------------------------------------------------------------------
 # portable graymap (P5, 16 bit) with scaling sidecar
 
@@ -90,7 +99,7 @@ def _read_samples(f, dtype, count: int, path: str) -> np.ndarray:
 
 def read_pgm16(path: str) -> np.ndarray:
     """Read a P5 graymap; restores float values from the sidecar when present."""
-    with open(path, "rb") as f:
+    with _open_input(path) as f:
         magic, w, h, maxval = _read_pnm_header(f)
         if magic != b"P5":
             raise InputError(f"not a P5 graymap: {path}")
@@ -131,7 +140,7 @@ def write_pfm(path: str, array: np.ndarray) -> None:
 
 
 def read_pfm(path: str) -> np.ndarray:
-    with open(path, "rb") as f:
+    with _open_input(path) as f:
         magic = f.readline().strip()
         if magic not in (b"Pf", b"PF"):
             raise InputError(f"not a floatmap: {path}")
@@ -170,7 +179,7 @@ def load_grayscale(path: str) -> np.ndarray:
 
     Color inputs are collapsed with the Rec. 601 luma weights.
     """
-    with open(path, "rb") as f:
+    with _open_input(path) as f:
         magic = f.read(2)
     if magic in (b"Pf", b"PF"):
         img = read_pfm(path)
@@ -190,7 +199,7 @@ def load_grayscale(path: str) -> np.ndarray:
 
 
 def _read_pnm_generic(path: str) -> np.ndarray:
-    with open(path, "rb") as f:
+    with _open_input(path) as f:
         magic, w, h, maxval = _read_pnm_header(f)
         count = w * h * (3 if magic in (b"P3", b"P6") else 1)
         if magic in (b"P2", b"P3"):

@@ -56,6 +56,8 @@ class TestUsageErrors:
         ("fourier2d", {"alpha": float("nan")}),
         ("fourier2d", {"size": [16.5, 16]}),
         ("lasso1d", {"sample_interval": [0.0, "x"]}),
+        ("lasso1d", {"coeffs_true": {"0": "1"}}),
+        ("lasso1d", {"coeffs_true": {"0": True}}),
     ])
     def test_value_of_wrong_type(self, tmp_path, command, payload):
         # json.dump writes NaN as the bare constant the parser must refuse;
@@ -68,6 +70,13 @@ class TestUsageErrors:
     def test_nan_tolerance_flag(self, tmp_path):
         out = tmp_path / "o"
         assert main(["fourier2d", "--out", str(out), "--tol", "nan"]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fourier2d", "lasso1d"])
+    def test_negative_verify_tol(self, tmp_path, command):
+        cfg = write_cfg(tmp_path, "bad.json", {"verify_tol": -1})
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
 
     def test_inadmissible_steps_exit_2(self, tmp_path):
@@ -85,6 +94,17 @@ class TestMalformedInputs:
             "image_source": "file", "image_path": image_path, "size": [16, 16],
             "cd_max_iters": 5, "pdhg_max_iters": 5, **extra})
         return main(["fourier2d", "--config", cfg, "--out", str(tmp_path / "o")])
+
+    def test_missing_image_file(self, tmp_path):
+        assert self.run_with_image(tmp_path, str(tmp_path / "nonexistent.pfm")) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_missing_mask_file(self, tmp_path):
+        image = str(tmp_path / "img.pfm")
+        fileio.write_pfm(image, np.linspace(0.0, 1.0, 256).reshape(16, 16))
+        mask = str(tmp_path / "nonexistent.pfm")
+        assert self.run_with_image(tmp_path, image, mask_kind="file", mask_path=mask) == 2
+        assert not (tmp_path / "o").exists()
 
     def test_truncated_pfm(self, tmp_path):
         path = str(tmp_path / "img.pfm")
