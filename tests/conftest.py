@@ -1,8 +1,15 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import sourcecond as sc
 from sourcecond.experiments import shepp_logan
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import sourcecond as sc
 from sourcecond.errors import InputError
@@ -249,3 +252,65 @@ class TestFourierSampling:
         for _ in range(20):
             x = rng.standard_normal((8, 8))
             assert np.linalg.norm(k.apply(x)) <= k.norm_bound * np.linalg.norm(x) * (1 + 1e-9)
+
+
+# mask kind -> strategy of a mask on the given shape; even low-pass widths
+# below the grid width are not symmetric under k -> -k
+_MASKS = {
+    "random": lambda shape: hnp.arrays(np.bool_, shape).map(sc.SamplingMask),
+    "even-width-lowpass": lambda shape: st.tuples(
+        st.integers(1, shape[1] // 2), st.integers(1, shape[0])).map(
+            lambda wh: sc.lowpass_mask(shape, 2 * wh[0], wh[1])),
+    "full": lambda shape: st.just(sc.full_mask(shape)),
+}
+
+
+class TestNormal:
+    """``normal(x)`` against ``(adjoint(apply(x)), ||apply(x)||)``."""
+
+    @pytest.mark.parametrize("kind", sorted(_MASKS))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_fourier_matches_adjoint_of_apply(self, kind, data):
+        # odd and even heights and widths
+        shape = (data.draw(st.integers(2, 11)), data.draw(st.integers(2, 11)))
+        k = sc.fourier_sampling(data.draw(_MASKS[kind](shape)))
+        x = data.draw(hnp.arrays(np.float64, shape,
+                                 elements=st.floats(-1e3, 1e3, allow_nan=False)))
+        kx = k.apply(x)
+        got, norm = k.normal(x)
+        scale = np.linalg.norm(x)
+        assert got.shape == shape and got.dtype == np.float64
+        assert np.linalg.norm(got - k.adjoint(kx)) <= 1e-12 * scale
+        assert abs(norm - np.linalg.norm(kx)) <= 1e-12 * scale
+
+    def test_full_mask_runs_no_transform(self, rng, monkeypatch):
+        k = sc.fourier_sampling(sc.full_mask((6, 7)))
+        assert k.normal_is_identity
+        for name in ("fft2", "ifft2", "rfft2", "irfft2"):
+            monkeypatch.setattr(np.fft, name, None)
+        x = rng.standard_normal((6, 7))
+        got, norm = k.normal(x)
+        assert got is x and norm == np.linalg.norm(x)
+
+    def test_only_full_mask_is_identity(self):
+        grid = np.ones((6, 7), dtype=bool)
+        grid[1, 2] = False
+        assert not sc.fourier_sampling(sc.SamplingMask(grid)).normal_is_identity
+        assert sc.IdentityMap((3,)).normal_is_identity
+
+    def test_default_is_adjoint_of_apply(self, rng):
+        for m in all_test_maps(rng):
+            x = rng.standard_normal(m.domain_shape)
+            if m.domain_complex:
+                x = x + 1j * rng.standard_normal(m.domain_shape)
+            got, norm = m.normal(x)
+            kx = m.apply(x)
+            assert np.allclose(got, m.adjoint(kx), rtol=0.0, atol=1e-12 * np.linalg.norm(x))
+            assert norm == pytest.approx(np.linalg.norm(kx), rel=1e-12)
+
+    def test_shape_check(self):
+        for m in (sc.fourier_sampling(sc.lowpass_mask((8, 8), 3)),
+                  sc.fourier_sampling(sc.full_mask((8, 8)))):
+            with pytest.raises(InputError):
+                m.normal(np.zeros((8, 7)))

@@ -22,8 +22,9 @@ def reference_range_cd(u_true, fwd, grad_op, prox_h, cfg, b=None):
     """Range-condition coordinate descent that evaluates the stopping metric
     apart from the step: five FFTs, two group proxes, two gradients and two
     divergences an iteration.  ``solve_range_cd`` must match it bit for bit
-    through the default ``normal`` (identity forward map) and to rounding on
-    the half spectrum (Fourier sampling)."""
+    for the identity forward map and to rounding for Fourier sampling, whose
+    normal operator runs on the half spectrum, or not at all for a full
+    mask."""
     lam_k = fwd.norm_bound ** 2
     tau = cfg.tau if cfg.tau is not None else (1.0 / lam_k if lam_k > 0 else 1.0)
     sigma = cfg.sigma if cfg.sigma is not None else 1.0 / (grad_op.norm_bound ** 2 + 1.0)

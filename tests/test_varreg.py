@@ -219,6 +219,17 @@ class TestSolvePdhg:
 
 
 class TestPdhgMatchesReference:
+    def test_full_mask_data_prox_runs_no_transform(self, rng, monkeypatch):
+        # K*K = I: the prox is (z + tau K*g) / (1 + tau), with K*g formed once
+        prob = noisy_fourier_problem((16, 17), sc.full_mask((16, 17)))
+        tau = 0.125
+        kg = tau * prob.K.adjoint(prob.data)
+        prox = _data_prox_factory(prob, tau)
+        for name in ("fft2", "ifft2", "rfft2", "irfft2"):
+            monkeypatch.setattr(np.fft, name, None)
+        z = rng.standard_normal((16, 17))
+        assert np.array_equal(prox(z), (z + kg) / (1.0 + tau))
+
     def test_full_mask(self):
         prob = noisy_fourier_problem((64, 64), sc.full_mask((64, 64)))
         cfg = sc.SolveConfig(max_iters=400, record_every=50)
