@@ -183,6 +183,8 @@ def _read_image_arg(path: str) -> np.ndarray:
 
 
 def _cmd_verify(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ConfigurationError(f"--tol must be a finite, nonnegative number, got {args.tol}")
     u = _read_image_arg(args.u)
     v = _read_image_arg(args.v)
     q = _finite(fileio.read_pfm(args.q), args.q)

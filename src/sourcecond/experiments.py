@@ -178,7 +178,8 @@ class Lasso1DConfig:
     Samples default to the unit interval: certificates on symmetric intervals
     come out almost free (tiny norm), so [0, 1] is the regime in which the
     low- vs high-degree contrast is meaningful.  The last four fields set the
-    accelerated-descent solve and its a-posteriori check.
+    accelerated-descent solve and its a-posteriori check; ``budget``, the
+    solve's ``SolveConfig``, is built here and is no field (nor hashed).
     """
 
     coeffs_true: dict = field(default_factory=lambda: {0: -1.0, 2: 5.0, 5: -3.0})
@@ -202,10 +203,16 @@ class Lasso1DConfig:
             raise ConfigurationError("n_samples must be at least 1")
         if self.noise_std < 0:
             raise ConfigurationError("noise_std must be nonnegative")
+        if self.coeffs_true and min(self.coeffs_true) < 0:
+            raise ConfigurationError("coeffs_true keys must be nonnegative degrees")
         if self.coeffs_true and max(self.coeffs_true) > self.degree:
             raise ConfigurationError("degree must cover every nonzero coefficient")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be nonnegative")
         if self.verify_tol < 0:
             raise ConfigurationError("verify_tol must be nonnegative")
+        self.budget = SolveConfig(max_iters=self.max_iters, grad_tol=self.grad_tol,
+                                  record_every=self.record_every)
 
     def coefficient_vector(self) -> np.ndarray:
         w = np.zeros(self.degree + 1)
@@ -239,7 +246,7 @@ def run_lasso_experiment(cfg: Lasso1DConfig, out_dir: str | None = None,
                          command: str = "lasso1d") -> dict:
     """Compute and verify the certificate for a polynomial regression setup.
 
-    Runs accelerated descent with the step size ``1/||Phi||^2``, checks the
+    Runs accelerated descent (step ``1/||Phi||^2``), checks the
     one-norm subdifferential membership of ``Phi^T v`` a-posteriori, and
     derives the noise-adapted weight and exact range data.
     """
@@ -250,9 +257,7 @@ def run_lasso_experiment(cfg: Lasso1DConfig, out_dir: str | None = None,
     timings["data"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    solve_cfg = SolveConfig(max_iters=cfg.max_iters, grad_tol=cfg.grad_tol,
-                            tau=1.0 / phi.norm_bound ** 2, record_every=cfg.record_every)
-    report = solve_source_gd(w_true, phi, ProxFunctional("l1"), solve_cfg)
+    report = solve_source_gd(w_true, phi, ProxFunctional("l1"), cfg.budget)
     timings["solve"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -313,7 +318,8 @@ class Fourier2DConfig:
 
     ``mask_kind`` is one of "full", "lowpass" (needs ``mask_width`` and
     optionally ``mask_height``), "learned" (needs ``mask_beta``), or "file"
-    (needs ``mask_path``).  Budgets are per stage.
+    (needs ``mask_path``).  Budgets are per stage: ``palm_budget``,
+    ``cd_budget`` and ``pdhg_budget``, built here and no fields (nor hashed).
     """
 
     image_source: str = "shepp_logan"
@@ -360,6 +366,12 @@ class Fourier2DConfig:
             raise ConfigurationError("alpha must be positive")
         if self.verify_tol < 0:
             raise ConfigurationError("verify_tol must be nonnegative")
+        self.palm_budget = SolveConfig(max_iters=self.palm_max_iters, grad_tol=0.0,
+                                       record_every=self.record_every)
+        self.cd_budget = SolveConfig(max_iters=self.cd_max_iters, grad_tol=self.cd_tol,
+                                     record_every=self.record_every)
+        self.pdhg_budget = SolveConfig(max_iters=self.pdhg_max_iters, grad_tol=self.pdhg_tol,
+                                       record_every=self.record_every)
 
 
 def _load_image(cfg: Fourier2DConfig) -> np.ndarray:
@@ -389,10 +401,8 @@ def _build_mask(cfg: Fourier2DConfig, u_true: np.ndarray):
         if not np.all(np.isfinite(grid)):
             raise InputError("mask file has non-finite values")
         return SamplingMask(grid != 0), None
-    palm_cfg = SolveConfig(max_iters=cfg.palm_max_iters, grad_tol=0.0,
-                           record_every=cfg.record_every)
     palm = solve_palm(u_true, grad2(*cfg.size), ProxFunctional("group_l21"),
-                      cfg.mask_beta, palm_cfg)
+                      cfg.mask_beta, cfg.palm_budget)
     return extract_mask(palm.v), palm
 
 
@@ -400,18 +410,14 @@ def _certificate_stage(u_true, mask, cfg: Fourier2DConfig):
     """Coordinate descent plus a-posteriori verification for one mask."""
     fwd = fourier_sampling(mask)
     a = grad2(*u_true.shape)
-    cd_cfg = SolveConfig(max_iters=cfg.cd_max_iters, grad_tol=cfg.cd_tol,
-                         record_every=cfg.record_every)
-    report = solve_range_cd(u_true, fwd, a, ProxFunctional("group_l21"), cd_cfg)
+    report = solve_range_cd(u_true, fwd, a, ProxFunctional("group_l21"), cfg.cd_budget)
     backproj = fwd.adjoint(report.v)
     imag_res = float(np.linalg.norm(np.imag(
         np.fft.ifft2(np.where(mask.grid, report.v, 0), norm="ortho"))))
     check = verify_tv_subgradient(backproj, report.q, u_true, cfg.verify_tol)
     g_alpha = range_data(u_true, fwd, report.v, cfg.alpha)
-    pdhg_cfg = SolveConfig(max_iters=cfg.pdhg_max_iters, grad_tol=cfg.pdhg_tol,
-                           record_every=cfg.record_every)
     problem = VarRegProblem(K=fwd, data=g_alpha, alpha=cfg.alpha, A=a)
-    solution, dual, pdhg_report = solve_pdhg(problem, pdhg_cfg)
+    solution, dual, pdhg_report = solve_pdhg(problem, cfg.pdhg_budget)
     baseline = fwd.adjoint(fwd.apply(u_true))
     u_norm = float(np.linalg.norm(u_true))
     q_norm = np.sqrt(np.sum(report.q ** 2, axis=-1))

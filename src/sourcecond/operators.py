@@ -79,17 +79,16 @@ class LinearMap(ABC):
 
 
 class MatrixMap(LinearMap):
-    """Dense matrix as a LinearMap; adjoint is the transpose."""
+    """Dense matrix as a LinearMap; adjoint is the transpose.  The norm bound
+    is the power-iteration estimate ``power_norm`` of the matrix."""
 
-    def __init__(self, matrix: np.ndarray, norm_bound: float | None = None):
+    def __init__(self, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2:
             raise InputError("MatrixMap needs a 2D matrix")
         self.matrix = matrix
-        super().__init__((matrix.shape[1],), (matrix.shape[0],),
-                         0.0 if norm_bound is None else norm_bound)
-        if norm_bound is None:
-            self.norm_bound = power_norm(self)
+        super().__init__((matrix.shape[1],), (matrix.shape[0],), 0.0)
+        self.norm_bound = power_norm(self)
 
     def apply(self, x):
         self._check_domain(x)

@@ -4,12 +4,14 @@ Three solvers are provided:
 
 * accelerated gradient descent on the smooth convex certificate objective
   (regularizers with a closed-form prox),
-* explicit coordinate descent for composite regularizers ``J(u) = H(Au + b)``,
+* explicit coordinate descent for composite regularizers ``J(u) = H(Au)``,
   which produces the certificate pair ``(v, q)``,
 * a proximal alternating scheme that additionally sparsifies the data-space
   certificate to learn a Fourier sampling pattern.
 
-All solvers start from zero arrays, share one loop and report a full audit trail.
+All solvers start from zero arrays, share one loop and report a full audit
+trail.  Their step sizes follow from the norm bounds of the operators they
+are given, so a solve is set by its budget alone.
 """
 
 from __future__ import annotations
@@ -24,25 +26,21 @@ from .errors import ConfigurationError, InputError
 from .functionals import ProxFunctional, soft_threshold
 from .operators import LinearMap, SamplingMask, real_inner
 
-_BOUND_SLACK = 1.0 + 1e-12  # tolerate roundoff when steps are set exactly at the bound
-
 
 @dataclass
 class SolveConfig:
-    """Budget and step sizes for one solve.
+    """Budget of one solve.
 
-    ``tau``/``sigma`` may be left as None, in which case the solver derives
-    the largest admissible value from the operator norm bounds.  Every
-    solver runs the loop ``_iterate``: it records every ``record_every``-th
-    iterate and the last, and stops at a metric ``<= grad_tol``, at a NaN
-    metric ("diverged") or at the budget.  Accelerated descent (and PDHG
-    with ``grad_tol == 0``) takes its metric only at record steps.
+    Every solver runs the loop ``_iterate``: it records every
+    ``record_every``-th iterate and the last, and stops at a metric
+    ``<= grad_tol``, at a NaN metric ("diverged") or at the budget.
+    Accelerated descent (and PDHG with ``grad_tol == 0``) takes its metric
+    only at record steps.  Step sizes are not set here: each solver derives
+    them from the norm bounds of its operators.
     """
 
     max_iters: int = 1000
     grad_tol: float = 0.0
-    tau: float | None = None
-    sigma: float | None = None
     record_every: int = 1
 
     def __post_init__(self):
@@ -51,10 +49,6 @@ class SolveConfig:
             raise ConfigurationError("max_iters must be an integer of at least 1")
         if not self.grad_tol >= 0:
             raise ConfigurationError("grad_tol must be nonnegative")
-        if self.tau is not None and not self.tau > 0:
-            raise ConfigurationError("tau must be positive")
-        if self.sigma is not None and not self.sigma > 0:
-            raise ConfigurationError("sigma must be positive")
         if not isinstance(self.record_every, numbers.Integral) or self.record_every < 1:
             raise ConfigurationError("record_every must be an integer of at least 1")
 
@@ -141,15 +135,28 @@ def _iterate(cfg: SolveConfig, measure, advance, every_step: bool, start: int = 
     return cfg.max_iters, metric, history, "max_iters"
 
 
+def _data_step(fwd: LinearMap) -> float:
+    """Step ``1/||K||^2`` of a data block from the norm bound of ``K``
+    (1 for the zero map)."""
+    lam = fwd.norm_bound ** 2
+    return 1.0 / lam if lam > 0 else 1.0
+
+
+def _dual_step(grad_op: LinearMap) -> float:
+    """Step ``1/(||A||^2 + 1)`` of a dual block from the norm bound of ``A``."""
+    return 1.0 / (grad_op.norm_bound ** 2 + 1.0)
+
+
 def solve_source_gd(u_true: np.ndarray, fwd: LinearMap, prox: ProxFunctional,
-                    cfg: SolveConfig, accelerate: bool = True) -> SolveReport:
-    """Minimize the certificate objective by (accelerated) gradient descent.
+                    cfg: SolveConfig) -> SolveReport:
+    """Minimize the certificate objective by accelerated gradient descent.
 
     Uses heavy-ball extrapolation with the classical t-sequence and a
-    gradient-based adaptive restart; ``accelerate=False`` gives plain descent.
-    The iteration starts from zero and stops once the gradient norm at the
-    iterate drops to ``cfg.grad_tol`` (checked every ``cfg.record_every``
-    iterations) or the budget runs out.
+    gradient-based adaptive restart, with the step ``tau = 1/||K||^2`` from
+    the norm bound of ``fwd`` (1 for the zero map), the inverse Lipschitz
+    constant of the gradient.  The iteration starts from zero and stops once
+    the gradient norm at the iterate drops to ``cfg.grad_tol`` (checked every
+    ``cfg.record_every`` iterations) or the budget runs out.
 
     Parameters
     ----------
@@ -160,13 +167,9 @@ def solve_source_gd(u_true: np.ndarray, fwd: LinearMap, prox: ProxFunctional,
     prox : ProxFunctional
         Regularizer with closed-form prox.
     cfg : SolveConfig
-        Step size ``tau`` (default ``1 / norm_bound^2``) and budgets.
+        Budget.
     """
-    lam = fwd.norm_bound ** 2
-    tau = cfg.tau if cfg.tau is not None else (1.0 / lam if lam > 0 else 1.0)
-    if lam > 0 and tau > _BOUND_SLACK / lam:
-        raise ConfigurationError(
-            f"tau={tau} exceeds the stability bound 1/norm_bound^2={1.0 / lam}")
+    tau = _data_step(fwd)
     # v is built in the data space; the loop skips source_gradient's checks
     if np.shape(u_true) != fwd.domain_shape:
         raise InputError("u_true must live in the domain of the forward map")
@@ -183,18 +186,15 @@ def solve_source_gd(u_true: np.ndarray, fwd: LinearMap, prox: ProxFunctional,
         nonlocal v, y, t
         g = _source_gradient(y, u_true, fwd, prox)
         v_next = y - tau * g
-        if accelerate:
-            step = v_next - v
-            if real_inner(g, step) > 0:
-                # extrapolation is fighting the gradient: restart the momentum
-                t = 1.0
-                y = v_next
-            else:
-                t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-                y = v_next + ((t - 1.0) / t_next) * step
-                t = t_next
-        else:
+        step = v_next - v
+        if real_inner(g, step) > 0:
+            # extrapolation is fighting the gradient: restart the momentum
+            t = 1.0
             y = v_next
+        else:
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            y = v_next + ((t - 1.0) / t_next) * step
+            t = t_next
         v = v_next
 
     outcome = _iterate(cfg, measure, advance, every_step=False)
@@ -202,15 +202,14 @@ def solve_source_gd(u_true: np.ndarray, fwd: LinearMap, prox: ProxFunctional,
 
 
 def solve_range_cd(u_true: np.ndarray, fwd: LinearMap, grad_op: LinearMap,
-                   prox_h: ProxFunctional, cfg: SolveConfig,
-                   b: np.ndarray | None = None) -> SolveReport:
+                   prox_h: ProxFunctional, cfg: SolveConfig) -> SolveReport:
     """Coordinate descent for the range-condition certificate pair ``(v, q)``.
 
     Minimizes ``0.5 ||K* v - A* q||^2`` plus the subgradient-membership loss of
-    ``q`` at ``A u + b``, alternating explicit gradient steps in ``v`` and
-    ``q``.  Admissible step sizes are ``tau <= 1/||K||^2`` and
-    ``sigma <= 1/(||A||^2 + 1)``; the stopping metric is the mean of the two
-    partial-derivative norms evaluated at the current pair.
+    ``q`` at ``A u``, alternating explicit gradient steps in ``v`` and ``q``.
+    The steps come from the norm bounds: ``tau = 1/||K||^2`` (1 for the zero
+    map) and ``sigma = 1/(||A||^2 + 1)``.  The stopping metric is the mean of
+    the two partial-derivative norms evaluated at the current pair.
 
     ``v`` starts at zero and each step moves it by ``-tau K d`` with
     ``d = K* v - A* q``, so ``v = K D`` for the real image ``D``, the sum of
@@ -222,20 +221,9 @@ def solve_range_cd(u_true: np.ndarray, fwd: LinearMap, grad_op: LinearMap,
     for a full mask), the gradient twice, the divergence once and the prox
     once.
     """
-    lam_k = fwd.norm_bound ** 2
-    lam_a = grad_op.norm_bound ** 2 + 1.0
-    tau = cfg.tau if cfg.tau is not None else (1.0 / lam_k if lam_k > 0 else 1.0)
-    sigma = cfg.sigma if cfg.sigma is not None else 1.0 / lam_a
-    if lam_k > 0 and tau > _BOUND_SLACK / lam_k:
-        raise ConfigurationError(
-            f"tau={tau} exceeds the stability bound 1/||K||^2={1.0 / lam_k}")
-    if sigma > _BOUND_SLACK / lam_a:
-        raise ConfigurationError(
-            f"sigma={sigma} exceeds the stability bound 1/(||A||^2+1)={1.0 / lam_a}")
-
+    tau = _data_step(fwd)
+    sigma = _dual_step(grad_op)
     a_field = grad_op.apply(u_true)
-    if b is not None:
-        a_field = a_field + b
     image = np.zeros(fwd.domain_shape)  # D, with v = K D
     kv = np.zeros(fwd.domain_shape)  # K* v
     q = np.zeros(grad_op.codomain_shape)
@@ -266,9 +254,9 @@ def solve_palm(u_true: np.ndarray, grad_op: LinearMap, prox_h: ProxFunctional,
 
     The data-space block carries an extra one-norm penalty with weight
     ``beta`` (complex modulus shrinkage) so that its zero set defines a
-    Fourier sampling pattern.  Defaults: ``tau = 1`` (the smooth coupling of
+    Fourier sampling pattern.  Steps: ``tau = 1`` (the smooth coupling of
     the data block is 1-Lipschitz because the DFT is unitary) and
-    ``sigma = 1/(||A||^2 + 1)``.
+    ``sigma = 1/(||A||^2 + 1)`` from the norm bound of ``grad_op``.
 
     The stopping metric at iterate ``k`` is the mean of ``||dv||/tau`` and
     ``||dq||/sigma`` over the step *from* ``k``, so it is taken on every step
@@ -279,14 +267,8 @@ def solve_palm(u_true: np.ndarray, grad_op: LinearMap, prox_h: ProxFunctional,
     """
     if beta <= 0:
         raise ConfigurationError("beta must be positive")
-    tau = cfg.tau if cfg.tau is not None else 1.0
-    lam_a = grad_op.norm_bound ** 2 + 1.0
-    sigma = cfg.sigma if cfg.sigma is not None else 1.0 / lam_a
-    if tau > _BOUND_SLACK:
-        raise ConfigurationError("tau exceeds the stability bound 1 of the data block")
-    if sigma > _BOUND_SLACK / lam_a:
-        raise ConfigurationError(
-            f"sigma={sigma} exceeds the stability bound 1/(||A||^2+1)={1.0 / lam_a}")
+    tau = 1.0
+    sigma = _dual_step(grad_op)
 
     a_field = grad_op.apply(u_true)
     vt = np.zeros(u_true.shape, dtype=complex)

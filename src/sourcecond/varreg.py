@@ -10,7 +10,9 @@ import numpy as np
 from .errors import ConfigurationError, InputError, VerificationError
 from .functionals import project_group_ball, tv_value
 from .operators import FourierSamplingMap, LinearMap, MatrixMap, grad2, real_inner
-from .solvers import _BOUND_SLACK, SolveConfig, _finish, _iterate
+from .solvers import SolveConfig, _finish, _iterate
+
+_BOUND_SLACK = 1.0 + 1e-12  # tolerate roundoff when tau*sigma*||A||^2 is exactly 1
 
 
 @dataclass
@@ -110,15 +112,16 @@ def solve_pdhg(problem: VarRegProblem, cfg: SolveConfig):
 
     The TV term is dualized (per-pixel projection onto the alpha-ball); the
     quadratic data term stays in the primal prox, which is closed form for
-    the supported forward maps.  Defaults ``tau = 1/8`` and ``sigma = 1`` so
-    that ``tau * sigma * ||A||^2 <= 1``.  Stops when the mean relative change
-    of primal and dual iterates is at most ``cfg.grad_tol``; the change is
-    first taken after one step, and only at record steps if ``grad_tol == 0``.
+    the supported forward maps.  The steps are ``tau = 1/8`` and
+    ``sigma = 1``, so that ``tau * sigma * ||A||^2 <= 1`` for the gradient
+    (``||A|| <= sqrt(8)``); a caller-supplied ``A`` whose norm bound breaks
+    that is refused.  Stops when the mean relative change of primal and dual
+    iterates is at most ``cfg.grad_tol``; the change is first taken after one
+    step, and only at record steps if ``grad_tol == 0``.
 
     Returns ``(solution, dual_field, report)``.
     """
-    tau = cfg.tau if cfg.tau is not None else 1.0 / 8.0
-    sigma = cfg.sigma if cfg.sigma is not None else 1.0
+    tau, sigma = 1.0 / 8.0, 1.0
     lam_a = problem.A.norm_bound ** 2
     if tau * sigma * lam_a > _BOUND_SLACK:
         raise ConfigurationError(

@@ -35,8 +35,7 @@ def denoise_cert(phantom64):
     u = phantom64
     fwd = sc.IdentityMap(u.shape)
     a = sc.grad2(*u.shape)
-    cfg = sc.SolveConfig(max_iters=200_000, grad_tol=1e-10, tau=1.0, sigma=1.0 / 9.0,
-                         record_every=100)
+    cfg = sc.SolveConfig(max_iters=200_000, grad_tol=1e-10, record_every=100)
     report = sc.solve_range_cd(u, fwd, a, sc.ProxFunctional("group_l21"), cfg)
     check = sc.verify_tv_subgradient(report.v, report.q, u, 1e-6)
     return {

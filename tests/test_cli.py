@@ -58,6 +58,8 @@ class TestUsageErrors:
         ("lasso1d", {"sample_interval": [0.0, "x"]}),
         ("lasso1d", {"coeffs_true": {"0": "1"}}),
         ("lasso1d", {"coeffs_true": {"0": True}}),
+        ("lasso1d", {"coeffs_true": {"-1": 2.0, "0": 1.0}}),
+        ("lasso1d", {"seed": -1}),
     ])
     def test_value_of_wrong_type(self, tmp_path, command, payload):
         # json.dump writes NaN as the bare constant the parser must refuse;
@@ -75,6 +77,34 @@ class TestUsageErrors:
     @pytest.mark.parametrize("command", ["fourier2d", "lasso1d"])
     def test_negative_verify_tol(self, tmp_path, command):
         cfg = write_cfg(tmp_path, "bad.json", {"verify_tol": -1})
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_negative_seed_flag(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["lasso1d", "--out", str(out), "--seed", "-1"]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, payload", [
+        ("fourier2d", {"size": [16, 16], "pdhg_tol": -1}),
+        ("fourier2d", {"size": [16, 16], "pdhg_max_iters": 0}),
+        ("fourier2d", {"size": [16, 16], "record_every": 0}),
+        ("optimal-sampling", {"size": [16, 16], "mask_beta": 0.08, "pdhg_max_iters": 0}),
+        ("optimal-sampling", {"size": [16, 16], "mask_beta": 0.08, "palm_max_iters": 0}),
+        ("lasso1d", {"max_iters": 0}),
+        ("lasso1d", {"grad_tol": -1}),
+        ("lasso1d", {"record_every": 0}),
+    ])
+    def test_budget_checked_before_any_solve(self, tmp_path, monkeypatch, command, payload):
+        from sourcecond import experiments
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran before the config was checked")
+
+        for name in ("solve_palm", "solve_range_cd", "solve_pdhg", "solve_source_gd"):
+            monkeypatch.setattr(experiments, name, no_solve)
+        cfg = write_cfg(tmp_path, "bad.json", payload)
         out = tmp_path / "o"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
@@ -269,6 +299,18 @@ class TestVerifyCommand:
         rc = main(["verify", "--u", files["u"], "--v", files["v"], "--q", files["q"],
                    "--tol", "1e-6"])
         assert rc == 2
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_verify_tol_must_be_finite_and_nonnegative(self, tmp_path, tol):
+        # a constant image with zero v and q (on the 7x7 difference grid) is a
+        # certificate at any tolerance
+        files = [str(tmp_path / name) for name in ("u.pfm", "v.pfm", "q.pfm")]
+        fileio.write_pfm(files[0], np.full((8, 8), 0.5))
+        fileio.write_pfm(files[1], np.zeros((8, 8)))
+        fileio.write_pfm(files[2], np.zeros((7, 7, 2)))
+        args = ["verify", "--u", files[0], "--v", files[1], "--q", files[2], "--tol"]
+        assert main(args + ["1e-6"]) == 0
+        assert main(args + [tol]) == 2
 
     def test_verify_with_pgm_input(self, stored_run, tmp_path):
         out, res = stored_run

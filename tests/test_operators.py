@@ -197,7 +197,7 @@ class TestPowerNorm:
 
     def test_matrix_map_default_bound(self):
         m = sc.vandermonde(np.linspace(0, 1, 50), 20)
-        assert m.norm_bound == sc.power_norm(sc.MatrixMap(m.matrix, norm_bound=1.0))
+        assert m.norm_bound == sc.power_norm(m)
         assert m.norm_bound == pytest.approx(np.linalg.norm(m.matrix, 2), rel=1e-8)
 
 

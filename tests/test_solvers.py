@@ -18,7 +18,7 @@ def _range_cd_metric(v, q, a_field, fwd, grad_op, prox_h):
     return 0.5 * (r_v + r_q)
 
 
-def reference_range_cd(u_true, fwd, grad_op, prox_h, cfg, b=None):
+def reference_range_cd(u_true, fwd, grad_op, prox_h, cfg):
     """Range-condition coordinate descent that evaluates the stopping metric
     apart from the step: five FFTs, two group proxes, two gradients and two
     divergences an iteration.  ``solve_range_cd`` must match it bit for bit
@@ -26,11 +26,9 @@ def reference_range_cd(u_true, fwd, grad_op, prox_h, cfg, b=None):
     normal operator runs on the half spectrum, or not at all for a full
     mask."""
     lam_k = fwd.norm_bound ** 2
-    tau = cfg.tau if cfg.tau is not None else (1.0 / lam_k if lam_k > 0 else 1.0)
-    sigma = cfg.sigma if cfg.sigma is not None else 1.0 / (grad_op.norm_bound ** 2 + 1.0)
+    tau = 1.0 / lam_k if lam_k > 0 else 1.0
+    sigma = 1.0 / (grad_op.norm_bound ** 2 + 1.0)
     a_field = grad_op.apply(u_true)
-    if b is not None:
-        a_field = a_field + b
     dtype = complex if fwd.codomain_complex else float
     v = np.zeros(fwd.codomain_shape, dtype=dtype)
     q = np.zeros(grad_op.codomain_shape)
@@ -56,14 +54,14 @@ def reference_range_cd(u_true, fwd, grad_op, prox_h, cfg, b=None):
     return _finish(v, q, cfg.max_iters, metric, history, "max_iters")
 
 
-def reference_source_gd(u_true, fwd, prox, cfg, accelerate=True):
+def reference_source_gd(u_true, fwd, prox, cfg):
     """Accelerated descent with the one-norm prox and the real inner product
     written out as ``np.where`` shrinkage and ``sum(x * conj(y))``, and the
     gradient's shapes checked on every step.  ``solve_source_gd`` with an
     ``l1`` prox must match it bit for bit."""
     assert prox.kind == "l1"
     lam = fwd.norm_bound ** 2
-    tau = cfg.tau if cfg.tau is not None else (1.0 / lam if lam > 0 else 1.0)
+    tau = 1.0 / lam if lam > 0 else 1.0
 
     def gradient(point):
         assert np.shape(point) == fwd.codomain_shape
@@ -87,17 +85,14 @@ def reference_source_gd(u_true, fwd, prox, cfg, accelerate=True):
     for k in range(1, cfg.max_iters + 1):
         g = gradient(y)
         v_next = y - tau * g
-        if accelerate:
-            step = v_next - v
-            if float(np.real(np.sum(np.asarray(g) * np.conj(step)))) > 0:
-                t = 1.0
-                y = v_next
-            else:
-                t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-                y = v_next + ((t - 1.0) / t_next) * step
-                t = t_next
-        else:
+        step = v_next - v
+        if float(np.real(np.sum(np.asarray(g) * np.conj(step)))) > 0:
+            t = 1.0
             y = v_next
+        else:
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            y = v_next + ((t - 1.0) / t_next) * step
+            t = t_next
         v = v_next
 
         if k % cfg.record_every == 0 or k == cfg.max_iters:
@@ -114,8 +109,8 @@ def reference_palm(u_true, grad_op, prox_h, beta, cfg):
     iterate, and a budget stop probes one extra step for the final metric.
     ``solve_palm`` must match its iterates, ``nnz``, iterations, termination
     and final metric bit for bit."""
-    tau = cfg.tau if cfg.tau is not None else 1.0
-    sigma = cfg.sigma if cfg.sigma is not None else 1.0 / (grad_op.norm_bound ** 2 + 1.0)
+    tau = 1.0
+    sigma = 1.0 / (grad_op.norm_bound ** 2 + 1.0)
     a_field = grad_op.apply(u_true)
     n_y, n_x = u_true.shape
     vt = np.zeros((n_y, n_x), dtype=complex)
@@ -187,15 +182,10 @@ class TestSolveConfig:
             sc.SolveConfig(max_iters=0)
         with pytest.raises(ConfigurationError):
             sc.SolveConfig(grad_tol=-1.0)
-        with pytest.raises(ConfigurationError):
-            sc.SolveConfig(tau=0.0)
-        with pytest.raises(ConfigurationError):
-            sc.SolveConfig(sigma=-0.1)
 
     @pytest.mark.parametrize("kwargs", [
         {"max_iters": 5.5}, {"record_every": 2.5}, {"grad_tol": math.nan},
-        {"tau": math.nan}, {"sigma": math.nan},
-    ], ids=["max_iters-float", "record_every-float", "grad_tol-nan", "tau-nan", "sigma-nan"])
+    ], ids=["max_iters-float", "record_every-float", "grad_tol-nan"])
     def test_rejects_non_integer_budget_and_nan(self, kwargs):
         with pytest.raises(ConfigurationError):
             sc.SolveConfig(**kwargs)
@@ -271,12 +261,6 @@ class TestSolveSourceGd:
         assert rep.v[0] == pytest.approx(1.0, abs=1e-12)
         assert abs(rep.v[1]) <= 1.0
 
-    def test_step_size_guard(self):
-        fwd = sc.MatrixMap(np.diag([2.0, 1.0]))
-        cfg = sc.SolveConfig(max_iters=10, tau=1.0)  # 1/||K||^2 = 0.25
-        with pytest.raises(ConfigurationError):
-            sc.solve_source_gd(np.ones(2), fwd, sc.ProxFunctional("l1"), cfg)
-
     def test_fixed_point_soundness(self, rng):
         fwd = sc.MatrixMap(rng.standard_normal((5, 3)))
         u = sc.soft_threshold(rng.standard_normal(3), 0.2)
@@ -288,15 +272,6 @@ class TestSolveSourceGd:
         assert re_eval == pytest.approx(rep.final_grad_norm, abs=1e-12)
         assert rep.v_norm == pytest.approx(np.linalg.norm(rep.v), abs=1e-12)
         assert rep.history[-1][1] == rep.final_grad_norm
-
-    def test_plain_descent_residual_eventually_decreasing(self, rng):
-        fwd = sc.MatrixMap(rng.standard_normal((4, 6)))
-        u = sc.soft_threshold(rng.standard_normal(6), 0.5)
-        cfg = sc.SolveConfig(max_iters=400, grad_tol=0.0, record_every=1)
-        rep = sc.solve_source_gd(u, fwd, sc.ProxFunctional("l1"), cfg, accelerate=False)
-        norms = [h[1] for h in rep.history]
-        tail = norms[len(norms) // 2:]
-        assert all(b <= a * (1 + 1e-10) for a, b in zip(tail, tail[1:]))
 
     def test_accelerated_objective_decreases_from_start(self, rng):
         fwd = sc.MatrixMap(rng.standard_normal((4, 6)))
@@ -313,15 +288,14 @@ class TestSolveSourceGd:
         from sourcecond.experiments import Lasso1DConfig, make_lasso_data
 
         cfg = Lasso1DConfig(coeffs_true=coeffs)
-        phi = make_lasso_data(cfg)[0]
-        return cfg.coefficient_vector(), phi, 1.0 / phi.norm_bound ** 2
+        return cfg.coefficient_vector(), make_lasso_data(cfg)[0]
 
     def test_matches_reference_deg5_lasso_to_tolerance(self):
         from sourcecond.experiments import DEG5_COEFFS
 
-        w, phi, tau = self._lasso(DEG5_COEFFS)
+        w, phi = self._lasso(DEG5_COEFFS)
         args = (w, phi, sc.ProxFunctional("l1"),
-                sc.SolveConfig(max_iters=100_000, grad_tol=1e-12, tau=tau, record_every=16))
+                sc.SolveConfig(max_iters=100_000, grad_tol=1e-12, record_every=16))
         rep = sc.solve_source_gd(*args)
         assert rep.termination == "tolerance"
         assert_same_solve(rep, reference_source_gd(*args))
@@ -329,22 +303,12 @@ class TestSolveSourceGd:
     def test_matches_reference_deg20_lasso_at_budget(self):
         from sourcecond.experiments import DEG20_COEFFS
 
-        w, phi, tau = self._lasso(DEG20_COEFFS)
+        w, phi = self._lasso(DEG20_COEFFS)
         args = (w, phi, sc.ProxFunctional("l1"),
-                sc.SolveConfig(max_iters=20_000, grad_tol=1e-6, tau=tau, record_every=256))
+                sc.SolveConfig(max_iters=20_000, grad_tol=1e-6, record_every=256))
         rep = sc.solve_source_gd(*args)
         assert rep.termination == "max_iters" and rep.iterations == 20_000
         assert_same_solve(rep, reference_source_gd(*args))
-
-    def test_matches_reference_plain_descent(self):
-        from sourcecond.experiments import DEG5_COEFFS
-
-        w, phi, tau = self._lasso(DEG5_COEFFS)
-        args = (w, phi, sc.ProxFunctional("l1"),
-                sc.SolveConfig(max_iters=3000, grad_tol=0.0, tau=tau, record_every=5))
-        rep = sc.solve_source_gd(*args, accelerate=False)
-        assert rep.iterations == 3000
-        assert_same_solve(rep, reference_source_gd(*args, accelerate=False))
 
     def test_matches_reference_complex_codomain(self):
         # modulus shrinkage and the conjugated inner product on complex arrays
@@ -374,30 +338,6 @@ class TestSolveRangeCd:
         assert rep.termination == "tolerance"
         assert rep.final_grad_norm <= 1e-10
         assert denoise_cert["check"].passed
-
-    def test_step_size_guards(self):
-        u = np.zeros((8, 8))
-        with pytest.raises(ConfigurationError):
-            sc.solve_range_cd(u, sc.IdentityMap(u.shape), sc.grad2(8, 8),
-                              sc.ProxFunctional("group_l21"),
-                              sc.SolveConfig(max_iters=5, sigma=1.0 / 8.0))
-        with pytest.raises(ConfigurationError):
-            sc.solve_range_cd(u, sc.IdentityMap(u.shape), sc.grad2(8, 8),
-                              sc.ProxFunctional("group_l21"),
-                              sc.SolveConfig(max_iters=5, tau=1.5))
-
-    def test_offset_field_shifts_fixed_point(self, rng):
-        # J(u) = H(Au + b): the dual field must certify membership at Au + b
-        u = np.zeros((8, 8))
-        a = sc.grad2(8, 8)
-        b = 0.05 * rng.standard_normal(a.codomain_shape)
-        rep = sc.solve_range_cd(u, sc.IdentityMap(u.shape), a,
-                                sc.ProxFunctional("group_l21"),
-                                sc.SolveConfig(max_iters=50_000, grad_tol=1e-11), b=b)
-        assert rep.termination == "tolerance"
-        prox_h = sc.ProxFunctional("group_l21")
-        target = a.apply(u) + b
-        assert np.max(np.abs(prox_h.prox(target + rep.q) - target)) < 1e-9
 
     def test_fixed_point_soundness(self, denoise_cert):
         rep = denoise_cert["report"]
@@ -436,14 +376,17 @@ class TestSolveRangeCd:
         assert rep.termination == "max_iters" and rep.iterations == 300
         assert_close_solve(rep, reference_range_cd(*args))
 
-    def test_matches_reference_with_offset_field(self, rng):
-        a = sc.grad2(8, 8)
-        b = 0.05 * rng.standard_normal(a.codomain_shape)
-        args = (np.zeros((8, 8)), sc.IdentityMap((8, 8)), a, sc.ProxFunctional("group_l21"),
-                sc.SolveConfig(max_iters=50_000, grad_tol=1e-11))
-        rep = sc.solve_range_cd(*args, b=b)
-        assert rep.termination == "tolerance"
-        assert_same_solve(rep, reference_range_cd(*args, b=b))
+    def test_matches_reference_identity_map_to_tolerance(self):
+        # K* K = I: normal() returns its argument, so the carried terms are
+        # the reference's own arithmetic and the match is bit for bit
+        from sourcecond.experiments import shepp_logan
+
+        u = shepp_logan(16)
+        args = (u, sc.IdentityMap(u.shape), sc.grad2(16, 16), sc.ProxFunctional("group_l21"),
+                sc.SolveConfig(max_iters=50_000, grad_tol=1e-11, record_every=10))
+        rep = sc.solve_range_cd(*args)
+        assert rep.termination == "tolerance" and rep.iterations > 10
+        assert_same_solve(rep, reference_range_cd(*args))
 
 
 class TestSolvePalm:

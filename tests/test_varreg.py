@@ -14,8 +14,7 @@ def reference_pdhg(problem, cfg):
     ``np.where`` ball projection and the stopping metric on every step.
     ``solve_pdhg`` must match it to rounding (Fourier maps) or bit for bit
     (other maps)."""
-    tau = cfg.tau if cfg.tau is not None else 1.0 / 8.0
-    sigma = cfg.sigma if cfg.sigma is not None else 1.0
+    tau, sigma = 1.0 / 8.0, 1.0
     K, A = problem.K, problem.A
     if isinstance(K, sc.FourierSamplingMap):
         symbol = 1.0 + tau * K.symmetrized()
@@ -176,11 +175,11 @@ class TestSolvePdhg:
             assert objective(sol) <= objective(u + 0.01 * rng.standard_normal(u.shape))
 
     def test_step_size_guard(self):
-        u = np.zeros((8, 8))
-        prob = sc.VarRegProblem(K=sc.IdentityMap(u.shape), data=u, alpha=1.0,
-                                A=sc.grad2(8, 8))
+        # tau * sigma = 1/8 fits ||A|| <= sqrt(8); this A has norm bound 3
+        prob = sc.VarRegProblem(K=sc.IdentityMap((4,)), data=np.zeros(4), alpha=1.0,
+                                A=sc.MatrixMap(3.0 * np.eye(4)))
         with pytest.raises(ConfigurationError):
-            sc.solve_pdhg(prob, sc.SolveConfig(max_iters=5, tau=0.5, sigma=1.0))
+            sc.solve_pdhg(prob, sc.SolveConfig(max_iters=5))
 
     def test_dense_forward_map(self, rng):
         # small dense forward map goes through the normal-equations prox
