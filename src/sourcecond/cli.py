@@ -42,8 +42,9 @@ def _reject_constant(name):
 
 def _fits(value, kind) -> bool:
     """Whether a JSON value can stand for a field annotated ``kind``: an
-    integer, a finite number, a string, an object, a list whose entries fit
-    a ``tuple[...]``, or any of these for ``X | None``."""
+    integer, a number that converts to a finite float, a string, an object,
+    a list whose entries fit a ``tuple[...]``, or any of these for
+    ``X | None``."""
     args = typing.get_args(kind)
     if typing.get_origin(kind) is tuple:
         return (isinstance(value, (list, tuple)) and len(value) == len(args)
@@ -53,7 +54,7 @@ def _fits(value, kind) -> bool:
     if isinstance(value, bool):  # JSON true/false is no number
         return kind is bool
     if kind is float:
-        return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+        return experiments.finite_number(value)
     return isinstance(value, kind)
 
 

@@ -171,6 +171,17 @@ def _write_run(out_dir: str, command: str, experiment: str, cfg, timings: dict,
 # 1D polynomial regression
 
 
+def finite_number(v) -> bool:
+    """Whether ``v`` is a number, not a bool, that converts to a finite
+    float: an integer too large for a float is refused."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 @dataclass
 class Lasso1DConfig:
     """Sparse polynomial-coefficient recovery setup.
@@ -195,7 +206,7 @@ class Lasso1DConfig:
 
     def __post_init__(self):
         for v in self.coeffs_true.values():
-            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+            if not finite_number(v):
                 raise ConfigurationError(f"coeffs_true value {v!r} is not a finite number")
         self.coeffs_true = {int(k): float(v) for k, v in self.coeffs_true.items()}
         self.sample_interval = tuple(self.sample_interval)
@@ -532,19 +543,25 @@ def tune_mask_beta(u_true: np.ndarray, target_fraction: float,
     """Pick the sparsity weight whose learned mask density is closest to target.
 
     Deterministic: runs the mask-learning stage for each candidate weight and
-    compares the resulting nonzero fractions.
+    compares the resulting nonzero fractions.  Raises ``InputError`` for no
+    candidates or a ``target_fraction`` outside ``[0, 1]``.
     """
+    betas = [float(beta) for beta in betas]
+    if not betas:
+        raise InputError("betas must hold at least one candidate weight")
+    if not 0.0 <= target_fraction <= 1.0:
+        raise InputError(f"target_fraction must lie in [0, 1], got {target_fraction}")
     a = grad2(*u_true.shape)
     prox_h = ProxFunctional("group_l21")
     best_beta, best_gap = None, float("inf")
     for beta in betas:
-        rep = solve_palm(u_true, a, prox_h, float(beta),
+        rep = solve_palm(u_true, a, prox_h, beta,
                          SolveConfig(max_iters=palm_max_iters, grad_tol=0.0,
                                      record_every=max(1, palm_max_iters)))
         frac = extract_mask(rep.v).count / u_true.size
         gap = abs(frac - target_fraction)
         if gap < best_gap:
-            best_beta, best_gap = float(beta), gap
+            best_beta, best_gap = beta, gap
     return best_beta
 
 

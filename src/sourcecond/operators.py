@@ -13,7 +13,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .errors import InputError
+from .errors import ConfigurationError, InputError
 
 GRAD2_NORM_BOUND = math.sqrt(8.0)
 
@@ -35,13 +35,10 @@ class LinearMap(ABC):
 
     ``norm_bound`` is an upper bound on the operator norm with respect to the
     real inner product, used by the solvers to derive admissible step sizes.
-    ``normal_is_identity`` marks maps with ``K* K = I``: their normal operator
-    and the closed-form data prox of PDHG take no transform at all.
     """
 
     domain_complex = False
     codomain_complex = False
-    normal_is_identity = False
 
     def __init__(self, domain_shape, codomain_shape, norm_bound: float):
         self.domain_shape = tuple(domain_shape)
@@ -57,15 +54,14 @@ class LinearMap(ABC):
         """Adjoint action with respect to the real inner product."""
 
     def normal(self, x: np.ndarray) -> tuple[np.ndarray, float]:
-        """Normal operator and image norm: ``(K* K x, ||K x||)``.
-
-        When ``K* K = I`` this is ``(x, ||x||)``, with ``x`` itself returned.
-        """
-        if self.normal_is_identity:
-            self._check_domain(x)
-            return x, float(np.linalg.norm(x))
+        """Normal operator and image norm: ``(K* K x, ||K x||)``."""
         kx = self.apply(x)
         return self.adjoint(kx), float(np.linalg.norm(kx))
+
+    def normal_resolvent(self, tau: float):
+        """``r -> (I + tau K* K)^{-1} r``, for maps with a closed form."""
+        raise ConfigurationError(
+            f"no closed-form resolvent for forward map of type {type(self).__name__}")
 
     def _check_domain(self, x):
         if np.shape(x) != self.domain_shape:
@@ -98,10 +94,15 @@ class MatrixMap(LinearMap):
         self._check_codomain(y)
         return self.matrix.T @ y
 
+    def normal_resolvent(self, tau):
+        """Cholesky factor ``L`` of ``I + tau M^T M`` once; a call solves with
+        ``L`` and then ``L^T``."""
+        m = self.matrix
+        factor = np.linalg.cholesky(np.eye(m.shape[1]) + tau * (m.T @ m))
+        return lambda r: np.linalg.solve(factor.T, np.linalg.solve(factor, r))
+
 
 class IdentityMap(LinearMap):
-    normal_is_identity = True
-
     def __init__(self, shape):
         super().__init__(shape, shape, 1.0)
 
@@ -112,6 +113,14 @@ class IdentityMap(LinearMap):
     def adjoint(self, y):
         self._check_codomain(y)
         return np.array(y, copy=True)
+
+    def normal(self, x):
+        """``(x, ||x||)``, with ``x`` itself returned."""
+        self._check_domain(x)
+        return x, float(np.linalg.norm(x))
+
+    def normal_resolvent(self, tau):
+        return lambda r: r / (1.0 + tau)
 
 
 class SamplingMask:
@@ -191,20 +200,20 @@ class FourierSamplingMap(LinearMap):
 
     The normal operator ``K* K`` is diagonal in Fourier space with the
     symmetrized mask as its symbol.  The symbol is even under ``k -> -k`` and
-    images are real, so ``half_symbol``, its part on the half spectrum of a
-    real FFT, carries every normal product and solve.  A full mask makes the
-    symbol 1 everywhere, and then ``K* K = I``.
+    images are real, so its part on the half spectrum of a real FFT carries
+    every normal product and resolvent.  A full mask makes the symbol 1
+    everywhere, and then ``K* K = I`` and neither takes a transform.
     """
 
     codomain_complex = True
 
     def __init__(self, mask: SamplingMask):
         self.mask = mask
-        self.normal_is_identity = mask.count == mask.grid.size
+        self._full = mask.count == mask.grid.size
         symbol = self.symmetrized()
         n_x = mask.shape[1]
-        self.half_symbol = np.ascontiguousarray(symbol[:, :n_x // 2 + 1])
-        self.half_symbol.flags.writeable = False
+        self._half_symbol = np.ascontiguousarray(symbol[:, :n_x // 2 + 1])
+        self._half_symbol.flags.writeable = False
         # ||K x||^2 over the half spectrum: a column whose mirror is not
         # stored counts twice; column 0 and, for even widths, column n_x/2
         # are their own mirrors and count once.
@@ -212,7 +221,7 @@ class FourierSamplingMap(LinearMap):
         weight[0] = 1.0
         if n_x % 2 == 0:
             weight[-1] = 1.0
-        self._norm_weight = weight * self.half_symbol
+        self._norm_weight = weight * self._half_symbol
         # The largest singular value of the real-linear composite is governed
         # by the symmetrized mask (frequency k paired with -k).
         peak = float(symbol.max()) if mask.count > 0 else 0.0
@@ -234,15 +243,30 @@ class FourierSamplingMap(LinearMap):
 
     def normal(self, x):
         """``(K* K x, ||K x||)`` from one ``rfft2`` and one ``irfft2``, or
-        with no transform when the mask is full."""
-        if self.normal_is_identity:
-            return super().normal(x)
+        ``(x, ||x||)`` with ``x`` itself when the mask is full."""
         self._check_domain(x)
+        if self._full:
+            return x, float(np.linalg.norm(x))
         half = np.fft.rfft2(x, norm="ortho")
         power = half.real * half.real + half.imag * half.imag
         norm = math.sqrt(float(np.add.reduce(self._norm_weight * power, axis=None)))
-        half *= self.half_symbol
+        half *= self._half_symbol
         return np.fft.irfft2(half, s=self.domain_shape, norm="ortho"), norm
+
+    def normal_resolvent(self, tau):
+        """Division by ``1 + tau * symbol`` between one ``rfft2`` and one
+        ``irfft2``, or by ``1 + tau`` when the mask is full."""
+        if self._full:
+            return lambda r: r / (1.0 + tau)
+        shape = self.domain_shape
+        symbol = 1.0 + tau * self._half_symbol
+
+        def solve(r):
+            rhs = np.fft.rfft2(r, norm="ortho")
+            rhs /= symbol
+            return np.fft.irfft2(rhs, s=shape, norm="ortho")
+
+        return solve
 
 
 class GradientMap(LinearMap):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InputError
 from .functionals import ProxFunctional, soft_threshold
-from .operators import LinearMap, SamplingMask, real_inner
+from .operators import LinearMap, SamplingMask, fourier_sampling, full_mask, real_inner
 
 
 @dataclass
@@ -254,9 +254,9 @@ def solve_palm(u_true: np.ndarray, grad_op: LinearMap, prox_h: ProxFunctional,
 
     The data-space block carries an extra one-norm penalty with weight
     ``beta`` (complex modulus shrinkage) so that its zero set defines a
-    Fourier sampling pattern.  Steps: ``tau = 1`` (the smooth coupling of
-    the data block is 1-Lipschitz because the DFT is unitary) and
-    ``sigma = 1/(||A||^2 + 1)`` from the norm bound of ``grad_op``.
+    Fourier sampling pattern.  It couples through the unitary DFT ``F``, the
+    full-mask Fourier map, and the steps come from the norm bounds:
+    ``tau = 1/||F||^2``, exactly 1, and ``sigma = 1/(||A||^2 + 1)``.
 
     The stopping metric at iterate ``k`` is the mean of ``||dv||/tau`` and
     ``||dq||/sigma`` over the step *from* ``k``, so it is taken on every step
@@ -267,7 +267,8 @@ def solve_palm(u_true: np.ndarray, grad_op: LinearMap, prox_h: ProxFunctional,
     """
     if beta <= 0:
         raise ConfigurationError("beta must be positive")
-    tau = 1.0
+    fwd = fourier_sampling(full_mask(u_true.shape))
+    tau = _data_step(fwd)
     sigma = _dual_step(grad_op)
 
     a_field = grad_op.apply(u_true)
@@ -278,9 +279,9 @@ def solve_palm(u_true: np.ndarray, grad_op: LinearMap, prox_h: ProxFunctional,
     def measure():
         nonlocal vt_new, q_new
         aq = grad_op.adjoint(q)
-        coupled = np.fft.fft2(aq, norm="ortho")
+        coupled = fwd.apply(aq)
         vt_new = soft_threshold(vt - tau * (vt - coupled), tau * beta)
-        back = np.real(np.fft.ifft2(vt_new, norm="ortho"))
+        back = fwd.adjoint(vt_new)
         q_new = q - sigma * (grad_op.apply(aq - back) + prox_h.prox(q + a_field) - a_field)
         return 0.5 * (float(np.linalg.norm(vt_new - vt)) / tau
                       + float(np.linalg.norm(q_new - q)) / sigma)

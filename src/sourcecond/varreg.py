@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InputError, VerificationError
 from .functionals import project_group_ball, tv_value
-from .operators import FourierSamplingMap, LinearMap, MatrixMap, grad2, real_inner
+from .operators import LinearMap, grad2, real_inner
 from .solvers import SolveConfig, _finish, _iterate
 
 _BOUND_SLACK = 1.0 + 1e-12  # tolerate roundoff when tau*sigma*||A||^2 is exactly 1
@@ -62,43 +62,6 @@ def error_estimate(v: np.ndarray, delta: float) -> ErrorEstimate:
                          bound=v_norm * delta_eff)
 
 
-def _data_prox_factory(problem: VarRegProblem, tau: float):
-    """Closed-form solver for ``argmin_x 0.5||x - z||^2 + (tau/2)||Kx - g||^2``."""
-    K, g = problem.K, problem.data
-    if K.normal_is_identity:
-        kg = tau * K.adjoint(g)
-
-        def prox_identity(z):
-            return (z + kg) / (1.0 + tau)
-
-        return prox_identity
-    if isinstance(K, FourierSamplingMap):
-        # K* K is diagonal on the half spectrum of a real FFT
-        shape = K.domain_shape
-        symbol = 1.0 + tau * K.half_symbol
-        kg = tau * K.adjoint(g)
-
-        def prox_fourier(z):
-            rhs = np.fft.rfft2(z + kg, norm="ortho")
-            rhs /= symbol
-            return np.fft.irfft2(rhs, s=shape, norm="ortho")
-
-        return prox_fourier
-    if isinstance(K, MatrixMap):
-        m = K.matrix
-        system = np.eye(m.shape[1]) + tau * (m.T @ m)
-        factor = np.linalg.cholesky(system)
-        kg = tau * (m.T @ np.asarray(g, dtype=float))
-
-        def prox_dense(z):
-            rhs = z + kg
-            return np.linalg.solve(factor.T, np.linalg.solve(factor, rhs))
-
-        return prox_dense
-    raise ConfigurationError(
-        f"no closed-form data prox for forward map of type {type(K).__name__}")
-
-
 def _relative_change(new, old):
     num = float(np.linalg.norm(new - old))
     den = float(np.linalg.norm(new))
@@ -111,8 +74,9 @@ def solve_pdhg(problem: VarRegProblem, cfg: SolveConfig):
     """Primal-dual hybrid gradient for the TV-regularized least-squares problem.
 
     The TV term is dualized (per-pixel projection onto the alpha-ball); the
-    quadratic data term stays in the primal prox, which is closed form for
-    the supported forward maps.  The steps are ``tau = 1/8`` and
+    quadratic data term stays in the primal prox ``z -> (I + tau K* K)^{-1}
+    (z + tau K* g)``, whose solve ``K.normal_resolvent(tau)`` is closed form
+    for the supported forward maps.  The steps are ``tau = 1/8`` and
     ``sigma = 1``, so that ``tau * sigma * ||A||^2 <= 1`` for the gradient
     (``||A|| <= sqrt(8)``); a caller-supplied ``A`` whose norm bound breaks
     that is refused.  Stops when the mean relative change of primal and dual
@@ -127,7 +91,8 @@ def solve_pdhg(problem: VarRegProblem, cfg: SolveConfig):
         raise ConfigurationError(
             f"tau*sigma*||A||^2 = {tau * sigma * lam_a} exceeds 1")
 
-    data_prox = _data_prox_factory(problem, tau)
+    solve = problem.K.normal_resolvent(tau)
+    kg = tau * problem.K.adjoint(problem.data)
     A = problem.A
     u = u_bar = u_old = np.zeros(A.domain_shape)
     q = q_old = np.zeros(A.codomain_shape)
@@ -139,7 +104,7 @@ def solve_pdhg(problem: VarRegProblem, cfg: SolveConfig):
         nonlocal u, q, u_bar, u_old, q_old
         u_old, q_old = u, q
         q = project_group_ball(q_old + sigma * A.apply(u_bar), problem.alpha)
-        u = data_prox(u_old - tau * A.adjoint(q))
+        u = solve(u_old - tau * A.adjoint(q) + kg)
         u_bar = 2.0 * u - u_old
 
     advance()

@@ -60,6 +60,13 @@ class TestUsageErrors:
         ("lasso1d", {"coeffs_true": {"0": True}}),
         ("lasso1d", {"coeffs_true": {"-1": 2.0, "0": 1.0}}),
         ("lasso1d", {"seed": -1}),
+        # integers too large for a float
+        ("fourier2d", {"alpha": 10 ** 400}),
+        ("fourier2d", {"cd_tol": 10 ** 400}),
+        ("lasso1d", {"noise_std": 10 ** 400}),
+        ("lasso1d", {"verify_tol": 10 ** 400}),
+        ("lasso1d", {"grad_tol": 10 ** 400}),
+        ("lasso1d", {"coeffs_true": {"0": 10 ** 400}}),
     ])
     def test_value_of_wrong_type(self, tmp_path, command, payload):
         # json.dump writes NaN as the bare constant the parser must refuse;

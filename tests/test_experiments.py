@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import sourcecond as sc
-from sourcecond.errors import ConfigurationError
+from sourcecond.errors import ConfigurationError, InputError
 from sourcecond.experiments import (DEG5_COEFFS, DEG20_COEFFS, Fourier2DConfig,
                                     Lasso1DConfig, largest_coefficient_mask,
                                     lowpass_mask_count, make_lasso_data,
@@ -223,3 +223,9 @@ class TestTuneMaskBeta:
         beta = tune_mask_beta(phantom64, 0.10, betas=(0.02, 0.1, 1.0),
                               palm_max_iters=300)
         assert beta == 0.1
+
+    @pytest.mark.parametrize("target, betas", [
+        (0.1, ()), (float("nan"), (0.1,)), (-0.01, (0.1,)), (1.5, (0.1,))])
+    def test_refuses_what_has_no_answer(self, target, betas):
+        with pytest.raises(InputError):
+            tune_mask_beta(np.zeros((16, 16)), target, betas=betas, palm_max_iters=1)

@@ -264,6 +264,24 @@ _MASKS = {
     "full": lambda shape: st.just(sc.full_mask(shape)),
 }
 
+# odd and even heights and widths
+_SHAPES = st.tuples(st.integers(2, 11), st.integers(2, 11))
+
+# Entries are 0 or of magnitude at least 1e-150, so that their squares are
+# normal floats.  A norm taken over subnormal squares (all entries near
+# 3e-159, say) has no bits left for a 1e-12 relative bound, whatever the
+# implementation, so the bound is asked only of inputs above underflow.
+_ENTRIES = st.one_of(st.just(0.0), st.floats(1e-150, 1e3), st.floats(-1e3, -1e-150))
+
+# map kind -> strategy of a forward map with a closed-form resolvent
+_RESOLVENT_MAPS = {
+    **{f"fourier-{kind}": _SHAPES.flatmap(mask).map(sc.fourier_sampling)
+       for kind, mask in _MASKS.items()},
+    "identity": _SHAPES.map(sc.IdentityMap),
+    "matrix": hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                         elements=st.floats(-1.0, 1.0)).map(sc.MatrixMap),
+}
+
 
 class TestNormal:
     """``normal(x)`` against ``(adjoint(apply(x)), ||apply(x)||)``."""
@@ -272,11 +290,9 @@ class TestNormal:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_fourier_matches_adjoint_of_apply(self, kind, data):
-        # odd and even heights and widths
-        shape = (data.draw(st.integers(2, 11)), data.draw(st.integers(2, 11)))
+        shape = data.draw(_SHAPES)
         k = sc.fourier_sampling(data.draw(_MASKS[kind](shape)))
-        x = data.draw(hnp.arrays(np.float64, shape,
-                                 elements=st.floats(-1e3, 1e3, allow_nan=False)))
+        x = data.draw(hnp.arrays(np.float64, shape, elements=_ENTRIES))
         kx = k.apply(x)
         got, norm = k.normal(x)
         scale = np.linalg.norm(x)
@@ -285,19 +301,32 @@ class TestNormal:
         assert abs(norm - np.linalg.norm(kx)) <= 1e-12 * scale
 
     def test_full_mask_runs_no_transform(self, rng, monkeypatch):
-        k = sc.fourier_sampling(sc.full_mask((6, 7)))
-        assert k.normal_is_identity
+        # K* K = I: normal returns x itself, the resolvent divides by 1 + tau
+        maps = (sc.fourier_sampling(sc.full_mask((6, 7))), sc.IdentityMap((6, 7)))
         for name in ("fft2", "ifft2", "rfft2", "irfft2"):
             monkeypatch.setattr(np.fft, name, None)
         x = rng.standard_normal((6, 7))
-        got, norm = k.normal(x)
-        assert got is x and norm == np.linalg.norm(x)
+        for k in maps:
+            got, norm = k.normal(x)
+            assert got is x and norm == np.linalg.norm(x)
+            assert np.array_equal(k.normal_resolvent(0.125)(x), x / 1.125)
 
-    def test_only_full_mask_is_identity(self):
+    def test_only_full_mask_is_identity(self, rng, monkeypatch):
+        # one frequency missing: normal and resolvent each take a real FFT pair
         grid = np.ones((6, 7), dtype=bool)
         grid[1, 2] = False
-        assert not sc.fourier_sampling(sc.SamplingMask(grid)).normal_is_identity
-        assert sc.IdentityMap((3,)).normal_is_identity
+        k = sc.fourier_sampling(sc.SamplingMask(grid))
+        calls = []
+        for name in ("rfft2", "irfft2"):
+            def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        x = rng.standard_normal((6, 7))
+        got, _ = k.normal(x)
+        assert calls == ["rfft2", "irfft2"] and not np.array_equal(got, x)
+        got = k.normal_resolvent(0.125)(x)
+        assert calls == ["rfft2", "irfft2"] * 2 and not np.allclose(got, x / 1.125)
 
     def test_default_is_adjoint_of_apply(self, rng):
         for m in all_test_maps(rng):
@@ -314,3 +343,18 @@ class TestNormal:
                   sc.fourier_sampling(sc.full_mask((8, 8)))):
             with pytest.raises(InputError):
                 m.normal(np.zeros((8, 7)))
+
+
+class TestNormalResolvent:
+    """``x = normal_resolvent(tau)(r)`` solves ``x + tau K* K x = r``."""
+
+    @pytest.mark.parametrize("kind", sorted(_RESOLVENT_MAPS))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), tau=st.sampled_from([1e-3, 0.125, 1.0, 4.0]))
+    def test_solves_the_normal_equations(self, kind, data, tau):
+        k = data.draw(_RESOLVENT_MAPS[kind])
+        r = data.draw(hnp.arrays(np.float64, k.domain_shape, elements=_ENTRIES))
+        x = k.normal_resolvent(tau)(r)
+        assert x.shape == r.shape and x.dtype == np.float64
+        residual = x + tau * k.adjoint(k.apply(x)) - r
+        assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(r)

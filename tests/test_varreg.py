@@ -6,25 +6,34 @@ from sourcecond.errors import ConfigurationError, InputError, VerificationError
 from sourcecond.experiments import shepp_logan
 from sourcecond.functionals import _pair_norm
 from sourcecond.solvers import _finish
-from sourcecond.varreg import _data_prox_factory, _relative_change
+from sourcecond.varreg import _relative_change
 
 
 def reference_pdhg(problem, cfg):
     """PDHG with the full complex-FFT data prox for Fourier maps, the
     ``np.where`` ball projection and the stopping metric on every step.
     ``solve_pdhg`` must match it to rounding (Fourier maps) or bit for bit
-    (other maps)."""
+    (identity and dense maps)."""
     tau, sigma = 1.0 / 8.0, 1.0
     K, A = problem.K, problem.A
+    kg = tau * K.adjoint(problem.data)
     if isinstance(K, sc.FourierSamplingMap):
         symbol = 1.0 + tau * K.symmetrized()
-        kg = tau * K.adjoint(problem.data)
 
         def data_prox(z):
             rhs = np.fft.fft2(z + kg, norm="ortho")
             return np.real(np.fft.ifft2(rhs / symbol, norm="ortho"))
+    elif isinstance(K, sc.MatrixMap):
+        m = K.matrix
+        factor = np.linalg.cholesky(np.eye(m.shape[1]) + tau * (m.T @ m))
+
+        def data_prox(z):
+            return np.linalg.solve(factor.T, np.linalg.solve(factor, z + kg))
     else:
-        data_prox = _data_prox_factory(problem, tau)
+        assert isinstance(K, sc.IdentityMap)
+
+        def data_prox(z):
+            return (z + kg) / (1.0 + tau)
 
     def project_ball(z, radius):
         r = _pair_norm(z)[..., None]
@@ -48,6 +57,27 @@ def reference_pdhg(problem, cfg):
         if metric < cfg.grad_tol:
             return u, q, _finish(u, q, k, metric, history, "tolerance")
     return u, q, _finish(u, q, cfg.max_iters, metric, history, "max_iters")
+
+
+class FlatGrad(sc.LinearMap):
+    """Gradient acting on flattened 4x4 images."""
+
+    def __init__(self):
+        super().__init__((16,), (3, 3, 2), np.sqrt(8.0))
+        self.inner = sc.grad2(4, 4)
+
+    def apply(self, x):
+        return self.inner.apply(x.reshape(4, 4))
+
+    def adjoint(self, y):
+        return self.inner.adjoint(y).ravel()
+
+
+def dense_problem(rng):
+    """A small injective dense forward map with exact data."""
+    m = sc.MatrixMap(np.vstack([np.eye(16), 0.3 * rng.standard_normal((4, 16))]))
+    u = rng.standard_normal(16)
+    return u, sc.VarRegProblem(K=m, data=m.apply(u), alpha=0.05, A=FlatGrad())
 
 
 def noisy_fourier_problem(shape, mask):
@@ -183,24 +213,7 @@ class TestSolvePdhg:
 
     def test_dense_forward_map(self, rng):
         # small dense forward map goes through the normal-equations prox
-        m = sc.MatrixMap(np.vstack([np.eye(16), 0.3 * rng.standard_normal((4, 16))]))
-
-        class FlatGrad(sc.LinearMap):
-            """Gradient acting on flattened 4x4 images."""
-
-            def __init__(self):
-                super().__init__((16,), (3, 3, 2), np.sqrt(8.0))
-                self.inner = sc.grad2(4, 4)
-
-            def apply(self, x):
-                return self.inner.apply(x.reshape(4, 4))
-
-            def adjoint(self, y):
-                return self.inner.adjoint(y).ravel()
-
-        u = rng.standard_normal(16)
-        g = m.apply(u)
-        prob = sc.VarRegProblem(K=m, data=g, alpha=0.05, A=FlatGrad())
+        u, prob = dense_problem(rng)
         sol, _, rep = sc.solve_pdhg(prob, sc.SolveConfig(max_iters=4000, record_every=1000))
         # alpha small and K injective: solution close to the least-squares truth
         assert np.linalg.norm(sol - u) / np.linalg.norm(u) < 0.1
@@ -217,17 +230,28 @@ class TestSolvePdhg:
         assert rep.history[-1][1] == rep.final_grad_norm
 
 
+    def test_forward_map_without_resolvent_refused(self):
+        # sampling alone has no closed-form (I + tau K*K)^-1 behind it
+        mask = sc.lowpass_mask((8, 8), 3)
+        prob = sc.VarRegProblem(K=sc.sampling(mask), data=np.zeros((8, 8), dtype=complex),
+                                alpha=1.0, A=sc.grad2(8, 8))
+        with pytest.raises(ConfigurationError, match="SamplingMap"):
+            sc.solve_pdhg(prob, sc.SolveConfig(max_iters=5))
+
+
 class TestPdhgMatchesReference:
-    def test_full_mask_data_prox_runs_no_transform(self, rng, monkeypatch):
-        # K*K = I: the prox is (z + tau K*g) / (1 + tau), with K*g formed once
+    def test_full_mask_data_prox_runs_no_transform(self, monkeypatch):
+        # K*K = I: the prox is (z + tau K*g) / (1 + tau), so the one
+        # transform of the solve is the ifft2 that forms K*g
         prob = noisy_fourier_problem((16, 17), sc.full_mask((16, 17)))
-        tau = 0.125
-        kg = tau * prob.K.adjoint(prob.data)
-        prox = _data_prox_factory(prob, tau)
+        calls = []
         for name in ("fft2", "ifft2", "rfft2", "irfft2"):
-            monkeypatch.setattr(np.fft, name, None)
-        z = rng.standard_normal((16, 17))
-        assert np.array_equal(prox(z), (z + kg) / (1.0 + tau))
+            def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        _, _, rep = sc.solve_pdhg(prob, sc.SolveConfig(max_iters=20))
+        assert rep.iterations == 20 and calls == ["ifft2"]
 
     def test_full_mask(self):
         prob = noisy_fourier_problem((64, 64), sc.full_mask((64, 64)))
@@ -249,6 +273,15 @@ class TestPdhgMatchesReference:
         got = sc.solve_pdhg(prob, cfg)
         assert got[2].termination == "tolerance" and got[2].iterations == 665
         assert_close_solve(got, reference_pdhg(prob, cfg))
+
+    def test_dense_map_bit_identical(self, rng):
+        # the Cholesky solve is the reference's, step for step
+        _, prob = dense_problem(rng)
+        cfg = sc.SolveConfig(max_iters=300, record_every=7)
+        u, q, rep = sc.solve_pdhg(prob, cfg)
+        u_ref, q_ref, ref = reference_pdhg(prob, cfg)
+        assert np.array_equal(u, u_ref) and np.array_equal(q, q_ref)
+        assert rep.history == ref.history
 
     def test_identity_map_bit_identical(self, rng):
         # only the on-demand metric and the ball projection differ here, and
