@@ -2,7 +2,8 @@
 
 Subcommands: ``lasso1d``, ``fourier2d``, ``optimal-sampling``, ``verify``,
 ``phantom``.  Configs are JSON with a strict schema (unknown keys are errors).
-Exit codes: 0 success, 2 configuration/usage error, 3 verification failure.
+Exit codes: 0 success; 2 configuration/usage error, or lasso data that
+overflow; 3 verification failure, or a solve that diverged.
 """
 
 from __future__ import annotations
@@ -158,8 +159,8 @@ def _cmd_phantom(args) -> int:
     img = experiments.shepp_logan(args.size)
     out = _out_dir(args, "phantom")
     os.makedirs(out, exist_ok=True)
-    fileio.write_image(os.path.join(out, "phantom.pgm"), img, "pgm16")
-    fileio.write_image(os.path.join(out, "phantom.pfm"), img, "pfm")
+    fileio.write_pgm16(os.path.join(out, "phantom.pgm"), img)
+    fileio.write_pfm(os.path.join(out, "phantom.pfm"), img)
     manifest = fileio.RunManifest(
         command="phantom",
         config_hash=fileio.config_hash({"size": args.size}),

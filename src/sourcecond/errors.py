@@ -10,4 +10,5 @@ class ConfigurationError(ValueError):
 
 
 class VerificationError(RuntimeError):
-    """An a-posteriori check failed in a way that invalidates the result."""
+    """An a-posteriori check failed, or a solve diverged, in a way that
+    invalidates the result."""

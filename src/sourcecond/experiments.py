@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fileio, plotscript
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, InputError, VerificationError
 from .functionals import ProxFunctional, verify_l1_subgradient, verify_tv_subgradient
-from .operators import (SamplingMask, full_mask, fourier_sampling, grad2,
+from .operators import (SamplingMask, dft2, full_mask, fourier_sampling, grad2,
                         lowpass_mask, vandermonde)
 from .solvers import (SolveConfig, extract_mask, range_data, solve_palm,
                       solve_range_cd, solve_source_gd)
@@ -96,32 +96,39 @@ def _freq_order_key(shape):
     return ky, kx, np.lexsort((kx.ravel(), ky.ravel(), taxi.ravel(), cheb.ravel()))
 
 
-def lowpass_mask_count(shape, count: int) -> SamplingMask:
-    """Low-pass pattern with exactly ``count`` entries, filled center outwards."""
+def _first_entries(shape, count: int, order) -> SamplingMask:
+    """Pattern of the first ``count`` entries of the flat grid in ``order``."""
     if count < 1 or count > shape[0] * shape[1]:
         raise InputError("count out of range")
-    _, _, order = _freq_order_key(shape)
     grid = np.zeros(shape[0] * shape[1], dtype=bool)
     grid[order[:count]] = True
     return SamplingMask(grid.reshape(shape))
+
+
+def lowpass_mask_count(shape, count: int) -> SamplingMask:
+    """Low-pass pattern with exactly ``count`` entries, filled center outwards."""
+    return _first_entries(shape, count, _freq_order_key(shape)[2])
 
 
 def largest_coefficient_mask(u: np.ndarray, count: int) -> SamplingMask:
     """Pattern of the ``count`` largest-magnitude Fourier coefficients of ``u``."""
-    shape = u.shape
-    if count < 1 or count > shape[0] * shape[1]:
-        raise InputError("count out of range")
-    mag = np.abs(np.fft.fft2(u, norm="ortho")).ravel()
-    ky, kx, _ = _freq_order_key(shape)
+    mag = np.abs(dft2(u)).ravel()
+    ky, kx, _ = _freq_order_key(u.shape)
     cheb = np.maximum(np.abs(ky), np.abs(kx)).ravel()
-    order = np.lexsort((kx.ravel(), ky.ravel(), cheb, -mag))
-    grid = np.zeros(shape[0] * shape[1], dtype=bool)
-    grid[order[:count]] = True
-    return SamplingMask(grid.reshape(shape))
+    return _first_entries(u.shape, count, np.lexsort((kx.ravel(), ky.ravel(), cheb, -mag)))
 
 
 # ---------------------------------------------------------------------------
 # run output
+
+
+def _stop_if_diverged(report, solver: str) -> None:
+    """Raise ``VerificationError`` for a diverged solve (a NaN stopping
+    metric): it certifies nothing, so the run stops before it writes an
+    artifact."""
+    if report.termination == "diverged":
+        raise VerificationError(
+            f"{solver} diverged at iteration {report.iterations}: its metric is NaN")
 
 
 def _history_columns(report, metric: str) -> dict:
@@ -148,9 +155,9 @@ def _write_run(out_dir: str, command: str, experiment: str, cfg, timings: dict,
         path = os.path.join(out_dir, name)
         ext = os.path.splitext(name)[1]
         if ext == ".pfm":
-            fileio.write_image(path, payload, "pfm")
+            fileio.write_pfm(path, payload)
         elif ext == ".pgm":
-            fileio.write_image(path, payload, "pgm16")
+            fileio.write_pgm16(path, payload)
             names.append(name + ".json")
         elif ext == ".csv":
             fileio.write_series_csv(path, payload)
@@ -240,16 +247,22 @@ def make_lasso_data(cfg: Lasso1DConfig):
     """Equispaced samples of the true polynomial plus seeded Gaussian noise.
 
     Returns ``(Phi, f_clean, f_noisy, delta)`` with ``delta`` the realized
-    data-error norm.
+    data-error norm.  Data that overflow (an entry of ``Phi``, its norm
+    bound, a noisy sample or ``delta`` not finite) are an input error.
     """
     lo, hi = cfg.sample_interval
-    samples = np.linspace(lo, hi, cfg.n_samples)
-    phi = vandermonde(samples, cfg.degree)
-    f_clean = phi.apply(cfg.coefficient_vector())
-    rng = np.random.default_rng(cfg.seed)
-    noise = cfg.noise_std * rng.standard_normal(cfg.n_samples)
-    f_noisy = f_clean + noise
-    delta = float(np.linalg.norm(f_clean - f_noisy))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        samples = np.linspace(lo, hi, cfg.n_samples)
+        phi = vandermonde(samples, cfg.degree)
+        f_clean = phi.apply(cfg.coefficient_vector())
+        rng = np.random.default_rng(cfg.seed)
+        noise = cfg.noise_std * rng.standard_normal(cfg.n_samples)
+        f_noisy = f_clean + noise
+        delta = float(np.linalg.norm(f_clean - f_noisy))
+    if not (np.all(np.isfinite(phi.matrix)) and math.isfinite(phi.norm_bound)
+            and np.all(np.isfinite(f_noisy)) and math.isfinite(delta)):
+        raise InputError("the lasso data overflow: shrink the sample interval, "
+                         "the coefficients or the noise")
     return phi, f_clean, f_noisy, delta
 
 
@@ -269,6 +282,7 @@ def run_lasso_experiment(cfg: Lasso1DConfig, out_dir: str | None = None,
 
     t0 = time.perf_counter()
     report = solve_source_gd(w_true, phi, ProxFunctional("l1"), cfg.budget)
+    _stop_if_diverged(report, "accelerated descent")
     timings["solve"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -414,57 +428,57 @@ def _build_mask(cfg: Fourier2DConfig, u_true: np.ndarray):
         return SamplingMask(grid != 0), None
     palm = solve_palm(u_true, grad2(*cfg.size), ProxFunctional("group_l21"),
                       cfg.mask_beta, cfg.palm_budget)
+    _stop_if_diverged(palm, "PALM")
     return extract_mask(palm.v), palm
 
 
-def _certificate_stage(u_true, mask, cfg: Fourier2DConfig):
-    """Coordinate descent plus a-posteriori verification for one mask."""
+def _certificate_stage(u_true, mask, cfg: Fourier2DConfig) -> dict:
+    """Range-CD certificate, its a-posteriori check and PDHG on its range
+    data for one mask: the stage's arrays, reports and ``"summary"`` block."""
     fwd = fourier_sampling(mask)
     a = grad2(*u_true.shape)
     report = solve_range_cd(u_true, fwd, a, ProxFunctional("group_l21"), cfg.cd_budget)
+    _stop_if_diverged(report, "range-CD")
     backproj = fwd.adjoint(report.v)
-    imag_res = float(np.linalg.norm(np.imag(
-        np.fft.ifft2(np.where(mask.grid, report.v, 0), norm="ortho"))))
     check = verify_tv_subgradient(backproj, report.q, u_true, cfg.verify_tol)
-    g_alpha = range_data(u_true, fwd, report.v, cfg.alpha)
-    problem = VarRegProblem(K=fwd, data=g_alpha, alpha=cfg.alpha, A=a)
-    solution, dual, pdhg_report = solve_pdhg(problem, cfg.pdhg_budget)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends as "diverged"
+        g_alpha = range_data(u_true, fwd, report.v, cfg.alpha)
+        problem = VarRegProblem(K=fwd, data=g_alpha, alpha=cfg.alpha, A=a)
+        solution, _, pdhg_report = solve_pdhg(problem, cfg.pdhg_budget)
+    _stop_if_diverged(pdhg_report, "PDHG")
     baseline = fwd.adjoint(fwd.apply(u_true))
     u_norm = float(np.linalg.norm(u_true))
     q_norm = np.sqrt(np.sum(report.q ** 2, axis=-1))
-    return {
-        "fwd": fwd,
-        "report": report,
-        "backprojection": backproj,
-        "imag_residual": imag_res,
-        "check": check,
-        "g_alpha": g_alpha,
-        "solution": solution,
-        "pdhg_dual": dual,
-        "pdhg_report": pdhg_report,
-        "baseline": baseline,
-        "rel_error": float(np.linalg.norm(solution - u_true)) / u_norm,
-        "baseline_rel_error": float(np.linalg.norm(baseline - u_true)) / u_norm,
-        "q_norm": q_norm,
-        "q_max_norm": float(q_norm.max()),
-    }
-
-
-def _stage_summary(stage, mask):
-    return {
+    imag_res = np.imag(dft2(np.where(mask.grid, report.v, 0), "inverse"))
+    summary = {
         "mask_count": mask.count,
         "mask_fraction": mask.count / mask.grid.size,
-        "residual": stage["report"].final_grad_norm,
-        "cd_termination": stage["report"].termination,
-        "cd_iterations": stage["report"].iterations,
-        "v_norm": stage["report"].v_norm,
-        "imag_residual": stage["imag_residual"],
-        "q_max_norm": stage["q_max_norm"],
-        "pdhg_metric": stage["pdhg_report"].final_grad_norm,
-        "pdhg_iterations": stage["pdhg_report"].iterations,
-        "rel_error": stage["rel_error"],
-        "baseline_rel_error": stage["baseline_rel_error"],
-        "verify": dataclasses.asdict(stage["check"]),
+        "residual": report.final_grad_norm,
+        "cd_termination": report.termination,
+        "cd_iterations": report.iterations,
+        "v_norm": report.v_norm,
+        "imag_residual": float(np.linalg.norm(imag_res)),
+        "q_max_norm": float(q_norm.max()),
+        "pdhg_metric": pdhg_report.final_grad_norm,
+        "pdhg_iterations": pdhg_report.iterations,
+        "rel_error": float(np.linalg.norm(solution - u_true)) / u_norm,
+        "baseline_rel_error": float(np.linalg.norm(baseline - u_true)) / u_norm,
+        "verify": dataclasses.asdict(check),
+    }
+    return {"summary": summary, "report": report, "check": check,
+            "backprojection": backproj, "q_norm": q_norm, "g_alpha": g_alpha,
+            "solution": solution, "pdhg_report": pdhg_report, "baseline": baseline}
+
+
+def _header(cfg: Fourier2DConfig, experiment: str) -> dict:
+    """The summary keys that a Fourier study takes from its config."""
+    return {
+        "experiment": experiment,
+        "image_source": cfg.image_source,
+        "size": list(cfg.size),
+        "alpha": cfg.alpha,
+        "seed": cfg.seed,
+        "phantom_variant": PHANTOM_VARIANT if cfg.image_source == "shepp_logan" else None,
     }
 
 
@@ -493,21 +507,10 @@ def run_fourier_experiment(cfg: Fourier2DConfig, out_dir: str | None = None,
     stage = _certificate_stage(u_true, mask, cfg)
     timings["solve"] = time.perf_counter() - t0
 
-    summary = {
-        "experiment": "fourier2d",
-        "image_source": cfg.image_source,
-        "size": list(cfg.size),
-        "mask_kind": cfg.mask_kind,
-        "alpha": cfg.alpha,
-        "seed": cfg.seed,
-        "phantom_variant": PHANTOM_VARIANT if cfg.image_source == "shepp_logan" else None,
-        **_stage_summary(stage, mask),
-    }
+    summary = {**_header(cfg, "fourier2d"), "mask_kind": cfg.mask_kind, **stage["summary"]}
+    result = {**stage, "summary": summary, "u_true": u_true, "mask": mask}
     if palm is not None:
         summary["palm_nnz"] = palm.nnz
-
-    result = {"summary": summary, "u_true": u_true, "mask": mask, **stage}
-    if palm is not None:
         result["palm_report"] = palm
 
     if out_dir is not None:
@@ -582,12 +585,12 @@ def run_optimal_sampling(cfg: Fourier2DConfig, out_dir: str | None = None,
 
     # this order is the "stages" block's and metric_table.csv's mask_id order
     masks = {"learned": learned_mask, "lowpass": low_mask, "largest": big_mask}
-    stages, stage_summaries = {}, {}
+    stages = {}
     for name, mask in masks.items():
         t0 = time.perf_counter()
         stages[name] = _certificate_stage(u_true, mask, cfg)
-        stage_summaries[name] = _stage_summary(stages[name], mask)
         timings[f"stage_{name}"] = time.perf_counter() - t0
+    stage_summaries = {name: stage["summary"] for name, stage in stages.items()}
 
     err = {name: s["rel_error"] for name, s in stage_summaries.items()}
     ordering = {
@@ -598,13 +601,8 @@ def run_optimal_sampling(cfg: Fourier2DConfig, out_dir: str | None = None,
     exceptions = [k for k, ok in ordering.items() if not ok]
 
     summary = {
-        "experiment": "optimal-sampling",
-        "image_source": cfg.image_source,
-        "size": list(cfg.size),
+        **_header(cfg, "optimal-sampling"),
         "beta": cfg.mask_beta,
-        "alpha": cfg.alpha,
-        "seed": cfg.seed,
-        "phantom_variant": PHANTOM_VARIANT if cfg.image_source == "shepp_logan" else None,
         "palm_nnz": palm.nnz,
         "mask_count": count,
         "mask_fraction": count / learned_mask.grid.size,

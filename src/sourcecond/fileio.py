@@ -164,16 +164,6 @@ def field_from_pfm(array: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(array[:, :, :2].astype(float))
 
 
-def write_image(path: str, array: np.ndarray, format: str = "pfm") -> None:
-    """Write an array as ``pgm16`` (scaled graymap + sidecar) or ``pfm`` (exact)."""
-    if format == "pgm16":
-        write_pgm16(path, array)
-    elif format == "pfm":
-        write_pfm(path, array)
-    else:
-        raise InputError(f"unknown image format {format!r}")
-
-
 def load_grayscale(path: str) -> np.ndarray:
     """Load a grayscale image from PNM/PFM files, normalized to [0, 1].
 
@@ -311,13 +301,19 @@ def write_manifest(out_dir: str, manifest: RunManifest) -> str:
         "versions": manifest.versions,
         "timings": manifest.timings,
     }
-    with open(path, "w", encoding="ascii") as f:
-        json.dump(payload, f, sort_keys=True, indent=2)
-        f.write("\n")
+    _dump_json(path, payload)
     return path
 
 
-def write_json(path: str, payload: dict) -> None:
+def _dump_json(path: str, payload: dict) -> None:
+    # standard JSON only: a NaN or infinite float raises ValueError before
+    # the file is opened
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w", encoding="ascii") as f:
-        json.dump(payload, f, sort_keys=True, indent=2)
-        f.write("\n")
+        f.write(text + "\n")
+
+
+def write_json(path: str, payload: dict) -> None:
+    """Write ``payload`` as standard JSON; a NaN or infinite float is refused
+    with ``ValueError`` and nothing is written."""
+    _dump_json(path, payload)

@@ -123,6 +123,89 @@ class TestUsageErrors:
                      "--tol", "-1"]) == 2
 
 
+class TestRunsThatCannotCertify:
+    """Data that overflow exit 2 before the solve, and a solve that diverges
+    exits 3; neither writes a summary."""
+
+    @pytest.mark.parametrize("command, payload, code", [
+        # noise, sample points or coefficients whose data overflow
+        ("lasso1d", {"noise_std": 1e308, "degree": 5, "max_iters": 10}, 2),
+        ("lasso1d", {"sample_interval": [0.0, 1e300], "degree": 5, "max_iters": 10}, 2),
+        # finite matrix, infinite norm bound
+        ("lasso1d", {"sample_interval": [0.0, 1e50], "degree": 5, "max_iters": 100}, 2),
+        ("lasso1d", {"coeffs_true": {"0": 1e308, "2": 1e308}, "degree": 5,
+                     "max_iters": 100}, 2),
+        # range data K u + alpha v overflow, and PDHG diverges on them
+        ("optimal-sampling", {"alpha": 1e308, "size": [16, 16], "mask_beta": 0.05,
+                              "cd_max_iters": 50, "pdhg_max_iters": 50,
+                              "palm_max_iters": 50}, 3),
+        ("fourier2d", {"alpha": 1e308, "size": [16, 16], "mask_beta": 0.05,
+                       "cd_max_iters": 50, "pdhg_max_iters": 50,
+                       "palm_max_iters": 50}, 3),
+    ])
+    def test_exit_code_and_no_summary(self, tmp_path, command, payload, code):
+        cfg = write_cfg(tmp_path, "c.json", payload)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == code
+        assert not (out / "summary.json").exists()
+        assert not (out / "metrics.json").exists()
+
+
+class TestSummarySchema:
+    """The exact key sets of the three summaries, so that a refactor cannot
+    drop a key unseen (the golden lock compares values only)."""
+
+    HEADER = {"experiment", "image_source", "size", "alpha", "seed", "phantom_variant"}
+    STAGE = {"mask_count", "mask_fraction", "residual", "cd_termination",
+             "cd_iterations", "v_norm", "imag_residual", "q_max_norm", "pdhg_metric",
+             "pdhg_iterations", "rel_error", "baseline_rel_error", "verify"}
+    VERIFY = {"max_group_norm", "support_mismatch", "residual", "tol", "passed"}
+
+    def summary(self, tmp_path, command, payload):
+        cfg = write_cfg(tmp_path, "c.json", payload)
+        out = str(tmp_path / "run")
+        assert main([command, "--config", cfg, "--out", out]) == 0
+        name = "summary.json" if command == "lasso1d" else "metrics.json"
+        with open(os.path.join(out, name)) as f:
+            return json.load(f)
+
+    def test_lasso1d(self, tmp_path):
+        s = self.summary(tmp_path, "lasso1d", {"degree": 20, "n_samples": 12,
+                                               "max_iters": 50})
+        assert set(s) == {"experiment", "degree", "n_samples", "noise_std",
+                          "sample_interval", "seed", "delta", "v_norm", "iterations",
+                          "termination", "final_grad_norm", "alpha_star",
+                          "error_bound", "capped", "verify"}
+        assert set(s["verify"]) == self.VERIFY
+
+    @pytest.mark.parametrize("payload, extra", [
+        ({"size": [16, 16], "cd_max_iters": 10, "pdhg_max_iters": 10}, set()),
+        ({"size": [16, 16], "mask_kind": "learned", "mask_beta": 0.08,
+          "cd_max_iters": 10, "pdhg_max_iters": 10, "palm_max_iters": 10}, {"palm_nnz"}),
+    ])
+    def test_fourier2d(self, tmp_path, payload, extra):
+        s = self.summary(tmp_path, "fourier2d", payload)
+        assert set(s) == (self.HEADER | self.STAGE | extra
+                          | {"mask_kind", "artifact_verify_tol"})
+        assert set(s["verify"]) == self.VERIFY
+
+    def test_optimal_sampling(self, tmp_path):
+        s = self.summary(tmp_path, "optimal-sampling", {
+            "size": [16, 16], "mask_beta": 0.08, "cd_max_iters": 10,
+            "pdhg_max_iters": 10, "palm_max_iters": 10})
+        assert set(s) == self.HEADER | {"beta", "palm_nnz", "mask_count", "mask_fraction",
+                                        "stages", "ordering", "ordering_exceptions"}
+        assert set(s["stages"]) == {"learned", "lowpass", "largest"}
+        (tmp_path / "f").mkdir()
+        fourier = self.summary(tmp_path / "f", "fourier2d", {
+            "size": [16, 16], "cd_max_iters": 10, "pdhg_max_iters": 10})
+        fourier_stage = set(fourier) - self.HEADER - {"mask_kind", "artifact_verify_tol"}
+        for block in s["stages"].values():
+            assert set(block) == fourier_stage
+        assert set(s["ordering"]) == {"learned_le_lowpass", "learned_le_largest",
+                                      "largest_le_lowpass"}
+
+
 class TestMalformedInputs:
     """Bad image and mask files are input errors (exit 2), not crashes."""
 

@@ -196,6 +196,42 @@ class TestFourierDriver:
             Fourier2DConfig(image_source="file")
 
 
+class TestDivergedSolve:
+    """Each driver stops at a diverged solve before it writes an artifact."""
+
+    @pytest.mark.parametrize("solver, driver, cfg", [
+        ("solve_source_gd", run_lasso_experiment,
+         Lasso1DConfig(degree=10, n_samples=8, max_iters=20)),
+        ("solve_palm", run_fourier_experiment,
+         Fourier2DConfig(size=(16, 16), mask_kind="learned", mask_beta=0.08,
+                         cd_max_iters=5, pdhg_max_iters=5, palm_max_iters=5)),
+        ("solve_range_cd", run_fourier_experiment,
+         Fourier2DConfig(size=(16, 16), cd_max_iters=5, pdhg_max_iters=5)),
+        ("solve_pdhg", run_optimal_sampling,
+         Fourier2DConfig(size=(16, 16), mask_kind="learned", mask_beta=0.08,
+                         cd_max_iters=5, pdhg_max_iters=5, palm_max_iters=5)),
+    ])
+    def test_raises_before_writing(self, tmp_path, monkeypatch, solver, driver, cfg):
+        import dataclasses
+
+        from sourcecond import experiments
+        from sourcecond.errors import VerificationError
+
+        solve = getattr(experiments, solver)
+
+        def diverging(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            if solver == "solve_pdhg":
+                return (*result[:2], dataclasses.replace(result[2], termination="diverged"))
+            return dataclasses.replace(result, termination="diverged")
+
+        monkeypatch.setattr(experiments, solver, diverging)
+        out = tmp_path / "run"
+        with pytest.raises(VerificationError, match="diverged"):
+            driver(cfg, out_dir=str(out))
+        assert not out.exists()
+
+
 class TestOptimalSamplingDriver:
     def test_small_run_structure(self, tmp_path):
         out = str(tmp_path / "opt")

@@ -128,6 +128,29 @@ class TestManifest:
         assert data["artifacts"] == ["a.csv"]
         assert "sourcecond" in data["versions"] and "numpy" in data["versions"]
 
+    def test_non_finite_timing_refused(self, tmp_path):
+        m = fileio.RunManifest(command="demo", config_hash="ff", seed=0,
+                               timings={"total": float("inf")})
+        with pytest.raises(ValueError):
+            fileio.write_manifest(str(tmp_path), m)
+        assert not (tmp_path / "manifest.json").exists()
+
+
+class TestJson:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_payload_refused(self, tmp_path, value):
+        # no artifact holds the non-standard NaN/Infinity tokens, and a
+        # refused payload leaves no partial file behind
+        path = tmp_path / "summary.json"
+        with pytest.raises(ValueError):
+            fileio.write_json(str(path), {"a": 1.0, "nested": {"z": [0.5, value]}})
+        assert not path.exists()
+
+    def test_writes_sorted_indented_json(self, tmp_path):
+        path = tmp_path / "summary.json"
+        fileio.write_json(str(path), {"b": 1, "a": [0.5, None]})
+        assert path.read_text() == '{\n  "a": [\n    0.5,\n    null\n  ],\n  "b": 1\n}\n'
+
 
 class TestLoadGrayscale:
     def test_pfm_color_uses_luma(self, tmp_path):
