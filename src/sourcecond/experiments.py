@@ -136,8 +136,26 @@ def _history_columns(report, metric: str) -> dict:
             metric: np.array([h[1] for h in report.history])}
 
 
+def _non_finite_key(value, key: str = "") -> str | None:
+    """Dotted key of the first NaN or infinite float in a JSON-bound value
+    (dicts and lists are searched), or None if there is none."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else key
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return None
+    for name, item in items:
+        found = _non_finite_key(item, f"{key}.{name}" if key else str(name))
+        if found is not None:
+            return found
+    return None
+
+
 def _write_run(out_dir: str, command: str, experiment: str, cfg, timings: dict,
-               artifacts: dict) -> None:
+               artifacts: dict, summary: dict) -> None:
     """Write a run's artifacts in order, then its manifest.
 
     ``artifacts`` maps file names to payloads, and the extension picks the
@@ -145,7 +163,15 @@ def _write_run(out_dir: str, command: str, experiment: str, cfg, timings: dict,
     ``.py`` text.  A payload may be a zero-argument callable, called in turn,
     so that a summary can read back the files written before it.  The config
     hash covers every field of ``cfg``.
+
+    The run's ``summary`` is checked first: standard JSON has no NaN or
+    infinity, so a non-finite value in it raises ``VerificationError``, naming
+    its key, before any file or directory is made.
     """
+    key = _non_finite_key(summary)
+    if key is not None:
+        raise VerificationError(
+            f"summary value {key} is not a finite number; no artifact was written")
     t0 = time.perf_counter()
     os.makedirs(out_dir, exist_ok=True)
     names = []
@@ -329,7 +355,7 @@ def run_lasso_experiment(cfg: Lasso1DConfig, out_dir: str | None = None,
             "history.csv": _history_columns(report, "grad_norm"),
             "summary.json": summary,
             "plot.py": plotscript.LASSO_PLOT,
-        })
+        }, summary)
     return result
 
 
@@ -450,6 +476,8 @@ def _certificate_stage(u_true, mask, cfg: Fourier2DConfig) -> dict:
     u_norm = float(np.linalg.norm(u_true))
     q_norm = np.sqrt(np.sum(report.q ** 2, axis=-1))
     imag_res = np.imag(dft2(np.where(mask.grid, report.v, 0), "inverse"))
+    with np.errstate(over="ignore"):  # an inf here stops the run before it writes
+        rel_error = float(np.linalg.norm(solution - u_true)) / u_norm
     summary = {
         "mask_count": mask.count,
         "mask_fraction": mask.count / mask.grid.size,
@@ -461,7 +489,7 @@ def _certificate_stage(u_true, mask, cfg: Fourier2DConfig) -> dict:
         "q_max_norm": float(q_norm.max()),
         "pdhg_metric": pdhg_report.final_grad_norm,
         "pdhg_iterations": pdhg_report.iterations,
-        "rel_error": float(np.linalg.norm(solution - u_true)) / u_norm,
+        "rel_error": rel_error,
         "baseline_rel_error": float(np.linalg.norm(baseline - u_true)) / u_norm,
         "verify": dataclasses.asdict(check),
     }
@@ -537,7 +565,7 @@ def run_fourier_experiment(cfg: Fourier2DConfig, out_dir: str | None = None,
             "pdhg_history.csv": _history_columns(pdhg_report, "metric"),
             "metrics.json": metrics,
             "plot.py": plotscript.FOURIER_PLOT,
-        })
+        }, summary)
     return result
 
 
@@ -628,5 +656,5 @@ def run_optimal_sampling(cfg: Fourier2DConfig, out_dir: str | None = None,
         }
         artifacts["metrics.json"] = summary
         artifacts["plot.py"] = plotscript.SAMPLING_PLOT
-        _write_run(out_dir, command, "optimal-sampling", cfg, timings, artifacts)
+        _write_run(out_dir, command, "optimal-sampling", cfg, timings, artifacts, summary)
     return result

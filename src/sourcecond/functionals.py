@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .operators import grad2
+from .operators import _check_out, grad2
 
 
 def _pair_norm(z: np.ndarray) -> np.ndarray:
@@ -42,12 +42,33 @@ def soft_threshold(z: np.ndarray, beta: float = 1.0) -> np.ndarray:
         return z * factor
 
 
-def group_soft_threshold(z: np.ndarray, beta: float = 1.0) -> np.ndarray:
+def _scale_into(z: np.ndarray, factor: np.ndarray, out, pairs: bool) -> np.ndarray:
+    """``z * factor`` written into ``out`` (a new array if it is None), where
+    with ``pairs`` each factor scales one 2-vector along the trailing axis.
+
+    The 2-vectors are scaled one channel view at a time, which is faster than
+    broadcasting ``factor[..., None]`` over the channel axis and gives the
+    same products.  ``out`` may be ``z`` itself.
+    """
+    if out is None:
+        out = np.empty(z.shape, np.result_type(z, factor))
+    else:
+        _check_out(out, z.shape)
+    if pairs:
+        np.multiply(z[..., 0], factor, out=out[..., 0])
+        np.multiply(z[..., 1], factor, out=out[..., 1])
+    else:
+        np.multiply(z, factor, out=out)
+    return out
+
+
+def group_soft_threshold(z: np.ndarray, beta: float = 1.0, out=None) -> np.ndarray:
     """Pixelwise shrinkage of 2-vectors by ``beta`` in the Euclidean norm.
 
-    ``z`` has shape (..., 2); a zero 2-vector stays zero.
+    ``z`` has shape (..., 2); a zero 2-vector stays zero.  The result goes to
+    ``out`` when it is given, an array of the shape of ``z`` or ``z`` itself.
     """
-    if beta < 0:
+    if not beta >= 0:
         raise InputError("shrinkage weight must be nonnegative")
     z = np.asarray(z, dtype=float)
     if z.ndim < 1 or z.shape[-1] != 2:
@@ -55,27 +76,30 @@ def group_soft_threshold(z: np.ndarray, beta: float = 1.0) -> np.ndarray:
     r = _pair_norm(z)
     factor = np.maximum(r - beta, 0.0)
     factor /= np.where(r > 0, r, 1.0)
-    return z * factor[..., None]
+    return _scale_into(z, factor, out, pairs=True)
 
 
-def project_group_ball(z: np.ndarray, radius: float = 1.0) -> np.ndarray:
+def project_group_ball(z: np.ndarray, radius: float = 1.0, out=None) -> np.ndarray:
     """Project onto the Euclidean ball of the given radius, groupwise.
 
     Real arrays with a trailing axis of length 2 are treated as vector fields
     (one ball per 2-vector); anything else is clamped componentwise, complex
     entries in modulus.  A group holding NaN comes out NaN in every entry.
+    The result goes to ``out`` when it is given, an array of the shape of
+    ``z`` or ``z`` itself.
     """
+    if not radius >= 0:
+        raise InputError("ball radius must be nonnegative")
     z = np.asarray(z)
-    if z.ndim >= 2 and z.shape[-1] == 2 and not np.iscomplexobj(z):
-        r = _pair_norm(z)[..., None]
-    else:
-        r = np.abs(z)
+    pairs = z.ndim >= 2 and z.shape[-1] == 2 and not np.iscomplexobj(z)
+    r = _pair_norm(z) if pairs else np.abs(z)
     if 0 < radius < np.inf:
         # radius / radius == 1.0 exactly, so groups inside the ball are kept
-        return z * (radius / np.maximum(r, radius))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(r > radius, radius / np.where(r > 0, r, 1.0), 1.0)
-    return z * scale
+        scale = radius / np.maximum(r, radius)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = np.where(r > radius, radius / np.where(r > 0, r, 1.0), 1.0)
+    return _scale_into(z, scale, out, pairs)
 
 
 def tv_value(u: np.ndarray) -> float:
@@ -105,7 +129,7 @@ class ProxFunctional:
     def __init__(self, kind: str, scale: float = 1.0):
         if kind not in self.KINDS:
             raise InputError(f"unknown functional kind {kind!r}")
-        if scale < 0:
+        if not scale >= 0:  # also refuses NaN
             raise InputError("scale must be nonnegative")
         self.kind = kind
         self.scale = float(scale)
@@ -125,12 +149,19 @@ class ProxFunctional:
             return 0.0 if float(r.max(initial=0.0)) <= self.scale else float("inf")
         return self.scale * float(np.sum(r))
 
-    def prox(self, z: np.ndarray) -> np.ndarray:
+    def prox(self, z: np.ndarray, out=None) -> np.ndarray:
+        """Proximal map at ``z``, written to ``out`` when it is given (an
+        array of the shape of ``z`` or ``z`` itself)."""
         if self.kind == "l1":
-            return soft_threshold(z, self.scale)
+            shrunk = soft_threshold(z, self.scale)
+            if out is None:
+                return shrunk
+            _check_out(out, shrunk.shape)
+            np.copyto(out, shrunk)
+            return out
         if self.kind == "group_l21":
-            return group_soft_threshold(z, self.scale)
-        return project_group_ball(z, self.scale)
+            return group_soft_threshold(z, self.scale, out=out)
+        return project_group_ball(z, self.scale, out=out)
 
 
 @dataclass

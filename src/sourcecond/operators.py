@@ -4,6 +4,8 @@ All maps act on plain numpy arrays.  Complex arrays are treated as pairs of
 real arrays, so the relevant inner product is ``Re <x, y>`` and adjoints are
 taken with respect to it.  Apply/adjoint are pure functions and instances are
 immutable after construction, so maps can be shared freely between threads.
+``apply_into``/``adjoint_into`` write the same result into a caller's array,
+so that a solver can hold its work arrays for a whole solve.
 """
 
 from __future__ import annotations
@@ -30,6 +32,12 @@ def real_inner(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.add.reduce(x * y, axis=None))
 
 
+def _check_out(out, shape) -> None:
+    if np.shape(out) != tuple(shape):
+        raise InputError(f"expected an output array of shape {tuple(shape)}, "
+                         f"got {np.shape(out)}")
+
+
 class LinearMap(ABC):
     """A forward/adjoint pair with shape metadata and a norm bound.
 
@@ -53,13 +61,28 @@ class LinearMap(ABC):
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """Adjoint action with respect to the real inner product."""
 
+    def apply_into(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``apply(x)`` written into ``out``, which is returned.  This default
+        copies the result of ``apply``; maps with an in-place form override
+        it."""
+        _check_out(out, self.codomain_shape)
+        np.copyto(out, self.apply(x))
+        return out
+
+    def adjoint_into(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``adjoint(y)`` written into ``out``, which is returned."""
+        _check_out(out, self.domain_shape)
+        np.copyto(out, self.adjoint(y))
+        return out
+
     def normal(self, x: np.ndarray) -> tuple[np.ndarray, float]:
         """Normal operator and image norm: ``(K* K x, ||K x||)``."""
         kx = self.apply(x)
         return self.adjoint(kx), float(np.linalg.norm(kx))
 
     def normal_resolvent(self, tau: float):
-        """``r -> (I + tau K* K)^{-1} r``, for maps with a closed form."""
+        """``r -> (I + tau K* K)^{-1} r``, for maps with a closed form.  The
+        solve returns a new array and leaves ``r`` as it was."""
         raise ConfigurationError(
             f"no closed-form resolvent for forward map of type {type(self).__name__}")
 
@@ -270,30 +293,50 @@ class FourierSamplingMap(LinearMap):
 
 
 class GradientMap(LinearMap):
-    """Forward-difference gradient from ``n_y x n_x`` to ``(n_y-1) x (n_x-1) x 2``."""
+    """Forward-difference gradient from ``n_y x n_x`` to ``(n_y-1) x (n_x-1) x 2``.
+
+    ``apply`` and ``adjoint`` take an optional ``out`` array of the result's
+    shape and write into it instead of allocating.
+    """
 
     def __init__(self, n_y: int, n_x: int):
         if n_y < 2 or n_x < 2:
             raise InputError("gradient needs a grid of at least 2x2")
         super().__init__((n_y, n_x), (n_y - 1, n_x - 1, 2), GRAD2_NORM_BOUND)
 
-    def apply(self, u):
+    def apply(self, u, out=None):
         self._check_domain(u)
         u = np.asarray(u, dtype=float)
-        out = np.empty(self.codomain_shape)
-        out[:, :, 0] = u[1:, :-1] - u[:-1, :-1]
-        out[:, :, 1] = u[:-1, 1:] - u[:-1, :-1]
+        if out is None:
+            out = np.empty(self.codomain_shape)
+        else:
+            _check_out(out, self.codomain_shape)
+        np.subtract(u[1:, :-1], u[:-1, :-1], out=out[:, :, 0])
+        np.subtract(u[:-1, 1:], u[:-1, :-1], out=out[:, :, 1])
         return out
 
-    def adjoint(self, q):
+    def adjoint(self, q, out=None):
         self._check_codomain(q)
         q = np.asarray(q, dtype=float)
-        out = np.zeros(self.domain_shape)
-        out[1:, :-1] += q[:, :, 0]
-        out[:-1, :-1] -= q[:, :, 0]
-        out[:-1, 1:] += q[:, :, 1]
-        out[:-1, :-1] -= q[:, :, 1]
+        if out is None:
+            out = np.zeros(self.domain_shape)
+        else:
+            _check_out(out, self.domain_shape)
+            out.fill(0.0)
+        south, here, east = out[1:, :-1], out[:-1, :-1], out[:-1, 1:]
+        np.add(south, q[:, :, 0], out=south)
+        np.subtract(here, q[:, :, 0], out=here)
+        np.add(east, q[:, :, 1], out=east)
+        np.subtract(here, q[:, :, 1], out=here)
         return out
+
+    # the in-place forms go through apply/adjoint, so that a wrapper
+    # installed on those sees every call
+    def apply_into(self, u, out):
+        return self.apply(u, out=out)
+
+    def adjoint_into(self, q, out):
+        return self.adjoint(q, out=out)
 
 
 def vandermonde(samples: np.ndarray, degree: int) -> MatrixMap:

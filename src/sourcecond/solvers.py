@@ -220,6 +220,14 @@ def solve_range_cd(u_true: np.ndarray, fwd: LinearMap, grad_op: LinearMap,
     ``fwd.normal`` once (one real FFT pair for Fourier sampling, no transform
     for a full mask), the gradient twice, the divergence once and the prox
     once.
+
+    The iterates and the shared terms live in work arrays allocated once per
+    solve.  The gradient, divergence and prox write into them through
+    ``apply_into``, ``adjoint_into`` and ``prox(..., out=)``, and the updates
+    are in-place ufuncs that keep the order of every operation, so the
+    iterates are those of the plain formulas, bit for bit.  A step allocates
+    no image or field of its own; ``fwd.normal`` and the per-pixel norms
+    inside the prox still allocate theirs.
     """
     tau = _data_step(fwd)
     sigma = _dual_step(grad_op)
@@ -227,22 +235,38 @@ def solve_range_cd(u_true: np.ndarray, fwd: LinearMap, grad_op: LinearMap,
     image = np.zeros(fwd.domain_shape)  # D, with v = K D
     kv = np.zeros(fwd.domain_shape)  # K* v
     q = np.zeros(grad_op.codomain_shape)
-    aq = d = kkd = shrunk = None  # the terms the metric carries into the step
+    # the terms the metric carries into the step, and work space for both
+    aq = np.empty(fwd.domain_shape)
+    d = np.empty(fwd.domain_shape)
+    scaled = np.empty(fwd.domain_shape)
+    shrunk = np.empty(grad_op.codomain_shape)
+    field = np.empty(grad_op.codomain_shape)
+    kkd = None
 
     def measure():
-        nonlocal aq, d, kkd, shrunk
-        aq = grad_op.adjoint(q)
-        d = kv - aq
+        nonlocal kkd
+        grad_op.adjoint_into(q, aq)
+        np.subtract(kv, aq, out=d)
         kkd, kd_norm = fwd.normal(d)
-        shrunk = prox_h.prox(a_field + q)
-        return 0.5 * (kd_norm
-                      + float(np.linalg.norm(-grad_op.apply(d) + shrunk - a_field)))
+        np.add(a_field, q, out=shrunk)
+        prox_h.prox(shrunk, out=shrunk)
+        grad_op.apply_into(d, field)  # -A d + prox(a + q) - a
+        np.negative(field, out=field)
+        np.add(field, shrunk, out=field)
+        np.subtract(field, a_field, out=field)
+        return 0.5 * (kd_norm + float(np.linalg.norm(field)))
 
     def advance():
-        nonlocal image, kv, q
-        image -= tau * d
-        kv -= tau * kkd
-        q = q - sigma * (grad_op.apply(aq - kv) + shrunk - a_field)
+        np.multiply(tau, d, out=scaled)
+        np.subtract(image, scaled, out=image)
+        np.multiply(tau, kkd, out=scaled)
+        np.subtract(kv, scaled, out=kv)
+        np.subtract(aq, kv, out=aq)
+        grad_op.apply_into(aq, field)  # A (A* q - K* v) + prox(a + q) - a
+        np.add(field, shrunk, out=field)
+        np.subtract(field, a_field, out=field)
+        np.multiply(sigma, field, out=field)
+        np.subtract(q, field, out=q)
 
     outcome = _iterate(cfg, measure, advance, every_step=True)
     return _finish(fwd.apply(image), q, *outcome)

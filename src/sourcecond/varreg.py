@@ -3,6 +3,7 @@ error-estimate bookkeeping used to turn certificate norms into bounds."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ class VarRegProblem:
     A: LinearMap
 
     def __post_init__(self):
-        if self.alpha <= 0:
+        if not self.alpha > 0:  # also refuses NaN
             raise ConfigurationError("alpha must be positive")
         if np.shape(self.data) != self.K.codomain_shape:
             raise InputError("data must live in the codomain of K")
@@ -62,9 +63,23 @@ def error_estimate(v: np.ndarray, delta: float) -> ErrorEstimate:
                          bound=v_norm * delta_eff)
 
 
-def _relative_change(new, old):
-    num = float(np.linalg.norm(new - old))
-    den = float(np.linalg.norm(new))
+def _relative_change(new, old, work=None):
+    """``||new - old|| / ||new||``, with the difference written to ``work``
+    when it is given.
+
+    Past about 1e154 the squares in a norm overflow, so when a norm comes out
+    infinite both arrays are scaled by their largest entry first; finite
+    iterates then give a finite ratio, not ``inf / inf``.
+    """
+    diff = np.subtract(new, old, out=work)
+    with np.errstate(over="ignore"):  # an overflowing norm is handled below
+        num = float(np.linalg.norm(diff))
+        den = float(np.linalg.norm(new))
+    if math.isinf(num) or math.isinf(den):
+        peak = max(float(np.max(np.abs(diff))), float(np.max(np.abs(new))))
+        if 0.0 < peak < math.inf:
+            num = float(np.linalg.norm(diff / peak))
+            den = float(np.linalg.norm(new / peak))
     if den == 0.0:
         return 0.0 if num == 0.0 else float("inf")
     return num / den
@@ -83,6 +98,15 @@ def solve_pdhg(problem: VarRegProblem, cfg: SolveConfig):
     iterates is at most ``cfg.grad_tol``; the change is first taken after one
     step, and only at record steps if ``grad_tol == 0``.
 
+    The dual iterates, the extrapolated primal point and the right-hand side
+    of the data prox live in work arrays allocated once per solve.  The
+    gradient, divergence and ball projection write into them, and the updates
+    are in-place ufuncs in the order of the plain formulas, so the iterates
+    are theirs bit for bit.  A step allocates no field of its own; the data
+    prox returns a new image and the ball projection's per-pixel norms are
+    new arrays.  With ``sigma = 1`` the dual step adds ``A u_bar`` unscaled,
+    which is exact.
+
     Returns ``(solution, dual_field, report)``.
     """
     tau, sigma = 1.0 / 8.0, 1.0
@@ -94,18 +118,28 @@ def solve_pdhg(problem: VarRegProblem, cfg: SolveConfig):
     solve = problem.K.normal_resolvent(tau)
     kg = tau * problem.K.adjoint(problem.data)
     A = problem.A
-    u = u_bar = u_old = np.zeros(A.domain_shape)
-    q = q_old = np.zeros(A.codomain_shape)
+    u = u_old = np.zeros(A.domain_shape)
+    u_bar = np.zeros(A.domain_shape)
+    rhs = np.empty(A.domain_shape)
+    q, q_old = np.zeros(A.codomain_shape), np.zeros(A.codomain_shape)
+    u_diff, q_diff = np.empty(A.domain_shape), np.empty(A.codomain_shape)
 
     def measure():
-        return 0.5 * (_relative_change(u, u_old) + _relative_change(q, q_old))
+        return 0.5 * (_relative_change(u, u_old, u_diff) + _relative_change(q, q_old, q_diff))
 
     def advance():
-        nonlocal u, q, u_bar, u_old, q_old
-        u_old, q_old = u, q
-        q = project_group_ball(q_old + sigma * A.apply(u_bar), problem.alpha)
-        u = solve(u_old - tau * A.adjoint(q) + kg)
-        u_bar = 2.0 * u - u_old
+        nonlocal u, q, u_old, q_old
+        u_old, q_old, q = u, q, q_old  # the new q overwrites the one before the last
+        A.apply_into(u_bar, q)
+        np.add(q_old, q, out=q)
+        project_group_ball(q, problem.alpha, out=q)
+        A.adjoint_into(q, rhs)  # u_old - tau A* q + tau K* g
+        np.multiply(tau, rhs, out=rhs)
+        np.subtract(u_old, rhs, out=rhs)
+        np.add(rhs, kg, out=rhs)
+        u = solve(rhs)
+        np.multiply(2.0, u, out=u_bar)
+        np.subtract(u_bar, u_old, out=u_bar)
 
     advance()
     outcome = _iterate(cfg, measure, advance, every_step=cfg.grad_tol > 0, start=1)

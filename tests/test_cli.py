@@ -150,6 +150,16 @@ class TestRunsThatCannotCertify:
         assert not (out / "summary.json").exists()
         assert not (out / "metrics.json").exists()
 
+    def test_non_finite_summary_value_writes_nothing(self, tmp_path, capsys):
+        # PDHG iterates near 1e200 are finite and their relative change too,
+        # so the run reaches its writer, but rel_error overflows to inf
+        cfg = write_cfg(tmp_path, "c.json", {"alpha": 1e200, "size": [16, 16],
+                                             "cd_max_iters": 50, "pdhg_max_iters": 50})
+        out = tmp_path / "o"
+        assert main(["fourier2d", "--config", cfg, "--out", str(out)]) == 3
+        assert "rel_error" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSummarySchema:
     """The exact key sets of the three summaries, so that a refactor cannot

@@ -77,6 +77,17 @@ class TestGroupSoftThreshold:
         assert not np.any(out[:, :, 1])
         assert np.allclose(out[:, :, 0], sc.soft_threshold(z[:, :, 0], 0.7))
 
+    def test_rejects_nan_weight(self):
+        with pytest.raises(InputError):
+            sc.group_soft_threshold(np.ones((2, 2, 2)), float("nan"))
+
+
+class TestProjectGroupBall:
+    def test_rejects_nan_radius(self):
+        # a NaN radius would keep every group as it is
+        with pytest.raises(InputError):
+            sc.project_group_ball(np.full((2, 2, 2), 5.0), float("nan"))
+
 
 class TestTvValue:
     def test_constant_is_zero(self):
@@ -129,6 +140,11 @@ class TestProxFunctional:
     def test_unknown_kind(self):
         with pytest.raises(InputError):
             sc.ProxFunctional("tv")
+
+    @pytest.mark.parametrize("kind", sc.ProxFunctional.KINDS)
+    def test_rejects_nan_scale(self, kind):
+        with pytest.raises(InputError):
+            sc.ProxFunctional(kind, float("nan"))
 
 
 class TestVerifyL1Subgradient:

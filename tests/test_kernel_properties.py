@@ -8,6 +8,10 @@ and ``sum(x * conj(y))``.
 The one input where the kernels differ is a group holding NaN: the old
 expressions kept the other channel of a two-channel group (shrinkage made it
 0, the projection left it as it was), the new ones make it NaN.
+
+The ``out=`` forms of the gradient, the divergence and the two TV prox
+kernels, which the solvers use on their work arrays, equal the allocating
+forms exactly.
 """
 
 import warnings
@@ -103,6 +107,54 @@ def test_zero_field_and_one_by_one():
 def test_group_soft_threshold_rejects_other_trailing_lengths(shape):
     with pytest.raises(InputError):
         sc.group_soft_threshold(np.ones(shape), 1.0)
+
+
+@st.composite
+def gradient_grids(draw):
+    """An image on a grid of at least 2x2 (odd and non-square ones drawn)
+    and a field on the gradient's codomain."""
+    n_y, n_x = draw(st.integers(2, 9)), draw(st.integers(2, 9))
+    u = draw(hnp.arrays(np.float64, (n_y, n_x), elements=_entries))
+    q = draw(hnp.arrays(np.float64, (n_y - 1, n_x - 1, 2), elements=_entries))
+    return u, q
+
+
+@settings(max_examples=200, deadline=None)
+@given(gradient_grids(), _weights)
+def test_out_forms_equal_allocating_forms(grid, weight):
+    u, q = grid
+    a = sc.grad2(*u.shape)
+    # stale contents in the work arrays must not reach the result
+    field, image = np.full(q.shape, np.nan), np.full(u.shape, np.nan)
+    assert a.apply(u, out=field) is field and np.array_equal(field, a.apply(u))
+    assert a.adjoint(q, out=image) is image and np.array_equal(image, a.adjoint(q))
+    field[...], image[...] = np.nan, np.nan
+    assert a.apply_into(u, field) is field and np.array_equal(field, a.apply(u))
+    assert a.adjoint_into(q, image) is image and np.array_equal(image, a.adjoint(q))
+    for kernel in (sc.group_soft_threshold, sc.project_group_ball):
+        z = q.copy()
+        assert kernel(z, weight, out=z) is z and np.array_equal(z, kernel(q, weight))
+
+    taller = np.empty((q.shape[0] + 1,) + q.shape[1:])
+    wider = np.empty((u.shape[0], u.shape[1] + 1))
+    for call in (lambda: a.apply(u, out=taller), lambda: a.apply_into(u, taller),
+                 lambda: a.adjoint(q, out=wider), lambda: a.adjoint_into(q, wider),
+                 lambda: sc.group_soft_threshold(q, weight, out=taller),
+                 lambda: sc.project_group_ball(q, weight, out=taller)):
+        with pytest.raises(InputError):
+            call()
+
+
+def test_copying_out_forms_check_the_shape():
+    # maps without an in-place form copy apply/adjoint into ``out``
+    m = sc.IdentityMap((3, 4))
+    x = np.arange(12.0).reshape(3, 4)
+    out = np.empty((3, 4))
+    assert m.apply_into(x, out) is out and np.array_equal(out, x)
+    with pytest.raises(InputError):
+        m.adjoint_into(x, np.empty((4, 3)))
+    with pytest.raises(InputError):
+        sc.ProxFunctional("l1", 0.5).prox(x, out=np.empty(12))
 
 
 _moduli = st.floats(min_value=0.0, max_value=1e150)

@@ -376,13 +376,14 @@ class TestSolveRangeCd:
         assert rep.termination == "max_iters" and rep.iterations == 300
         assert_close_solve(rep, reference_range_cd(*args))
 
-    def test_matches_reference_identity_map_to_tolerance(self):
+    @pytest.mark.parametrize("shape", [(16, 16), (17, 23)], ids=["16x16", "17x23"])
+    def test_matches_reference_identity_map_to_tolerance(self, shape):
         # K* K = I: normal() returns its argument, so the carried terms are
         # the reference's own arithmetic and the match is bit for bit
         from sourcecond.experiments import shepp_logan
 
-        u = shepp_logan(16)
-        args = (u, sc.IdentityMap(u.shape), sc.grad2(16, 16), sc.ProxFunctional("group_l21"),
+        u = shepp_logan(*shape)
+        args = (u, sc.IdentityMap(u.shape), sc.grad2(*shape), sc.ProxFunctional("group_l21"),
                 sc.SolveConfig(max_iters=50_000, grad_tol=1e-11, record_every=10))
         rep = sc.solve_range_cd(*args)
         assert rep.termination == "tolerance" and rep.iterations > 10

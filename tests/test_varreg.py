@@ -167,6 +167,29 @@ class TestVarRegProblem:
         with pytest.raises(InputError):
             sc.VarRegProblem(K=k, data=np.zeros((3, 3)), alpha=1.0, A=a)
 
+    def test_rejects_nan_alpha(self):
+        # PDHG would skip the ball projection and end unprojected at its budget
+        with pytest.raises(ConfigurationError):
+            sc.VarRegProblem(K=sc.IdentityMap((4, 4)), data=np.zeros((4, 4)),
+                             alpha=float("nan"), A=sc.grad2(4, 4))
+
+
+class TestRelativeChange:
+    def test_plain_norms_below_overflow(self, rng):
+        new, old = rng.standard_normal((5, 6)), rng.standard_normal((5, 6))
+        assert _relative_change(new, old) == \
+            float(np.linalg.norm(new - old)) / float(np.linalg.norm(new))
+
+    def test_finite_iterates_past_norm_overflow(self):
+        # the squares of 1e200 overflow; the scaled norms do not
+        new, old = np.full((3, 3), 1e200), np.full((3, 3), 0.5e200)
+        assert _relative_change(new, old) == pytest.approx(0.5, rel=1e-15)
+        assert _relative_change(new, old, np.empty((3, 3))) == pytest.approx(0.5, rel=1e-15)
+
+    def test_non_finite_iterates_stay_non_finite(self):
+        assert np.isnan(_relative_change(np.array([np.inf, 1.0]), np.zeros(2)))
+        assert np.isnan(_relative_change(np.array([np.nan, 1.0]), np.zeros(2)))
+
 
 class TestSolvePdhg:
     def test_constant_image_with_dc_sampling(self):
@@ -283,13 +306,14 @@ class TestPdhgMatchesReference:
         assert np.array_equal(u, u_ref) and np.array_equal(q, q_ref)
         assert rep.history == ref.history
 
-    def test_identity_map_bit_identical(self, rng):
+    @pytest.mark.parametrize("shape", [(32, 32), (17, 23)], ids=["32x32", "17x23"])
+    def test_identity_map_bit_identical(self, rng, shape):
         # only the on-demand metric and the ball projection differ here, and
         # both are exact: record steps read a fresh metric
-        u0 = shepp_logan(32)
+        u0 = shepp_logan(*shape)
         prob = sc.VarRegProblem(K=sc.IdentityMap(u0.shape),
                                 data=u0 + 0.05 * rng.standard_normal(u0.shape),
-                                alpha=0.3, A=sc.grad2(32, 32))
+                                alpha=0.3, A=sc.grad2(*shape))
         for cfg in (sc.SolveConfig(max_iters=300, record_every=7),
                     sc.SolveConfig(max_iters=5000, grad_tol=1e-5, record_every=11)):
             u, q, rep = sc.solve_pdhg(prob, cfg)
