@@ -3,8 +3,9 @@
 Subcommands: ``lasso1d``, ``fourier2d``, ``optimal-sampling``, ``verify``,
 ``phantom``.  Configs are JSON with a strict schema (unknown keys are errors).
 Exit codes: 0 success; 2 configuration/usage error, or lasso data that
-overflow; 3 verification failure, a solve that diverged, or a run summary
-with a value that is not finite (nothing is written then).
+overflow; 3 verification failure, a solve that diverged, a run summary with
+a value that is not finite, or a float map with a finite entry beyond
+float32's range (nothing is written then).
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from .operators import (SamplingMask, dft2, full_mask, fourier_sampling, grad2,
                         lowpass_mask, vandermonde)
 from .solvers import (SolveConfig, extract_mask, range_data, solve_palm,
                       solve_range_cd, solve_source_gd)
-from .varreg import VarRegProblem, error_estimate, solve_pdhg
+from .varreg import VarRegProblem, error_estimate, norm_ratio, solve_pdhg
 
 PHANTOM_VARIANT = "modified"
 
@@ -154,6 +154,16 @@ def _non_finite_key(value, key: str = "") -> str | None:
     return None
 
 
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
+def _float32_peak(array) -> float:
+    """Largest finite magnitude in ``array`` (0 for none): a float map casts
+    it to float32, where anything above ``_FLOAT32_MAX`` turns infinite."""
+    magnitude = np.abs(np.asarray(array, dtype=float))
+    return float(np.max(magnitude, where=np.isfinite(magnitude), initial=0.0))
+
+
 def _write_run(out_dir: str, command: str, experiment: str, cfg, timings: dict,
                artifacts: dict, summary: dict) -> None:
     """Write a run's artifacts in order, then its manifest.
@@ -164,14 +174,21 @@ def _write_run(out_dir: str, command: str, experiment: str, cfg, timings: dict,
     so that a summary can read back the files written before it.  The config
     hash covers every field of ``cfg``.
 
-    The run's ``summary`` is checked first: standard JSON has no NaN or
-    infinity, so a non-finite value in it raises ``VerificationError``, naming
-    its key, before any file or directory is made.
+    The run's ``summary`` and its ``.pfm`` payloads are checked first, and a
+    failed check raises ``VerificationError`` before any file or directory
+    is made.  Standard JSON has no NaN or infinity, so a non-finite summary
+    value is refused, naming its key; a float map stores float32, so a
+    finite entry beyond float32's range is refused, naming its artifact.
     """
     key = _non_finite_key(summary)
     if key is not None:
         raise VerificationError(
             f"summary value {key} is not a finite number; no artifact was written")
+    for name, payload in artifacts.items():
+        peak = _float32_peak(payload) if name.endswith(".pfm") else 0.0
+        if peak > _FLOAT32_MAX:
+            raise VerificationError(f"{name} holds {peak:.3g}, beyond float32's range; "
+                                    "no artifact was written")
     t0 = time.perf_counter()
     os.makedirs(out_dir, exist_ok=True)
     names = []
@@ -473,11 +490,9 @@ def _certificate_stage(u_true, mask, cfg: Fourier2DConfig) -> dict:
         solution, _, pdhg_report = solve_pdhg(problem, cfg.pdhg_budget)
     _stop_if_diverged(pdhg_report, "PDHG")
     baseline = fwd.adjoint(fwd.apply(u_true))
-    u_norm = float(np.linalg.norm(u_true))
-    q_norm = np.sqrt(np.sum(report.q ** 2, axis=-1))
+    # per-pixel norms of the field on the interior grid, where its groups are
+    q_norm = np.sqrt(np.sum(report.q ** 2, axis=0))[:-1, :-1]
     imag_res = np.imag(dft2(np.where(mask.grid, report.v, 0), "inverse"))
-    with np.errstate(over="ignore"):  # an inf here stops the run before it writes
-        rel_error = float(np.linalg.norm(solution - u_true)) / u_norm
     summary = {
         "mask_count": mask.count,
         "mask_fraction": mask.count / mask.grid.size,
@@ -489,8 +504,8 @@ def _certificate_stage(u_true, mask, cfg: Fourier2DConfig) -> dict:
         "q_max_norm": float(q_norm.max()),
         "pdhg_metric": pdhg_report.final_grad_norm,
         "pdhg_iterations": pdhg_report.iterations,
-        "rel_error": rel_error,
-        "baseline_rel_error": float(np.linalg.norm(baseline - u_true)) / u_norm,
+        "rel_error": norm_ratio(solution - u_true, u_true),
+        "baseline_rel_error": norm_ratio(baseline - u_true, u_true),
         "verify": dataclasses.asdict(check),
     }
     return {"summary": summary, "report": report, "check": check,
@@ -554,7 +569,7 @@ def run_fourier_experiment(cfg: Fourier2DConfig, out_dir: str | None = None,
             "v_re.pfm": np.real(report.v),
             "v_im.pfm": np.imag(report.v),
             "backprojection.pfm": stage["backprojection"],
-            "q.pfm": report.q,
+            "q.pfm": fileio.field_to_pfm(report.q),
             "q_norm.pfm": stage["q_norm"],
             "g_alpha_re.pfm": np.real(stage["g_alpha"]),
             "g_alpha_im.pfm": np.imag(stage["g_alpha"]),

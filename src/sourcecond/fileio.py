@@ -157,11 +157,26 @@ def read_pfm(path: str) -> np.ndarray:
     return data[:, :, 0] if channels == 1 else data
 
 
+def field_to_pfm(q: np.ndarray) -> np.ndarray:
+    """The ``(n_y-1) x (n_x-1) x 2`` array that stores a ``(2, n_y, n_x)``
+    dual field as a float map: its two channels on the interior grid, channel
+    last, without the pads.  ``write_pfm`` adds the zero third channel."""
+    q = np.asarray(q)
+    if q.ndim != 3 or q.shape[0] != 2 or min(q.shape[1:]) < 2:
+        raise InputError(f"expected a (2, n_y, n_x) dual field, got {q.shape}")
+    return np.moveaxis(q[:, :-1, :-1], 0, -1)
+
+
 def field_from_pfm(array: np.ndarray) -> np.ndarray:
-    """Drop the zero padding channel of a two-channel field stored as PF."""
+    """The ``(2, h+1, w+1)`` dual field of an ``h x w`` PF float map written
+    by ``field_to_pfm``: its first two channels on the interior grid, zero
+    pads, and the zero padding channel dropped."""
     if array.ndim != 3 or array.shape[2] != 3:
         raise InputError("expected a 3-channel floatmap")
-    return np.ascontiguousarray(array[:, :, :2].astype(float))
+    h, w = array.shape[:2]
+    q = np.zeros((2, h + 1, w + 1))
+    q[:, :-1, :-1] = np.moveaxis(array[:, :, :2], -1, 0)
+    return q
 
 
 def load_grayscale(path: str) -> np.ndarray:

@@ -3,6 +3,11 @@
 Covers the one-norm, the group (2,1)-norm on two-channel fields, isotropic
 total variation, and the norm-ball indicator used for projections.  All
 proximal maps are closed form and firmly nonexpansive.
+
+A two-channel field holds its channels on the leading axis, shape
+``(2, ...)``: the group of a pixel is ``(z[0][p], z[1][p])``, and each
+channel is a contiguous plane.  The dual fields of ``GradientMap`` are such
+fields, with zero pads that every group kernel maps to zero.
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ from .operators import _check_out, grad2
 
 
 def _pair_norm(z: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the 2-vectors along the trailing axis, from channel
-    views; equal bit for bit to ``sqrt(sum(z * z, axis=-1))``."""
-    z0, z1 = z[..., 0], z[..., 1]
+    """Euclidean norms of the 2-vectors along the leading axis, from the two
+    channel planes; equal bit for bit to ``sqrt(sum(z * z, axis=0))``."""
+    z0, z1 = z[0], z[1]
     return np.sqrt(z0 * z0 + z1 * z1)
 
 
@@ -44,19 +49,16 @@ def soft_threshold(z: np.ndarray, beta: float = 1.0) -> np.ndarray:
 
 def _scale_into(z: np.ndarray, factor: np.ndarray, out, pairs: bool) -> np.ndarray:
     """``z * factor`` written into ``out`` (a new array if it is None), where
-    with ``pairs`` each factor scales one 2-vector along the trailing axis.
-
-    The 2-vectors are scaled one channel view at a time, which is faster than
-    broadcasting ``factor[..., None]`` over the channel axis and gives the
-    same products.  ``out`` may be ``z`` itself.
+    with ``pairs`` each factor scales one 2-vector along the leading axis,
+    one channel plane at a time.  ``out`` may be ``z`` itself.
     """
     if out is None:
         out = np.empty(z.shape, np.result_type(z, factor))
     else:
         _check_out(out, z.shape)
     if pairs:
-        np.multiply(z[..., 0], factor, out=out[..., 0])
-        np.multiply(z[..., 1], factor, out=out[..., 1])
+        np.multiply(z[0], factor, out=out[0])
+        np.multiply(z[1], factor, out=out[1])
     else:
         np.multiply(z, factor, out=out)
     return out
@@ -65,14 +67,14 @@ def _scale_into(z: np.ndarray, factor: np.ndarray, out, pairs: bool) -> np.ndarr
 def group_soft_threshold(z: np.ndarray, beta: float = 1.0, out=None) -> np.ndarray:
     """Pixelwise shrinkage of 2-vectors by ``beta`` in the Euclidean norm.
 
-    ``z`` has shape (..., 2); a zero 2-vector stays zero.  The result goes to
+    ``z`` has shape (2, ...); a zero 2-vector stays zero.  The result goes to
     ``out`` when it is given, an array of the shape of ``z`` or ``z`` itself.
     """
     if not beta >= 0:
         raise InputError("shrinkage weight must be nonnegative")
     z = np.asarray(z, dtype=float)
-    if z.ndim < 1 or z.shape[-1] != 2:
-        raise InputError(f"group shrinkage needs a trailing axis of length 2, got {z.shape}")
+    if z.ndim < 1 or z.shape[0] != 2:
+        raise InputError(f"group shrinkage needs a leading axis of length 2, got {z.shape}")
     r = _pair_norm(z)
     factor = np.maximum(r - beta, 0.0)
     factor /= np.where(r > 0, r, 1.0)
@@ -82,8 +84,9 @@ def group_soft_threshold(z: np.ndarray, beta: float = 1.0, out=None) -> np.ndarr
 def project_group_ball(z: np.ndarray, radius: float = 1.0, out=None) -> np.ndarray:
     """Project onto the Euclidean ball of the given radius, groupwise.
 
-    Real arrays with a trailing axis of length 2 are treated as vector fields
-    (one ball per 2-vector); anything else is clamped componentwise, complex
+    Real arrays of two or more axes whose leading axis has length 2 are
+    treated as vector fields (one ball per 2-vector along that axis);
+    anything else is clamped componentwise, complex
     entries in modulus.  A group holding NaN comes out NaN in every entry.
     The result goes to ``out`` when it is given, an array of the shape of
     ``z`` or ``z`` itself.
@@ -91,7 +94,7 @@ def project_group_ball(z: np.ndarray, radius: float = 1.0, out=None) -> np.ndarr
     if not radius >= 0:
         raise InputError("ball radius must be nonnegative")
     z = np.asarray(z)
-    pairs = z.ndim >= 2 and z.shape[-1] == 2 and not np.iscomplexobj(z)
+    pairs = z.ndim >= 2 and z.shape[0] == 2 and not np.iscomplexobj(z)
     r = _pair_norm(z) if pairs else np.abs(z)
     if 0 < radius < np.inf:
         # radius / radius == 1.0 exactly, so groups inside the ball are kept
@@ -140,7 +143,7 @@ class ProxFunctional:
     def _group_norms(self, z):
         z = np.asarray(z)
         if self.kind == "group_l21":
-            return np.sqrt(np.sum(np.asarray(z, dtype=float) ** 2, axis=-1))
+            return np.sqrt(np.sum(np.asarray(z, dtype=float) ** 2, axis=0))
         return np.abs(z)
 
     def value(self, z: np.ndarray) -> float:
@@ -198,7 +201,9 @@ def verify_tv_subgradient(v: np.ndarray, q: np.ndarray, u: np.ndarray,
 
     Requires the dual field ``q`` to stay in the pointwise unit ball, to align
     with the normalized gradient of ``u`` wherever that gradient is nonzero,
-    and the divergence identity ``v = A^T q`` to hold up to ``tol``.
+    and the divergence identity ``v = A^T q`` to hold up to ``tol``.  ``q``
+    has the ``(2, n_y, n_x)`` layout of ``grad2(*u.shape)``, whose pads hold
+    no group: their values are ignored.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -208,14 +213,15 @@ def verify_tv_subgradient(v: np.ndarray, q: np.ndarray, u: np.ndarray,
         raise InputError("inconsistent shapes for TV subgradient check")
     residual = float(np.linalg.norm(v - a.adjoint(q)))
     norm_ok = residual <= tol * max(1.0, float(np.linalg.norm(v)))
-    qnorm = np.sqrt(np.sum(q * q, axis=-1))
+    # the pads of q hold no group; the adjoint reads them as zero too
+    qnorm = np.sqrt(np.sum(q * q, axis=0))[:-1, :-1]
     max_group_norm = float(qnorm.max(initial=0.0))
     gu = a.apply(u)
-    gnorm = np.sqrt(np.sum(gu * gu, axis=-1))
-    active = gnorm > 0
+    gnorm = np.sqrt(np.sum(gu * gu, axis=0))
+    active = gnorm > 0  # never a pad: the gradient is zero there
     if np.any(active):
-        unit = gu[active] / gnorm[active][:, None]
-        support_mismatch = float(np.max(np.linalg.norm(q[active] - unit, axis=-1)))
+        unit = gu[:, active] / gnorm[active]
+        support_mismatch = float(np.max(np.linalg.norm(q[:, active] - unit, axis=0)))
     else:
         support_mismatch = 0.0
     passed = bool(norm_ok and max_group_norm <= 1.0 + tol and support_mismatch <= tol)

@@ -293,41 +293,67 @@ class FourierSamplingMap(LinearMap):
 
 
 class GradientMap(LinearMap):
-    """Forward-difference gradient from ``n_y x n_x`` to ``(n_y-1) x (n_x-1) x 2``.
+    """Forward-difference gradient from ``n_y x n_x`` to ``2 x n_y x n_x``.
+
+    A dual field is a C-contiguous ``(2, n_y, n_x)`` array: channel 0 holds
+    the vertical difference ``u[i+1, j] - u[i, j]`` and channel 1 the
+    horizontal one ``u[i, j+1] - u[i, j]``, both on the interior grid
+    ``i < n_y-1, j < n_x-1``.  The last row and the last column of each
+    channel are structural zeros, the *pads*: ``apply`` writes zeros there
+    and ``adjoint`` reads whatever they hold as zero.  On this layout each
+    difference is one subtraction of two shifted views of the flattened
+    image, and each divergence term one update of the flattened result.
 
     ``apply`` and ``adjoint`` take an optional ``out`` array of the result's
-    shape and write into it instead of allocating.
+    shape, C-contiguous, and write into it instead of allocating.
     """
 
     def __init__(self, n_y: int, n_x: int):
         if n_y < 2 or n_x < 2:
             raise InputError("gradient needs a grid of at least 2x2")
-        super().__init__((n_y, n_x), (n_y - 1, n_x - 1, 2), GRAD2_NORM_BOUND)
+        super().__init__((n_y, n_x), (2, n_y, n_x), GRAD2_NORM_BOUND)
 
     def apply(self, u, out=None):
         self._check_domain(u)
-        u = np.asarray(u, dtype=float)
-        if out is None:
-            out = np.empty(self.codomain_shape)
-        else:
-            _check_out(out, self.codomain_shape)
-        np.subtract(u[1:, :-1], u[:-1, :-1], out=out[:, :, 0])
-        np.subtract(u[:-1, 1:], u[:-1, :-1], out=out[:, :, 1])
+        uf = np.asarray(u, dtype=float).reshape(-1)
+        out = _flat_out(out, self.codomain_shape)
+        n_x = self.domain_shape[1]
+        m = uf.size - n_x  # the rows above the last one
+        dy, dx = out.reshape(2, -1)
+        np.subtract(uf[n_x:], uf[:m], out=dy[:m])
+        np.subtract(uf[1:m + 1], uf[:m], out=dx[:m])
+        out[:, -1] = 0.0
+        out[:, :, -1] = 0.0  # dx there wrapped round to the next row
         return out
 
     def adjoint(self, q, out=None):
+        """Negative divergence.  Each pixel takes ``((0 + south) - here) +
+        east) - here`` over the terms its interior neighbours give, in this
+        order, so signed zeros come out as from four slice updates."""
         self._check_codomain(q)
         q = np.asarray(q, dtype=float)
-        if out is None:
-            out = np.zeros(self.domain_shape)
-        else:
-            _check_out(out, self.domain_shape)
-            out.fill(0.0)
-        south, here, east = out[1:, :-1], out[:-1, :-1], out[:-1, 1:]
-        np.add(south, q[:, :, 0], out=south)
-        np.subtract(here, q[:, :, 0], out=here)
-        np.add(east, q[:, :, 1], out=east)
-        np.subtract(here, q[:, :, 1], out=here)
+        out = _flat_out(out, self.domain_shape)
+        n_x = self.domain_shape[1]
+        qf = np.ascontiguousarray(q).reshape(2, -1)
+        flat = out.reshape(-1)
+        out.fill(0.0)
+        np.add(flat[n_x:], qf[0, :-n_x], out=flat[n_x:])
+        np.subtract(flat, qf[0], out=flat)
+        np.add(flat[1:], qf[1, :-1], out=flat[1:])
+        np.subtract(flat, qf[1], out=flat)
+        # The pads reached only the last row, the last column and the first
+        # column (through channel 1 wrapping round).  These are set again
+        # from their interior terms alone, so a pad's value never reaches the
+        # result; the leading ``0.0 +`` turns a -0 term into +0, as adding it
+        # to the zero fill does.
+        dy, dx = q
+        np.add(0.0, dy[-2, :-1], out=out[-1, :-1])
+        out[-1, -1] = 0.0
+        np.add(0.0, dx[:-1, -2], out=out[:-1, -1])
+        first = out[1:-1, 0]
+        np.add(0.0, dy[:-2, 0], out=first)
+        np.subtract(first, dy[1:-1, 0], out=first)
+        np.subtract(first, dx[1:-1, 0], out=first)
         return out
 
     # the in-place forms go through apply/adjoint, so that a wrapper
@@ -337,6 +363,17 @@ class GradientMap(LinearMap):
 
     def adjoint_into(self, q, out):
         return self.adjoint(q, out=out)
+
+
+def _flat_out(out, shape) -> np.ndarray:
+    """``out``, checked to be C-contiguous of ``shape`` so that its flat view
+    writes through, or a new array when it is None."""
+    if out is None:
+        return np.empty(shape)
+    _check_out(out, shape)
+    if not out.flags.c_contiguous:
+        raise InputError("the output array must be C-contiguous")
+    return out
 
 
 def vandermonde(samples: np.ndarray, degree: int) -> MatrixMap:

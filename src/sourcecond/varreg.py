@@ -63,26 +63,39 @@ def error_estimate(v: np.ndarray, delta: float) -> ErrorEstimate:
                          bound=v_norm * delta_eff)
 
 
-def _relative_change(new, old, work=None):
-    """``||new - old|| / ||new||``, with the difference written to ``work``
-    when it is given.
-
-    Past about 1e154 the squares in a norm overflow, so when a norm comes out
-    infinite both arrays are scaled by their largest entry first; finite
-    iterates then give a finite ratio, not ``inf / inf``.
-    """
-    diff = np.subtract(new, old, out=work)
+def _norm_and_scale(x) -> tuple[float, float]:
+    """``(n, s)`` with ``||x|| = n * s``.  ``s`` is 1 unless the plain norm
+    overflows, which its squares do past about 1e154; then ``s`` is the
+    largest magnitude in ``x`` (if finite) and ``n`` the norm of ``x / s``."""
     with np.errstate(over="ignore"):  # an overflowing norm is handled below
-        num = float(np.linalg.norm(diff))
-        den = float(np.linalg.norm(new))
-    if math.isinf(num) or math.isinf(den):
-        peak = max(float(np.max(np.abs(diff))), float(np.max(np.abs(new))))
-        if 0.0 < peak < math.inf:
-            num = float(np.linalg.norm(diff / peak))
-            den = float(np.linalg.norm(new / peak))
+        n = float(np.linalg.norm(x))
+    if math.isinf(n):
+        peak = float(np.max(np.abs(x)))
+        if peak < math.inf:
+            return float(np.linalg.norm(x / peak)), peak
+    return n, 1.0
+
+
+def norm_ratio(x, y) -> float:
+    """``||x|| / ||y||``: 0 when both norms are zero, infinite when only
+    ``||y||`` is.
+
+    Each norm that overflows is taken of its array scaled by the largest
+    entry, so finite arrays give a finite ratio (unless the ratio itself
+    passes the float range), not ``inf / inf``.  When neither overflows the
+    ratio is that of the two plain norms, bit for bit.
+    """
+    num, num_scale = _norm_and_scale(x)
+    den, den_scale = _norm_and_scale(y)
     if den == 0.0:
         return 0.0 if num == 0.0 else float("inf")
-    return num / den
+    return num / den * (num_scale / den_scale)
+
+
+def _relative_change(new, old, work=None):
+    """``||new - old|| / ||new||`` by ``norm_ratio``, with the difference
+    written to ``work`` when it is given."""
+    return norm_ratio(np.subtract(new, old, out=work), new)
 
 
 def solve_pdhg(problem: VarRegProblem, cfg: SolveConfig):

@@ -45,17 +45,19 @@ def test_criterion_1_operator_correctness():
     parseval = abs(np.linalg.norm(f) - np.linalg.norm(u)) / np.linalg.norm(u)
 
     a = sc.grad2(8, 8)
-    dense = np.zeros((7, 7, 2, 8, 8))
+    # a field is (2, 8, 8): the pads (last row and column of each channel)
+    # are zero rows of the matrix
+    dense = np.zeros((2, 8, 8, 8, 8))
     for i in range(7):
         for j in range(7):
-            dense[i, j, 0, i + 1, j] += 1.0
-            dense[i, j, 0, i, j] -= 1.0
-            dense[i, j, 1, i, j + 1] += 1.0
-            dense[i, j, 1, i, j] -= 1.0
-    dense = dense.reshape(98, 64)
+            dense[0, i, j, i + 1, j] += 1.0
+            dense[0, i, j, i, j] -= 1.0
+            dense[1, i, j, i, j + 1] += 1.0
+            dense[1, i, j, i, j] -= 1.0
+    dense = dense.reshape(128, 64)
     assembled = np.column_stack([a.apply(e.reshape(8, 8)).ravel() for e in np.eye(64)])
-    assembled_adj = np.column_stack([a.adjoint(e.reshape(7, 7, 2)).ravel()
-                                     for e in np.eye(98)])
+    assembled_adj = np.column_stack([a.adjoint(e.reshape(2, 8, 8)).ravel()
+                                     for e in np.eye(128)])
     grad_exact = (np.array_equal(assembled, dense)
                   and np.array_equal(assembled_adj, dense.T))
     forward_exact = all(
@@ -96,7 +98,7 @@ def test_criterion_2_prox_oracle_equivalence():
         obj = 0.5 * ((gx - z[0]) ** 2 + (gy - z[1]) ** 2) + beta * np.hypot(gx, gy)
         i = np.unravel_index(np.argmin(obj), obj.shape)
         best = np.array([gx[i], gy[i]])
-        got = sc.group_soft_threshold(z.reshape(1, 1, 2), beta).ravel()
+        got = sc.group_soft_threshold(z.reshape(2, 1, 1), beta).ravel()
         worst_2d = max(worst_2d, float(np.linalg.norm(best - got)))
 
     elapsed = time.perf_counter() - t0
@@ -195,7 +197,7 @@ def test_criterion_7_approximate_sc_detection(phantom64):
     a = sc.grad2(64, 64)
     cfg = sc.SolveConfig(max_iters=1000, grad_tol=1e-10, record_every=100)
     rep = sc.solve_range_cd(phantom64, fwd, a, sc.ProxFunctional("group_l21"), cfg)
-    q_max = float(np.sqrt(np.sum(rep.q ** 2, axis=-1)).max())
+    q_max = float(np.sqrt(np.sum(rep.q ** 2, axis=0)).max())
     elapsed = time.perf_counter() - t0
     ok = (rep.termination == "max_iters" and rep.final_grad_norm > 1e-10
           and q_max > 1.0 + 1e-6 and elapsed < 120.0)

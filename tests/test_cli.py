@@ -150,14 +150,36 @@ class TestRunsThatCannotCertify:
         assert not (out / "summary.json").exists()
         assert not (out / "metrics.json").exists()
 
-    def test_non_finite_summary_value_writes_nothing(self, tmp_path, capsys):
-        # PDHG iterates near 1e200 are finite and their relative change too,
-        # so the run reaches its writer, but rel_error overflows to inf
+    def test_non_finite_summary_value_writes_nothing(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # a stage whose relative error came out infinite reaches the writer
+        from sourcecond import experiments
+
+        stage = experiments._certificate_stage
+
+        def infinite_error(*args):
+            result = stage(*args)
+            result["summary"]["rel_error"] = float("inf")
+            return result
+
+        monkeypatch.setattr(experiments, "_certificate_stage", infinite_error)
+        cfg = write_cfg(tmp_path, "c.json", {"size": [16, 16], "cd_max_iters": 50,
+                                             "pdhg_max_iters": 50})
+        out = tmp_path / "o"
+        assert main(["fourier2d", "--config", cfg, "--out", str(out)]) == 3
+        assert "rel_error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_float_map_beyond_float32_writes_nothing(self, tmp_path, capsys):
+        # PDHG iterates near 1e200 are finite, and so are their relative
+        # change and relative error, but the range data near 1e200 do not fit
+        # the float32 of a float map
         cfg = write_cfg(tmp_path, "c.json", {"alpha": 1e200, "size": [16, 16],
                                              "cd_max_iters": 50, "pdhg_max_iters": 50})
         out = tmp_path / "o"
         assert main(["fourier2d", "--config", cfg, "--out", str(out)]) == 3
-        assert "rel_error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "g_alpha_re.pfm" in err and "float32" in err
         assert not out.exists()
 
 
@@ -377,9 +399,9 @@ class TestVerifyCommand:
     def test_verify_fails_on_corrupted_dual(self, stored_run, tmp_path, capsys):
         out, _ = stored_run
         q = fileio.field_from_pfm(fileio.read_pfm(os.path.join(out, "q.pfm")))
-        q[2, 2] = (2.0, 2.0)
+        q[:, 2, 2] = (2.0, 2.0)
         bad = str(tmp_path / "bad_q.pfm")
-        fileio.write_pfm(bad, q)
+        fileio.write_pfm(bad, fileio.field_to_pfm(q))
         rc = main(["verify", "--u", os.path.join(out, "u_true.pfm"),
                    "--v", os.path.join(out, "backprojection.pfm"),
                    "--q", bad, "--tol", "1e-6"])
@@ -422,6 +444,34 @@ class TestVerifyCommand:
                    "--v", os.path.join(out, "backprojection.pfm"),
                    "--q", os.path.join(out, "q.pfm"), "--tol", "1e-3"])
         assert rc == 0
+
+
+class TestArtifactBoundary:
+    """``q.pfm`` keeps the ``(n_y-1) x (n_x-1)`` float-map layout of a dual
+    field; ``verify`` reads it back into the ``(2, n_y, n_x)`` field."""
+
+    @pytest.fixture(scope="class")
+    def desk_run(self, tmp_path_factory):
+        out = str(tmp_path_factory.mktemp("desk") / "fourier_denoise_desk")
+        config = os.path.join(ROOT, "configs", "fourier_denoise_desk.json")
+        assert main(["fourier2d", "--config", config, "--out", out]) == 0
+        return out
+
+    @staticmethod
+    def verify(out, q_path):
+        return main(["verify", "--u", os.path.join(out, "u_true.pfm"),
+                     "--v", os.path.join(out, "backprojection.pfm"), "--q", q_path])
+
+    def test_desk_artifacts_verify(self, desk_run):
+        q_path = os.path.join(desk_run, "q.pfm")
+        assert fileio.read_pfm(q_path).shape == (63, 63, 3)
+        assert self.verify(desk_run, q_path) == 0
+
+    def test_dual_field_one_row_short_exits_2(self, desk_run, tmp_path):
+        q = fileio.read_pfm(os.path.join(desk_run, "q.pfm"))
+        short = str(tmp_path / "short_q.pfm")
+        fileio.write_pfm(short, q[:-1])
+        assert self.verify(desk_run, short) == 2
 
 
 class TestEnvOutputRoot:

@@ -51,11 +51,14 @@ class TestPfm:
 
     def test_two_channel_field_roundtrip(self, tmp_path, rng):
         path = str(tmp_path / "q.pfm")
-        q = rng.standard_normal((4, 5, 2)).astype(np.float32)
-        fileio.write_pfm(path, q)
+        # a (2, 5, 6) field is stored as its 4x5 interior, channel last
+        q = np.zeros((2, 5, 6), dtype=np.float32)
+        q[:, :-1, :-1] = rng.standard_normal((2, 4, 5))
+        fileio.write_pfm(path, fileio.field_to_pfm(q))
         back = fileio.read_pfm(path)
         assert back.shape == (4, 5, 3)
         assert not np.any(back[:, :, 2])
+        assert back[:, :, :2].tobytes() == np.moveaxis(q[:, :-1, :-1], 0, -1).tobytes()
         assert fileio.field_from_pfm(back).astype(np.float32).tobytes() == q.tobytes()
 
     def test_write_read_write_stable(self, tmp_path, rng):

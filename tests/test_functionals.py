@@ -54,10 +54,10 @@ class TestSoftThreshold:
 
 class TestGroupSoftThreshold:
     def test_three_four_five(self):
-        z = np.zeros((1, 1, 2))
-        z[0, 0] = (3.0, 4.0)
+        z = np.zeros((2, 1, 1))
+        z[:, 0, 0] = (3.0, 4.0)
         out = sc.group_soft_threshold(z, 1.0)
-        assert np.allclose(out[0, 0], (2.4, 3.2))
+        assert np.allclose(out[:, 0, 0], (2.4, 3.2))
 
     def test_zero_vector_stays_zero(self):
         z = np.zeros((2, 2, 2))
@@ -66,16 +66,16 @@ class TestGroupSoftThreshold:
     def test_inside_ball_matches_brute_force(self, rng):
         z = rng.uniform(-1, 1, 2)
         z *= 0.3 / np.linalg.norm(z)
-        got = sc.group_soft_threshold(z.reshape(1, 1, 2), 1.0).ravel()
+        got = sc.group_soft_threshold(z.reshape(2, 1, 1), 1.0).ravel()
         assert not np.any(got)
         assert np.linalg.norm(brute_force_prox_2d(z, 1.0) - got) < 1e-3
 
     def test_reduces_to_scalar_soft_threshold(self, rng):
-        z = np.zeros((5, 5, 2))
-        z[:, :, 0] = rng.standard_normal((5, 5))
+        z = np.zeros((2, 5, 5))
+        z[0] = rng.standard_normal((5, 5))
         out = sc.group_soft_threshold(z, 0.7)
-        assert not np.any(out[:, :, 1])
-        assert np.allclose(out[:, :, 0], sc.soft_threshold(z[:, :, 0], 0.7))
+        assert not np.any(out[1])
+        assert np.allclose(out[0], sc.soft_threshold(z[0], 0.7))
 
     def test_rejects_nan_weight(self):
         with pytest.raises(InputError):
@@ -99,15 +99,15 @@ class TestTvValue:
     def test_matches_gradient_norm(self, rng):
         u = rng.standard_normal((8, 8))
         g = sc.grad2(8, 8).apply(u)
-        expected = np.sum(np.sqrt(np.sum(g * g, axis=-1)))
+        expected = np.sum(np.sqrt(np.sum(g * g, axis=0)))
         assert sc.tv_value(u) == pytest.approx(expected, rel=1e-12)
 
 
 class TestProxFunctional:
     @pytest.mark.parametrize("kind,shape", [
         ("l1", (30,)),
-        ("group_l21", (6, 6, 2)),
-        ("indicator_norm_ball", (6, 6, 2)),
+        ("group_l21", (2, 6, 6)),
+        ("indicator_norm_ball", (2, 6, 6)),
     ])
     def test_nonexpansive_on_random_pairs(self, kind, shape, rng):
         f = sc.ProxFunctional(kind, 1.0)
@@ -118,7 +118,7 @@ class TestProxFunctional:
                     <= np.linalg.norm(x - y) * (1 + 1e-12))
 
     def test_value_nonnegative_and_prox_of_zero(self, rng):
-        for kind, shape in (("l1", (9,)), ("group_l21", (3, 3, 2))):
+        for kind, shape in (("l1", (9,)), ("group_l21", (2, 3, 3))):
             f = sc.ProxFunctional(kind, 0.8)
             assert f.value(rng.standard_normal(shape)) >= 0.0
             assert not np.any(f.prox(np.zeros(shape)))
@@ -132,9 +132,9 @@ class TestProxFunctional:
     def test_indicator_value(self):
         f = sc.ProxFunctional("indicator_norm_ball", 1.0)
         inside = np.zeros((2, 2, 2))
-        inside[0, 0] = (0.3, 0.4)
+        inside[:, 0, 0] = (0.3, 0.4)
         assert f.value(inside) == 0.0
-        inside[0, 0] = (3.0, 4.0)
+        inside[:, 0, 0] = (3.0, 4.0)
         assert f.value(inside) == np.inf
 
     def test_unknown_kind(self):
@@ -175,13 +175,13 @@ class TestVerifyL1Subgradient:
 class TestVerifyTvSubgradient:
     def test_trivial_zero_certificate(self):
         u = np.full((5, 5), 1.0)
-        chk = sc.verify_tv_subgradient(np.zeros((5, 5)), np.zeros((4, 4, 2)), u)
+        chk = sc.verify_tv_subgradient(np.zeros((5, 5)), np.zeros((2, 5, 5)), u)
         assert chk.passed
 
     def test_ball_violation_reported(self):
         u = np.full((5, 5), 1.0)
-        q = np.zeros((4, 4, 2))
-        q[1, 1] = (1.2, 0.0)
+        q = np.zeros((2, 5, 5))
+        q[:, 1, 1] = (1.2, 0.0)
         chk = sc.verify_tv_subgradient(sc.grad2(5, 5).adjoint(q), q, u)
         assert not chk.passed
         assert chk.max_group_norm == pytest.approx(1.2)
@@ -190,12 +190,12 @@ class TestVerifyTvSubgradient:
         u = np.full((5, 5), 1.0)
         v = np.zeros((5, 5))
         v[2, 2] = 1.0
-        chk = sc.verify_tv_subgradient(v, np.zeros((4, 4, 2)), u)
+        chk = sc.verify_tv_subgradient(v, np.zeros((2, 5, 5)), u)
         assert not chk.passed
         assert chk.residual == pytest.approx(1.0)
 
     def test_passed_is_python_bool(self):
         u = np.full((5, 5), 1.0)
-        chk = sc.verify_tv_subgradient(np.zeros((5, 5)), np.zeros((4, 4, 2)), u,
+        chk = sc.verify_tv_subgradient(np.zeros((5, 5)), np.zeros((2, 5, 5)), u,
                                        np.float64(1e-6))
         assert type(chk.passed) is bool

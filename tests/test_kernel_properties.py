@@ -1,5 +1,5 @@
 """Property tests: the channel-view TV prox kernels equal, bit for bit, the
-``sum(z * z, axis=-1, keepdims=True)`` expressions they replace, the ball
+``sum(z * z, axis=0, keepdims=True)`` expressions they replace, the ball
 projection ``z * (radius / max(r, radius))`` equals the ``np.where`` form it
 replaces, and so do the in-place one-norm shrinkage and the real inner
 product (``np.add.reduce`` for real operands) against ``np.where`` shrinkage
@@ -9,9 +9,13 @@ The one input where the kernels differ is a group holding NaN: the old
 expressions kept the other channel of a two-channel group (shrinkage made it
 0, the projection left it as it was), the new ones make it NaN.
 
-The ``out=`` forms of the gradient, the divergence and the two TV prox
-kernels, which the solvers use on their work arrays, equal the allocating
-forms exactly.
+The gradient and the divergence on the ``(2, n_y, n_x)`` field layout equal,
+bit for bit and signed zeros included, the slice formulas on the
+``(n_y-1, n_x-1, 2)`` interior layout (``reference_gradient`` and
+``reference_divergence``) on the interior entries; the gradient writes zero
+pads and the divergence ignores whatever the pads hold.  The ``out=`` forms
+of the gradient, the divergence and the two TV prox kernels, which the
+solvers use on their work arrays, equal the allocating forms exactly.
 """
 
 import warnings
@@ -27,7 +31,7 @@ from sourcecond.errors import InputError
 
 
 def keepdims_norm(z):
-    return np.sqrt(np.sum(z * z, axis=-1, keepdims=True))
+    return np.sqrt(np.sum(z * z, axis=0, keepdims=True))
 
 
 def keepdims_group_soft_threshold(z, beta):
@@ -59,14 +63,14 @@ _entries = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False)
 
 @st.composite
 def two_channel_fields(draw):
-    """(n_y, n_x, 2) fields in which some 2-vectors are exactly zero and some
+    """(2, n_y, n_x) fields in which some 2-vectors are exactly zero and some
     have one zero channel."""
     shape = (draw(st.integers(1, 9)), draw(st.integers(1, 9)))
-    z = draw(hnp.arrays(np.float64, shape + (2,), elements=_entries))
+    z = draw(hnp.arrays(np.float64, (2,) + shape, elements=_entries))
     zeros = draw(hnp.arrays(np.int8, shape, elements=st.integers(0, 3)))
-    z[zeros == 1] = 0.0
-    z[zeros == 2, 0] = 0.0
-    z[zeros == 3, 1] = 0.0
+    z[:, zeros == 1] = 0.0
+    z[0, zeros == 2] = 0.0
+    z[1, zeros == 3] = 0.0
     return z
 
 
@@ -97,25 +101,30 @@ def test_weight_equal_to_a_group_norm(z, data):
 
 
 def test_zero_field_and_one_by_one():
-    for z in (np.zeros((1, 1, 2)), np.zeros((3, 4, 2)), np.array([[[0.0, -2.0]]])):
+    for z in (np.zeros((2, 1, 1)), np.zeros((2, 3, 4)), np.array([[[0.0]], [[-2.0]]])):
         for w in (0.0, 1.0, 2.0):
             assert_bits_equal(sc.group_soft_threshold(z, w), keepdims_group_soft_threshold(z, w))
             assert_bits_equal(sc.project_group_ball(z, w), keepdims_project_group_ball(z, w))
 
 
-@pytest.mark.parametrize("shape", [(), (3,), (4, 4, 1), (4, 4, 3), (2, 0)])
+# the pair axis is the leading one: a field needs its length to be 2
+@pytest.mark.parametrize("shape", [(), (3,), (1, 4, 4), (3, 4, 4), (0, 2)])
 def test_group_soft_threshold_rejects_other_trailing_lengths(shape):
     with pytest.raises(InputError):
         sc.group_soft_threshold(np.ones(shape), 1.0)
 
 
+_side = st.one_of(st.just(2), st.integers(2, 9))
+_grid_shapes = st.tuples(_side, _side)
+
+
 @st.composite
 def gradient_grids(draw):
-    """An image on a grid of at least 2x2 (odd and non-square ones drawn)
-    and a field on the gradient's codomain."""
-    n_y, n_x = draw(st.integers(2, 9)), draw(st.integers(2, 9))
+    """An image on a grid of at least 2x2 (2x2, 2xn, odd and non-square ones
+    drawn) and a field on the gradient's codomain, pads included."""
+    n_y, n_x = draw(_grid_shapes)
     u = draw(hnp.arrays(np.float64, (n_y, n_x), elements=_entries))
-    q = draw(hnp.arrays(np.float64, (n_y - 1, n_x - 1, 2), elements=_entries))
+    q = draw(hnp.arrays(np.float64, (2, n_y, n_x), elements=_entries))
     return u, q
 
 
@@ -137,12 +146,89 @@ def test_out_forms_equal_allocating_forms(grid, weight):
 
     taller = np.empty((q.shape[0] + 1,) + q.shape[1:])
     wider = np.empty((u.shape[0], u.shape[1] + 1))
+    # right shapes, but a flat view of these would not write through
+    strided_field = np.empty(q.shape[:2] + (2 * q.shape[2],))[:, :, ::2]
+    strided_image = np.empty((u.shape[0], 2 * u.shape[1]))[:, ::2]
     for call in (lambda: a.apply(u, out=taller), lambda: a.apply_into(u, taller),
                  lambda: a.adjoint(q, out=wider), lambda: a.adjoint_into(q, wider),
+                 lambda: a.apply(u, out=strided_field),
+                 lambda: a.adjoint(q, out=strided_image),
                  lambda: sc.group_soft_threshold(q, weight, out=taller),
                  lambda: sc.project_group_ball(q, weight, out=taller)):
         with pytest.raises(InputError):
             call()
+
+
+def reference_gradient(u):
+    """Forward differences by the slice formulas, on the interior grid with
+    the channels last: ``(n_y-1, n_x-1, 2)``."""
+    out = np.empty((u.shape[0] - 1, u.shape[1] - 1, 2))
+    np.subtract(u[1:, :-1], u[:-1, :-1], out=out[:, :, 0])
+    np.subtract(u[:-1, 1:], u[:-1, :-1], out=out[:, :, 1])
+    return out
+
+
+def reference_divergence(q):
+    """The adjoint of ``reference_gradient`` by four slice updates of a zero
+    image, in the order south, here, east, here."""
+    out = np.zeros((q.shape[0] + 1, q.shape[1] + 1))
+    south, here, east = out[1:, :-1], out[:-1, :-1], out[:-1, 1:]
+    np.add(south, q[:, :, 0], out=south)
+    np.subtract(here, q[:, :, 0], out=here)
+    np.add(east, q[:, :, 1], out=east)
+    np.subtract(here, q[:, :, 1], out=here)
+    return out
+
+
+def interior(q):
+    """The valid entries of a ``(2, n_y, n_x)`` field in the reference layout."""
+    return np.ascontiguousarray(np.moveaxis(q[:, :-1, :-1], 0, -1))
+
+
+@st.composite
+def signed_zero_grids(draw):
+    """``gradient_grids`` with some entries set to +0 or -0, so that both
+    signs of zero meet in the sums."""
+    u, q = draw(gradient_grids())
+    for x in (u, q):
+        x[draw(hnp.arrays(np.bool_, x.shape))] = 0.0
+        x[draw(hnp.arrays(np.bool_, x.shape))] = -0.0
+    return u, q
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_zero_grids())
+def test_gradient_and_divergence_match_reference(grid):
+    u, q = grid
+    a = sc.grad2(*u.shape)
+    g = a.apply(u)
+    assert_bits_equal(interior(g), reference_gradient(u))
+    pads = np.concatenate([g[:, -1].ravel(), g[:, :, -1].ravel()])
+    assert pads.tobytes() == np.zeros_like(pads).tobytes()  # +0, never -0
+    # the pads of q hold random values, which must not reach the result
+    assert_bits_equal(a.adjoint(q), reference_divergence(interior(q)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grid_shapes, st.data())
+def test_adjoint_identity_with_random_pads(shape, data):
+    # integer entries below 2**20: every product and sum is exact, so the
+    # two inner products agree exactly
+    whole = st.integers(-2 ** 20, 2 ** 20).map(float)
+    u = data.draw(hnp.arrays(np.float64, shape, elements=whole))
+    q = data.draw(hnp.arrays(np.float64, (2,) + shape, elements=whole))
+    a = sc.grad2(*shape)
+    assert sc.real_inner(a.apply(u), q) == sc.real_inner(u, a.adjoint(q))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 7), (7, 2), (5, 9), (8, 3)])
+def test_kernels_on_fixed_shapes(shape, rng):
+    a = sc.grad2(*shape)
+    u = rng.standard_normal(shape)
+    q = rng.standard_normal((2,) + shape)
+    assert_bits_equal(interior(a.apply(u)), reference_gradient(u))
+    assert_bits_equal(a.adjoint(q), reference_divergence(interior(q)))
+    assert sc.adjoint_gap(a, rng) <= 1e-12
 
 
 def test_copying_out_forms_check_the_shape():
@@ -162,7 +248,7 @@ _moduli = st.floats(min_value=0.0, max_value=1e150)
 
 @st.composite
 def componentwise_arrays(draw):
-    """1-D real arrays and complex grids (whose trailing axis may be 2): the
+    """1-D real arrays and complex grids (whose leading axis may be 2): the
     inputs that ``project_group_ball`` clamps entry by entry, in modulus."""
     if draw(st.booleans()):
         z = draw(hnp.arrays(np.float64, st.integers(1, 12), elements=_entries))
@@ -188,11 +274,11 @@ def test_project_ball_componentwise_bit_identical(z, radius, data):
 
 def test_project_ball_nan_group():
     # the old expression left the finite channel as it was; NaN now fills the group
-    z = np.array([[[np.nan, 0.5], [3.0, 4.0]]])
+    z = np.array([[[np.nan, 3.0]], [[0.5, 4.0]]])
     got, old = sc.project_group_ball(z, 1.0), keepdims_project_group_ball(z, 1.0)
-    assert np.isnan(got[0, 0]).all()
-    assert np.isnan(old[0, 0, 0]) and old[0, 0, 1] == 0.5
-    assert_bits_equal(got[0, 1], old[0, 1])
+    assert np.isnan(got[:, 0, 0]).all()
+    assert np.isnan(old[0, 0, 0]) and old[1, 0, 0] == 0.5
+    assert_bits_equal(got[:, 0, 1], old[:, 0, 1])
 
 
 def where_soft_threshold(z, beta):

@@ -127,8 +127,8 @@ class TestGrad2:
     def test_direct_differences(self):
         a = sc.grad2(2, 2)
         out = a.apply(np.array([[0.0, 1.0], [2.0, 3.0]]))
-        assert out.shape == (1, 1, 2)
-        assert out[0, 0, 0] == 2.0 and out[0, 0, 1] == 1.0
+        assert out.shape == (2, 2, 2)
+        assert out[0, 0, 0] == 2.0 and out[1, 0, 0] == 1.0
 
     def test_annihilates_constants(self):
         a = sc.grad2(6, 5)
@@ -138,16 +138,17 @@ class TestGrad2:
         # oracle: explicit matrix assembly from the difference stencil
         n = 16
         a = sc.grad2(n, n)
-        dense = np.zeros((n - 1, n - 1, 2, n, n))
+        # the rows of the pads (last row and column of each channel) are zero
+        dense = np.zeros((2, n, n, n, n))
         for i in range(n - 1):
             for j in range(n - 1):
-                dense[i, j, 0, i + 1, j] += 1.0
-                dense[i, j, 0, i, j] -= 1.0
-                dense[i, j, 1, i, j + 1] += 1.0
-                dense[i, j, 1, i, j] -= 1.0
-        dense = dense.reshape((n - 1) * (n - 1) * 2, n * n)
+                dense[0, i, j, i + 1, j] += 1.0
+                dense[0, i, j, i, j] -= 1.0
+                dense[1, i, j, i, j + 1] += 1.0
+                dense[1, i, j, i, j] -= 1.0
+        dense = dense.reshape(2 * n * n, n * n)
         u = rng.standard_normal((n, n))
-        q = rng.standard_normal((n - 1, n - 1, 2))
+        q = rng.standard_normal((2, n, n))
         lhs = float(np.dot(a.apply(u).ravel(), q.ravel()))
         rhs = float(np.dot(u.ravel(), a.adjoint(q).ravel()))
         assert abs(lhs - rhs) < 1e-12 * (np.linalg.norm(u) * np.linalg.norm(q))
@@ -156,7 +157,7 @@ class TestGrad2:
 
     def test_adjoint_zero_mean(self, rng):
         a = sc.grad2(10, 12)
-        q = rng.standard_normal((9, 11, 2))
+        q = rng.standard_normal((2, 10, 12))
         assert abs(a.adjoint(q).sum()) < 1e-12
 
     def test_norm_bound(self):

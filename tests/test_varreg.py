@@ -6,7 +6,7 @@ from sourcecond.errors import ConfigurationError, InputError, VerificationError
 from sourcecond.experiments import shepp_logan
 from sourcecond.functionals import _pair_norm
 from sourcecond.solvers import _finish
-from sourcecond.varreg import _relative_change
+from sourcecond.varreg import _relative_change, norm_ratio
 
 
 def reference_pdhg(problem, cfg):
@@ -36,7 +36,7 @@ def reference_pdhg(problem, cfg):
             return (z + kg) / (1.0 + tau)
 
     def project_ball(z, radius):
-        r = _pair_norm(z)[..., None]
+        r = _pair_norm(z)
         with np.errstate(divide="ignore", invalid="ignore"):
             scale = np.where(r > radius, radius / np.where(r > 0, r, 1.0), 1.0)
         return z * scale
@@ -63,7 +63,7 @@ class FlatGrad(sc.LinearMap):
     """Gradient acting on flattened 4x4 images."""
 
     def __init__(self):
-        super().__init__((16,), (3, 3, 2), np.sqrt(8.0))
+        super().__init__((16,), (2, 4, 4), np.sqrt(8.0))
         self.inner = sc.grad2(4, 4)
 
     def apply(self, x):
@@ -132,13 +132,13 @@ class TestErrorEstimate:
 class TestBregmanDistanceTv:
     def test_zero_at_equal_arguments(self, rng):
         u = rng.standard_normal((6, 6))
-        q = np.zeros((5, 5, 2))
+        q = np.zeros((2, 6, 6))
         assert sc.bregman_distance_tv(u, u, q) == 0.0
 
     def test_constant_reference_gives_tv(self, rng):
         u = rng.standard_normal((6, 6))
         w = np.full((6, 6), 0.3)
-        got = sc.bregman_distance_tv(u, w, np.zeros((5, 5, 2)))
+        got = sc.bregman_distance_tv(u, w, np.zeros((2, 6, 6)))
         assert got == pytest.approx(sc.tv_value(u), rel=1e-12)
 
     def test_nonnegative_for_verified_subgradient(self, denoise_cert, rng):
@@ -152,8 +152,8 @@ class TestBregmanDistanceTv:
         u = np.zeros((5, 5))
         w = np.zeros((5, 5))
         w[2, 2] = 1.0
-        q = np.zeros((4, 4, 2))
-        q[2, 2] = (5.0, 5.0)  # way outside the dual ball
+        q = np.zeros((2, 5, 5))
+        q[:, 2, 2] = (5.0, 5.0)  # way outside the dual ball
         with pytest.raises(VerificationError):
             sc.bregman_distance_tv(u, w, q)
 
@@ -185,6 +185,15 @@ class TestRelativeChange:
         new, old = np.full((3, 3), 1e200), np.full((3, 3), 0.5e200)
         assert _relative_change(new, old) == pytest.approx(0.5, rel=1e-15)
         assert _relative_change(new, old, np.empty((3, 3))) == pytest.approx(0.5, rel=1e-15)
+
+    def test_norms_overflowing_on_one_side_only(self):
+        # u_true-sized errors beside 1e200-sized ones: a common scale would
+        # flush the small norm to zero, a scale per norm keeps both
+        x, y = np.full((3, 3), 4e200), np.full((3, 3), 2.0)
+        assert norm_ratio(x, y) == pytest.approx(2e200, rel=1e-15)
+        assert norm_ratio(y, x) == pytest.approx(0.5e-200, rel=1e-15)
+        assert norm_ratio(np.zeros(2), np.zeros(2)) == 0.0
+        assert norm_ratio(np.ones(2), np.zeros(2)) == float("inf")
 
     def test_non_finite_iterates_stay_non_finite(self):
         assert np.isnan(_relative_change(np.array([np.inf, 1.0]), np.zeros(2)))
