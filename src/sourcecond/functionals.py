@@ -4,10 +4,10 @@ Covers the one-norm, the group (2,1)-norm on two-channel fields, isotropic
 total variation, and the norm-ball indicator used for projections.  All
 proximal maps are closed form and firmly nonexpansive.
 
-A two-channel field holds its channels on the leading axis, shape
-``(2, ...)``: the group of a pixel is ``(z[0][p], z[1][p])``, and each
-channel is a contiguous plane.  The dual fields of ``GradientMap`` are such
-fields, with zero pads that every group kernel maps to zero.
+A field is a real array of two or more axes with ``shape[0] == 2``; the group
+of a pixel is ``(z[0][p], z[1][p])``, and the groups of any other array are
+its entries.  The dual fields of ``GradientMap`` are fields, with zero pads
+that every group kernel maps to zero.
 """
 
 from __future__ import annotations
@@ -20,38 +20,24 @@ from .errors import InputError
 from .operators import _check_out, grad2
 
 
-def _pair_norm(z: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the 2-vectors along the leading axis, from the two
-    channel planes; equal bit for bit to ``sqrt(sum(z * z, axis=0))``."""
+def _is_field(z: np.ndarray) -> bool:
+    return z.ndim >= 2 and z.shape[0] == 2 and not np.iscomplexobj(z)
+
+
+def _magnitudes(z: np.ndarray, pairs: bool) -> np.ndarray:
+    """A new array of the norms of the 2-vectors of a field with ``pairs``,
+    bit for bit ``sqrt(sum(z * z, axis=0))``, else of the entries' moduli."""
+    if not pairs:
+        return np.abs(z)
     z0, z1 = z[0], z[1]
-    return np.sqrt(z0 * z0 + z1 * z1)
-
-
-def soft_threshold(z: np.ndarray, beta: float = 1.0) -> np.ndarray:
-    """Componentwise shrinkage towards zero by ``beta``.
-
-    Real entries follow ``sign(z) * max(|z| - beta, 0)``; complex entries are
-    shrunk in modulus, with 0 mapping to 0.  The result is ``z * factor`` with
-    ``factor = max(|z| - beta, 0) / |z|`` where ``|z| > 0`` and 0 elsewhere,
-    so an infinite entry (``inf / inf``) comes out NaN, as does a NaN entry,
-    without a floating-point warning.
-    """
-    if not beta >= 0:
-        raise InputError("shrinkage weight must be nonnegative")
-    z = np.asarray(z)
-    mag = np.abs(z)
-    with np.errstate(invalid="ignore"):  # raised by infinite entries only
-        # np.maximum returns a scalar for 0-d input; out= needs an array
-        factor = np.asarray(np.maximum(mag - beta, 0.0))
-        np.divide(factor, mag, out=factor, where=mag > 0)
-        return z * factor
+    r = z0 * z0
+    r += z1 * z1
+    return np.sqrt(r, out=r if r.dtype.kind == "f" else None)  # or an integer field
 
 
 def _scale_into(z: np.ndarray, factor: np.ndarray, out, pairs: bool) -> np.ndarray:
-    """``z * factor`` written into ``out`` (a new array if it is None), where
-    with ``pairs`` each factor scales one 2-vector along the leading axis,
-    one channel plane at a time.  ``out`` may be ``z`` itself.
-    """
+    """``z * factor`` written into ``out`` (a new array if it is None, or ``z``
+    itself); with ``pairs`` each factor scales one 2-vector of a field."""
     if out is None:
         out = np.empty(z.shape, np.result_type(z, factor))
     else:
@@ -64,45 +50,69 @@ def _scale_into(z: np.ndarray, factor: np.ndarray, out, pairs: bool) -> np.ndarr
     return out
 
 
-def group_soft_threshold(z: np.ndarray, beta: float = 1.0, out=None) -> np.ndarray:
-    """Pixelwise shrinkage of 2-vectors by ``beta`` in the Euclidean norm.
+@np.errstate(invalid="ignore")  # raised by infinite entries only
+def _shrink(z: np.ndarray, r: np.ndarray, beta: float, out, pairs: bool) -> np.ndarray:
+    """``z * factor`` as by ``_scale_into``, with ``factor = max(r - beta, 0) / r``
+    where the group magnitude ``r > 0`` and 0 elsewhere; NaN where ``r`` is inf or NaN."""
+    # np.maximum returns a scalar for 0-d input; out= needs an array
+    factor = np.asarray(np.maximum(r - beta, 0.0))
+    np.divide(factor, r, out=factor, where=r > 0)
+    if out is None and not pairs:  # the descent's per-step prox: no further call
+        return z * factor
+    return _scale_into(z, factor, out, pairs)
 
-    ``z`` has shape (2, ...); a zero 2-vector stays zero.  The result goes to
-    ``out`` when it is given, an array of the shape of ``z`` or ``z`` itself.
+
+def soft_threshold(z: np.ndarray, beta: float = 1.0, out=None) -> np.ndarray:
+    """Componentwise shrinkage towards zero by ``beta``.
+
+    Real entries follow ``sign(z) * max(|z| - beta, 0)``; complex entries are
+    shrunk in modulus, with 0 mapping to 0.  An infinite or NaN entry comes
+    out NaN, without a floating-point warning.  The result goes to ``out``
+    when it is given, an array of the shape of ``z`` or ``z`` itself.
     """
     if not beta >= 0:
         raise InputError("shrinkage weight must be nonnegative")
+    z = np.asarray(z)
+    return _shrink(z, np.abs(z), beta, out, pairs=False)
+
+
+def group_soft_threshold(z: np.ndarray, beta: float = 1.0, out=None) -> np.ndarray:
+    """Pixelwise shrinkage of the 2-vectors of a field by ``beta`` in the
+    Euclidean norm; anything but a field is refused.  A zero 2-vector stays
+    zero, and one holding inf or NaN comes out NaN, without a floating-point
+    warning.  The result goes to ``out`` when it is given, an array of the
+    shape of ``z`` or ``z`` itself."""
+    if not beta >= 0:
+        raise InputError("shrinkage weight must be nonnegative")
+    z = np.asarray(z)
+    if not _is_field(z):
+        raise InputError(f"group shrinkage needs a real (2, ...) field, got {z.shape} {z.dtype}")
     z = np.asarray(z, dtype=float)
-    if z.ndim < 1 or z.shape[0] != 2:
-        raise InputError(f"group shrinkage needs a leading axis of length 2, got {z.shape}")
-    r = _pair_norm(z)
-    factor = np.maximum(r - beta, 0.0)
-    factor /= np.where(r > 0, r, 1.0)
-    return _scale_into(z, factor, out, pairs=True)
+    return _shrink(z, _magnitudes(z, True), beta, out, pairs=True)
 
 
 def project_group_ball(z: np.ndarray, radius: float = 1.0, out=None) -> np.ndarray:
     """Project onto the Euclidean ball of the given radius, groupwise.
 
-    Real arrays of two or more axes whose leading axis has length 2 are
-    treated as vector fields (one ball per 2-vector along that axis);
-    anything else is clamped componentwise, complex
-    entries in modulus.  A group holding NaN comes out NaN in every entry.
-    The result goes to ``out`` when it is given, an array of the shape of
-    ``z`` or ``z`` itself.
+    A field has one ball per 2-vector; anything else is clamped componentwise,
+    complex entries in modulus.  A group holding NaN comes out NaN for a radius
+    in (0, inf) and is kept for 0 and inf.  In a group outside the ball an
+    infinite entry comes out NaN (``0 * inf``) and a finite one 0, without a
+    floating-point warning.  The result goes to ``out`` when it is given, an
+    array of the shape of ``z`` or ``z`` itself.
     """
     if not radius >= 0:
         raise InputError("ball radius must be nonnegative")
     z = np.asarray(z)
-    pairs = z.ndim >= 2 and z.shape[0] == 2 and not np.iscomplexobj(z)
-    r = _pair_norm(z) if pairs else np.abs(z)
-    if 0 < radius < np.inf:
-        # radius / radius == 1.0 exactly, so groups inside the ball are kept
-        scale = radius / np.maximum(r, radius)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
+    pairs = _is_field(z)
+    r = _magnitudes(z, pairs)
+    with np.errstate(invalid="ignore"):  # inf / inf, discarded, and 0 * inf
+        if 0 < radius < np.inf:
+            # radius / radius == 1.0 exactly, so groups inside the ball are kept
+            scale = radius / np.maximum(r, radius)
+        else:
             scale = np.where(r > radius, radius / np.where(r > 0, r, 1.0), 1.0)
-    return _scale_into(z, scale, out, pairs)
+        return _scale_into(z, scale, out, pairs)
 
 
 def tv_value(u: np.ndarray) -> float:
@@ -110,9 +120,8 @@ def tv_value(u: np.ndarray) -> float:
     u = np.asarray(u, dtype=float)
     if u.ndim != 2 or u.shape[0] < 2 or u.shape[1] < 2:
         raise InputError("total variation needs a 2D grid of at least 2x2")
-    dy = u[1:, :-1] - u[:-1, :-1]
-    dx = u[:-1, 1:] - u[:-1, :-1]
-    return float(np.sum(np.sqrt(dy * dy + dx * dx)))
+    # the pads of the gradient hold no group
+    return float(np.sum(_magnitudes(grad2(*u.shape).apply(u)[:, :-1, :-1], True)))
 
 
 class ProxFunctional:
@@ -140,14 +149,13 @@ class ProxFunctional:
     def __repr__(self):
         return f"ProxFunctional({self.kind!r}, scale={self.scale})"
 
-    def _group_norms(self, z):
-        z = np.asarray(z)
-        if self.kind == "group_l21":
-            return np.sqrt(np.sum(np.asarray(z, dtype=float) ** 2, axis=0))
-        return np.abs(z)
-
     def value(self, z: np.ndarray) -> float:
-        r = self._group_norms(z)
+        """Value at ``z``, over the groups that ``prox`` uses."""
+        z = np.asarray(z)
+        pairs = self.kind != "l1" and _is_field(z)
+        if self.kind == "group_l21" and not pairs:
+            raise InputError(f"group norm needs a real (2, ...) field, got {z.shape} {z.dtype}")
+        r = _magnitudes(z, pairs)
         if self.kind == "indicator_norm_ball":
             return 0.0 if float(r.max(initial=0.0)) <= self.scale else float("inf")
         return self.scale * float(np.sum(r))
@@ -156,12 +164,7 @@ class ProxFunctional:
         """Proximal map at ``z``, written to ``out`` when it is given (an
         array of the shape of ``z`` or ``z`` itself)."""
         if self.kind == "l1":
-            shrunk = soft_threshold(z, self.scale)
-            if out is None:
-                return shrunk
-            _check_out(out, shrunk.shape)
-            np.copyto(out, shrunk)
-            return out
+            return soft_threshold(z, self.scale, out=out)
         if self.kind == "group_l21":
             return group_soft_threshold(z, self.scale, out=out)
         return project_group_ball(z, self.scale, out=out)
@@ -214,15 +217,11 @@ def verify_tv_subgradient(v: np.ndarray, q: np.ndarray, u: np.ndarray,
     residual = float(np.linalg.norm(v - a.adjoint(q)))
     norm_ok = residual <= tol * max(1.0, float(np.linalg.norm(v)))
     # the pads of q hold no group; the adjoint reads them as zero too
-    qnorm = np.sqrt(np.sum(q * q, axis=0))[:-1, :-1]
-    max_group_norm = float(qnorm.max(initial=0.0))
+    max_group_norm = float(_magnitudes(q[:, :-1, :-1], True).max(initial=0.0))
     gu = a.apply(u)
-    gnorm = np.sqrt(np.sum(gu * gu, axis=0))
+    gnorm = _magnitudes(gu, True)
     active = gnorm > 0  # never a pad: the gradient is zero there
-    if np.any(active):
-        unit = gu[:, active] / gnorm[active]
-        support_mismatch = float(np.max(np.linalg.norm(q[:, active] - unit, axis=0)))
-    else:
-        support_mismatch = 0.0
+    unit = gu[:, active] / gnorm[active]
+    support_mismatch = float(np.max(_magnitudes(q[:, active] - unit, True), initial=0.0))
     passed = bool(norm_ok and max_group_norm <= 1.0 + tol and support_mismatch <= tol)
     return SubgradientCheck(max_group_norm, support_mismatch, residual, tol, passed)

@@ -40,7 +40,7 @@ class TestUsageErrors:
 
     def test_malformed_json(self, tmp_path):
         path = str(tmp_path / "broken.json")
-        open(path, "w").write("{not json")
+        tmp_path.joinpath("broken.json").write_text("{not json")
         assert main(["lasso1d", "--config", path, "--out", str(tmp_path / "o")]) == 2
 
     @pytest.mark.parametrize("command, payload", [

@@ -122,9 +122,11 @@ class TestLassoDriver:
         for name in ("series.csv", "coefficients.csv", "history.csv",
                      "summary.json", "manifest.json"):
             assert os.path.exists(os.path.join(out, name))
-        summary = json.load(open(os.path.join(out, "summary.json")))
+        with open(os.path.join(out, "summary.json")) as f:
+            summary = json.load(f)
         assert summary["verify"]["passed"]
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        with open(os.path.join(out, "manifest.json")) as f:
+            manifest = json.load(f)
         assert set(manifest["artifacts"]) >= {"series.csv", "coefficients.csv"}
         assert "timings" in manifest and manifest["timings"]
 

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +13,11 @@ class TestPgm16:
     def test_constant_zero_image(self, tmp_path):
         path = str(tmp_path / "zero.pgm")
         fileio.write_pgm16(path, np.zeros((5, 7)))
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         header = b"P5\n7 5\n65535\n"
         assert raw.startswith(header)
         assert raw[len(header):] == b"\x00" * (5 * 7 * 2)
-        meta = json.load(open(path + ".json"))
+        meta = json.loads(Path(path + ".json").read_text())
         assert meta == {"min": 0.0, "max": 0.0}
 
     def test_file_size_arithmetic(self, tmp_path):
@@ -65,7 +66,7 @@ class TestPfm:
         p1, p2 = str(tmp_path / "1.pfm"), str(tmp_path / "2.pfm")
         fileio.write_pfm(p1, rng.standard_normal((8, 3)))
         fileio.write_pfm(p2, fileio.read_pfm(p1))
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_header_is_little_endian_pf(self, tmp_path):
         path = str(tmp_path / "h.pfm")
@@ -80,14 +81,15 @@ class TestSeriesCsv:
     def test_line_count(self, tmp_path):
         path = str(tmp_path / "s.csv")
         fileio.write_series_csv(path, {"a": [1.0, 2.0, 3.0], "b": [4.0, 5.0, 6.0]})
-        text = open(path, "r", newline="").read()
+        with open(path, newline="") as f:
+            text = f.read()
         assert text.count("\r\n") == 4
         assert len(text.splitlines()) == 4
 
     def test_seventeen_digit_floats(self, tmp_path):
         path = str(tmp_path / "f.csv")
         fileio.write_series_csv(path, {"x": [0.1]})
-        assert "0.10000000000000001" in open(path).read()
+        assert "0.10000000000000001" in Path(path).read_text()
 
     def test_roundtrip_bitwise(self, tmp_path, rng):
         path = str(tmp_path / "r.csv")
@@ -121,11 +123,11 @@ class TestManifest:
             fileio.write_manifest(str(tmp_path), m)
 
     def test_written_manifest_contents(self, tmp_path):
-        open(tmp_path / "a.csv", "w").write("x\r\n")
+        (tmp_path / "a.csv").write_text("x\r\n")
         m = fileio.RunManifest(command="demo", config_hash="ff", seed=3,
                                artifacts=["a.csv"], timings={"total": 0.5})
         path = fileio.write_manifest(str(tmp_path), m)
-        data = json.load(open(path))
+        data = json.loads(Path(path).read_text())
         assert data["command"] == "demo"
         assert data["seed"] == 3
         assert data["artifacts"] == ["a.csv"]

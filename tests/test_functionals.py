@@ -136,6 +136,9 @@ class TestProxFunctional:
         assert f.value(inside) == 0.0
         inside[:, 0, 0] = (3.0, 4.0)
         assert f.value(inside) == np.inf
+        # each entry lies in [-1, 1], the 2-vector does not
+        inside[:, 0, 0] = (0.8, 0.8)
+        assert f.value(inside) == np.inf
 
     def test_unknown_kind(self):
         with pytest.raises(InputError):

@@ -13,9 +13,15 @@ The gradient and the divergence on the ``(2, n_y, n_x)`` field layout equal,
 bit for bit and signed zeros included, the slice formulas on the
 ``(n_y-1, n_x-1, 2)`` interior layout (``reference_gradient`` and
 ``reference_divergence``) on the interior entries; the gradient writes zero
-pads and the divergence ignores whatever the pads hold.  The ``out=`` forms
-of the gradient, the divergence and the two TV prox kernels, which the
-solvers use on their work arrays, equal the allocating forms exactly.
+pads and the divergence ignores whatever the pads hold, and ``tv_value``
+equals the slice formula.  The ``out=`` forms of the gradient, the
+divergence and the three prox kernels, which the solvers use on their work
+arrays, equal the allocating forms exactly.
+
+``ProxFunctional.value`` takes the groups its prox uses: the indicator's
+value is 0 exactly when the projection keeps ``z``, and ``group_l21``
+refuses what its prox refuses.  Infinite entries give NaN in all three
+kernels, with the values of the old expressions and no warning.
 """
 
 import warnings
@@ -107,11 +113,14 @@ def test_zero_field_and_one_by_one():
             assert_bits_equal(sc.project_group_ball(z, w), keepdims_project_group_ball(z, w))
 
 
-# the pair axis is the leading one: a field needs its length to be 2
-@pytest.mark.parametrize("shape", [(), (3,), (1, 4, 4), (3, 4, 4), (0, 2)])
-def test_group_soft_threshold_rejects_other_trailing_lengths(shape):
+# a field is a real array of two or more axes whose leading one has length 2
+@pytest.mark.parametrize(
+    "z", [np.ones(()), np.ones(3), np.ones((1, 4, 4)), np.ones((3, 4, 4)), np.ones((0, 2)),
+          np.ones(2), np.ones((2, 4, 4), dtype=complex)],
+    ids=[f"shape{i}" for i in range(5)] + ["pair_vector", "complex_field"])
+def test_group_soft_threshold_rejects_other_trailing_lengths(z):
     with pytest.raises(InputError):
-        sc.group_soft_threshold(np.ones(shape), 1.0)
+        sc.group_soft_threshold(z, 1.0)
 
 
 _side = st.one_of(st.just(2), st.integers(2, 9))
@@ -140,7 +149,7 @@ def test_out_forms_equal_allocating_forms(grid, weight):
     field[...], image[...] = np.nan, np.nan
     assert a.apply_into(u, field) is field and np.array_equal(field, a.apply(u))
     assert a.adjoint_into(q, image) is image and np.array_equal(image, a.adjoint(q))
-    for kernel in (sc.group_soft_threshold, sc.project_group_ball):
+    for kernel in (sc.soft_threshold, sc.group_soft_threshold, sc.project_group_ball):
         z = q.copy()
         assert kernel(z, weight, out=z) is z and np.array_equal(z, kernel(q, weight))
 
@@ -153,6 +162,7 @@ def test_out_forms_equal_allocating_forms(grid, weight):
                  lambda: a.adjoint(q, out=wider), lambda: a.adjoint_into(q, wider),
                  lambda: a.apply(u, out=strided_field),
                  lambda: a.adjoint(q, out=strided_image),
+                 lambda: sc.soft_threshold(q, weight, out=taller),
                  lambda: sc.group_soft_threshold(q, weight, out=taller),
                  lambda: sc.project_group_ball(q, weight, out=taller)):
         with pytest.raises(InputError):
@@ -178,6 +188,13 @@ def reference_divergence(q):
     np.add(east, q[:, :, 1], out=east)
     np.subtract(here, q[:, :, 1], out=here)
     return out
+
+
+def reference_tv(u):
+    """The total variation by the slice formulas."""
+    dy = u[1:, :-1] - u[:-1, :-1]
+    dx = u[:-1, 1:] - u[:-1, :-1]
+    return float(np.sum(np.sqrt(dy * dy + dx * dx)))
 
 
 def interior(q):
@@ -207,6 +224,7 @@ def test_gradient_and_divergence_match_reference(grid):
     assert pads.tobytes() == np.zeros_like(pads).tobytes()  # +0, never -0
     # the pads of q hold random values, which must not reach the result
     assert_bits_equal(a.adjoint(q), reference_divergence(interior(q)))
+    assert sc.tv_value(u) == reference_tv(u)
 
 
 @settings(max_examples=200, deadline=None)
@@ -342,15 +360,71 @@ def test_soft_threshold_all_zeros(z, beta):
 ])
 @pytest.mark.parametrize("beta", [0.0, 1.0, np.inf])
 def test_soft_threshold_non_finite_entries(z, beta):
-    # infinite and NaN entries come out NaN, as before, and raise no warning
+    # infinite and NaN entries come out NaN, as before, and raise no
+    # warning, in the out= form too
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         want = where_soft_threshold(z, beta)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = sc.soft_threshold(z, beta)
+        into = z.copy()
+        assert sc.soft_threshold(into, beta, out=into) is into
     assert_bits_equal(got, want)
+    assert_bits_equal(into, got)
     assert np.array_equal(np.isnan(got), ~np.isfinite(z))
+
+
+def infinite_groups(dtype=float):
+    """A (2, 1, 5) field whose groups hold inf, -inf with NaN, inf with a
+    finite entry, no inf, and zeros."""
+    return np.array([[[np.inf, -np.inf, np.inf, 3.0, 0.0]],
+                     [[-np.inf, np.nan, 2.0, 4.0, 0.0]]], dtype=dtype)
+
+
+def warning_free(kernel, *args, **kwargs):
+    """``kernel(*args)``, failing on any floating-point warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return kernel(*args, **kwargs)
+
+
+def warnings_ignored(reference, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return reference(*args)
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0, np.inf])
+def test_group_soft_threshold_infinite_groups(beta):
+    # a group holding inf or NaN comes out NaN in both entries, as before
+    z = infinite_groups()
+    got = warning_free(sc.group_soft_threshold, z, beta)
+    want = warnings_ignored(keepdims_group_soft_threshold, z, beta)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.isnan(got[:, 0, :3]).all() and not np.isnan(got[:, 0, 3:]).any()
+
+
+_BALL_OF_INFINITE_GROUPS = {  # project_group_ball(infinite_groups(), radius)
+    0.0: [[[np.nan, -np.inf, np.nan, 0.0, 0.0]],
+          [[np.nan, np.nan, 0.0, 0.0, 0.0]]],
+    1.0: [[[np.nan, np.nan, np.nan, 3 * 0.2, 0.0]],
+          [[np.nan, np.nan, 0.0, 4 * 0.2, 0.0]]],
+    np.inf: infinite_groups(),
+}
+
+
+@pytest.mark.parametrize("radius", [0.0, 1.0, np.inf])
+def test_project_group_ball_infinite_groups(radius):
+    # 0 * inf is NaN: an infinite entry outside the ball comes out NaN and
+    # the other entry of its group 0, as before; a NaN group is kept at
+    # radius 0 and inf; complex arrays are clamped entry by entry
+    got = warning_free(sc.project_group_ball, infinite_groups(), radius)
+    assert np.array_equal(got, _BALL_OF_INFINITE_GROUPS[radius], equal_nan=True)
+    z = infinite_groups(complex)
+    assert np.array_equal(warning_free(sc.project_group_ball, z, radius),
+                          warnings_ignored(where_project_ball, z, np.abs(z), radius),
+                          equal_nan=True)
 
 
 def test_soft_threshold_rejects_nan_weight():
@@ -384,3 +458,37 @@ def test_real_inner_bit_identical(pair):
 def test_real_inner_accepts_sequences():
     assert sc.real_inner([1.0, 2.0], [3.0, -4.0]) == -5.0
     assert sc.real_inner([1j, 2.0], np.array([1j, 1.0])) == 3.0
+
+
+_scales = st.one_of(st.just(0.0), _moduli)
+
+
+def reference_magnitudes(z):
+    """The group magnitudes of the module's rule: pair norms of a real array
+    of two or more axes with a leading axis of length 2, moduli otherwise."""
+    if z.ndim >= 2 and z.shape[0] == 2 and not np.iscomplexobj(z):
+        return keepdims_norm(z)[0]
+    return np.abs(z)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(two_channel_fields(), componentwise_arrays()), _scales, st.data())
+def test_prox_functional_value_uses_the_prox_groups(z, scale, data):
+    r = reference_magnitudes(z)
+    # a scale equal to a group magnitude: the indicator's boundary case
+    on_boundary = float(r.ravel()[data.draw(st.integers(0, r.size - 1))])
+    for s in (scale, on_boundary):
+        ball = sc.ProxFunctional("indicator_norm_ball", s)
+        assert (ball.value(z) == 0.0) == np.array_equal(ball.prox(z), z)
+        l1 = sc.ProxFunctional("l1", s)
+        assert l1.value(z) == s * float(np.sum(np.abs(z)))
+        group = sc.ProxFunctional("group_l21", s)
+        if r.ndim < z.ndim:
+            assert group.value(z) == s * float(np.sum(r))
+        else:
+            # a field alone has 2-vectors: both refuse anything else
+            with pytest.raises(InputError):
+                group.value(z)
+            with pytest.raises(InputError):
+                group.prox(z)
+
