@@ -13,6 +13,7 @@ import dataclasses
 import math
 import numbers
 import os
+import pickle
 import time
 from dataclasses import dataclass, field
 
@@ -116,6 +117,123 @@ def largest_coefficient_mask(u: np.ndarray, count: int) -> SamplingMask:
     ky, kx, _ = _freq_order_key(u.shape)
     cheb = np.maximum(np.abs(ky), np.abs(kx)).ravel()
     return _first_entries(u.shape, count, np.lexsort((kx.ravel(), ky.ravel(), cheb, -mag)))
+
+
+# ---------------------------------------------------------------------------
+# independent solves in forked processes
+
+
+def _child_count(n_items: int) -> int:
+    """Children that ``_fork_map`` forks for ``n_items``: one fewer than the
+    items, at most one per usable CPU, and none on one CPU or without
+    ``os.fork``."""
+    if n_items < 2 or not hasattr(os, "fork"):
+        return 0
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(n_items - 1, cpus) if cpus > 1 else 0
+
+
+def _run_share(fn, args) -> tuple:
+    """``fn`` over ``args`` in turn, stopping at the first that raises:
+    ``(results so far, exception or None)``."""
+    results = []
+    for arg in args:
+        try:
+            results.append(fn(arg))
+        except Exception as exc:
+            return results, exc
+    return results, None
+
+
+def _child(fn, args, read: int, write: int) -> None:
+    """The body of a forked child: run its share, send ``(results, error)``
+    back as one pickle through ``write`` and end the process.  It writes no
+    file and never returns into its caller."""
+    status = 1
+    try:
+        os.close(read)
+        results, error = _run_share(fn, args)
+        if error is not None:
+            try:  # the parent must be able to rebuild what it is sent
+                pickle.loads(pickle.dumps(error))
+            except Exception:
+                error = RuntimeError(f"{type(error).__name__}: {error}")
+        with os.fdopen(write, "wb") as pipe:
+            pickle.dump((results, error), pipe, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _fork_map(fn, items) -> list:
+    """``[fn(arg) for _, arg in items]`` for independent ``(label, arg)``
+    items, run by this process and forked children at once.
+
+    With ``c`` children (``_child_count``), item ``i`` goes to process
+    ``i % (c + 1)``, where process 0 is this one.  A child sends its results
+    back through its own pipe and ends; this process runs its share, then
+    reads and reaps each child in turn, and on any path out kills and reaps
+    those that are left.  The results come back in item order.
+
+    As in the loop, the exception of the first item (in item order) that
+    raised is raised here; a process stops its share at an item that
+    raises.  A child that ends without sending raises ``RuntimeError``,
+    naming the labels of its items.
+    """
+    n_children = _child_count(len(items))
+    args = [arg for _, arg in items]
+    if n_children == 0:
+        return [fn(arg) for arg in args]
+    shares = [range(p, len(items), n_children + 1) for p in range(n_children + 1)]
+    children = []  # (pid, read end of its pipe, share) until reaped
+    outcomes = []  # (share, results, error) per process
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _child(fn, [args[i] for i in share], read, write)
+            os.close(write)
+            children.append((pid, os.fdopen(read, "rb"), share))
+        outcomes.append((shares[0], *_run_share(fn, [args[i] for i in shares[0]])))
+        while children:
+            pid, pipe, share = children[0]
+            with pipe:
+                try:
+                    results, error = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):  # nothing, or not all, was sent
+                    results, error = [], None
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            if error is None and len(results) < len(share):
+                labels = ", ".join(items[i][0] for i in share)
+                error = RuntimeError(f"the process running {labels} ended without "
+                                     f"a result (wait status {status})")
+            outcomes.append((share, results, error))
+    finally:
+        if children:
+            import signal
+            for pid, pipe, _ in children:
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    failed = [(share[len(results)], error) for share, results, error in outcomes
+              if error is not None]
+    if failed:
+        raise min(failed, key=lambda failure: failure[0])[1]
+    ordered = [None] * len(items)
+    for share, results, _ in outcomes:
+        for i, result in zip(share, results):
+            ordered[i] = result
+    return ordered
 
 
 # ---------------------------------------------------------------------------
@@ -599,12 +717,16 @@ def tune_mask_beta(u_true: np.ndarray, target_fraction: float,
         raise InputError(f"target_fraction must lie in [0, 1], got {target_fraction}")
     a = grad2(*u_true.shape)
     prox_h = ProxFunctional("group_l21")
+    budget = SolveConfig(max_iters=palm_max_iters, grad_tol=0.0,
+                         record_every=max(1, palm_max_iters))
+
+    def density(beta):
+        rep = solve_palm(u_true, a, prox_h, beta, budget)
+        return extract_mask(rep.v).count / u_true.size
+
+    fractions = _fork_map(density, [(f"beta {beta}", beta) for beta in betas])
     best_beta, best_gap = None, float("inf")
-    for beta in betas:
-        rep = solve_palm(u_true, a, prox_h, beta,
-                         SolveConfig(max_iters=palm_max_iters, grad_tol=0.0,
-                                     record_every=max(1, palm_max_iters)))
-        frac = extract_mask(rep.v).count / u_true.size
+    for beta, frac in zip(betas, fractions):
         gap = abs(frac - target_fraction)
         if gap < best_gap:
             best_beta, best_gap = beta, gap
@@ -628,11 +750,15 @@ def run_optimal_sampling(cfg: Fourier2DConfig, out_dir: str | None = None,
 
     # this order is the "stages" block's and metric_table.csv's mask_id order
     masks = {"learned": learned_mask, "lowpass": low_mask, "largest": big_mask}
-    stages = {}
-    for name, mask in masks.items():
+
+    def timed_stage(mask):  # timed in the process that runs it
         t0 = time.perf_counter()
-        stages[name] = _certificate_stage(u_true, mask, cfg)
-        timings[f"stage_{name}"] = time.perf_counter() - t0
+        return _certificate_stage(u_true, mask, cfg), time.perf_counter() - t0
+
+    stages = {}
+    for name, (stage, seconds) in zip(masks, _fork_map(timed_stage, list(masks.items()))):
+        stages[name] = stage
+        timings[f"stage_{name}"] = seconds
     stage_summaries = {name: stage["summary"] for name, stage in stages.items()}
 
     err = {name: s["rel_error"] for name, s in stage_summaries.items()}

@@ -95,9 +95,10 @@ def project_group_ball(z: np.ndarray, radius: float = 1.0, out=None) -> np.ndarr
     """Project onto the Euclidean ball of the given radius, groupwise.
 
     A field has one ball per 2-vector; anything else is clamped componentwise,
-    complex entries in modulus.  A group holding NaN comes out NaN for a radius
-    in (0, inf) and is kept for 0 and inf.  In a group outside the ball an
-    infinite entry comes out NaN (``0 * inf``) and a finite one 0, without a
+    complex entries in modulus, by a real factor on their real and imaginary
+    parts.  A group holding NaN comes out NaN for a finite radius and is kept
+    for an infinite one.  In a group outside the ball an infinite entry (or
+    part) comes out NaN (``0 * inf``) and a finite one 0, without a
     floating-point warning.  The result goes to ``out`` when it is given, an
     array of the shape of ``z`` or ``z`` itself.
     """
@@ -106,13 +107,22 @@ def project_group_ball(z: np.ndarray, radius: float = 1.0, out=None) -> np.ndarr
     z = np.asarray(z)
     pairs = _is_field(z)
     r = _magnitudes(z, pairs)
-    with np.errstate(invalid="ignore"):  # inf / inf, discarded, and 0 * inf
-        if 0 < radius < np.inf:
+    with np.errstate(invalid="ignore"):  # 0 / 0, discarded, and 0 * inf
+        if radius == np.inf:
+            scale = np.ones(np.shape(r))
+        elif radius > 0:
             # radius / radius == 1.0 exactly, so groups inside the ball are kept
             scale = radius / np.maximum(r, radius)
-        else:
-            scale = np.where(r > radius, radius / np.where(r > 0, r, 1.0), 1.0)
-        return _scale_into(z, scale, out, pairs)
+        else:  # groups of norm 0 (squares may underflow) are kept
+            scale = np.where(r == 0, 1.0, 0.0 / r)
+        if z.dtype.kind != "c":
+            return _scale_into(z, scale, out, pairs)
+        if out is None:
+            out = np.empty(z.shape, np.result_type(z, scale))
+        _check_out(out, z.shape)
+        _scale_into(z.real, scale, out.real, False)
+        _scale_into(z.imag, scale, out.imag, False)
+        return out
 
 
 def tv_value(u: np.ndarray) -> float:

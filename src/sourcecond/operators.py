@@ -237,14 +237,8 @@ class FourierSamplingMap(LinearMap):
         n_x = mask.shape[1]
         self._half_symbol = np.ascontiguousarray(symbol[:, :n_x // 2 + 1])
         self._half_symbol.flags.writeable = False
-        # ||K x||^2 over the half spectrum: a column whose mirror is not
-        # stored counts twice; column 0 and, for even widths, column n_x/2
-        # are their own mirrors and count once.
-        weight = np.full(n_x // 2 + 1, 2.0)
-        weight[0] = 1.0
-        if n_x % 2 == 0:
-            weight[-1] = 1.0
-        self._norm_weight = weight * self._half_symbol
+        # ||K x||^2 over the half spectrum
+        self._norm_weight = mirror_weights(n_x) * self._half_symbol
         # The largest singular value of the real-linear composite is governed
         # by the symmetrized mask (frequency k paired with -k).
         peak = float(symbol.max()) if mask.count > 0 else 0.0
@@ -270,11 +264,11 @@ class FourierSamplingMap(LinearMap):
         self._check_domain(x)
         if self._full:
             return x, float(np.linalg.norm(x))
-        half = np.fft.rfft2(x, norm="ortho")
+        half = rdft2(x)
         power = half.real * half.real + half.imag * half.imag
         norm = math.sqrt(float(np.add.reduce(self._norm_weight * power, axis=None)))
         half *= self._half_symbol
-        return np.fft.irfft2(half, s=self.domain_shape, norm="ortho"), norm
+        return irdft2(half, self.domain_shape), norm
 
     def normal_resolvent(self, tau):
         """Division by ``1 + tau * symbol`` between one ``rfft2`` and one
@@ -285,9 +279,9 @@ class FourierSamplingMap(LinearMap):
         symbol = 1.0 + tau * self._half_symbol
 
         def solve(r):
-            rhs = np.fft.rfft2(r, norm="ortho")
+            rhs = rdft2(r)
             rhs /= symbol
-            return np.fft.irfft2(rhs, s=shape, norm="ortho")
+            return irdft2(rhs, shape)
 
         return solve
 
@@ -399,6 +393,45 @@ def dft2(image: np.ndarray, direction: str = "forward") -> np.ndarray:
     if direction == "inverse":
         return np.fft.ifft2(image, norm="ortho")
     raise InputError(f"unknown direction {direction!r}")
+
+
+def rdft2(image: np.ndarray, out=None) -> np.ndarray:
+    """Orthonormal 2D DFT of a real image on its half spectrum: columns
+    ``0..n_x//2`` of ``dft2(image)``, the rest being their conjugate
+    mirrors (``full_spectrum``).  The result goes to ``out`` when it is
+    given, a complex array of shape ``(n_y, n_x//2 + 1)``."""
+    return np.fft.rfft2(image, norm="ortho", out=out)
+
+
+def irdft2(half: np.ndarray, shape) -> np.ndarray:
+    """A new real image of ``shape`` whose half spectrum is ``half``, the
+    inverse of ``rdft2``.  (numpy's ``irfft2`` takes ``out=`` but ignores
+    it, and its inner complex pass allocates anyway.)"""
+    return np.fft.irfft2(half, s=shape, norm="ortho")
+
+
+def mirror_weights(n_x: int) -> np.ndarray:
+    """How often each column of a half spectrum of width ``n_x // 2 + 1``
+    stands in the full spectrum of width ``n_x``: a column whose mirror is
+    not stored counts twice; column 0 and, for even widths, column
+    ``n_x/2`` are their own mirrors and count once."""
+    weight = np.full(n_x // 2 + 1, 2)
+    weight[0] = 1
+    if n_x % 2 == 0:
+        weight[-1] = 1
+    return weight
+
+
+def full_spectrum(half: np.ndarray, n_x: int) -> np.ndarray:
+    """The Hermitian spectrum of width ``n_x`` whose stored columns are
+    ``half``: column ``j > n_x//2`` holds the conjugate of column ``n_x - j``
+    at the negated row frequency."""
+    n_y, stored = half.shape
+    full = np.empty((n_y, n_x), dtype=half.dtype)
+    full[:, :stored] = half
+    mirrored = half[:, n_x - stored:0:-1]  # columns n_x - j for j = stored..n_x-1
+    np.conjugate(np.roll(mirrored[::-1], 1, axis=0), out=full[:, stored:])  # rows -k_y
+    return full
 
 
 def sampling(mask: SamplingMask) -> SamplingMap:

@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import ConfigurationError, InputError
 from .functionals import ProxFunctional, soft_threshold
-from .operators import LinearMap, SamplingMask, fourier_sampling, full_mask, real_inner
+from .operators import (LinearMap, SamplingMask, fourier_sampling, full_mask, full_spectrum,
+                        irdft2, mirror_weights, rdft2, real_inner)
 
 
 @dataclass
@@ -286,36 +287,66 @@ def solve_palm(u_true: np.ndarray, grad_op: LinearMap, prox_h: ProxFunctional,
     ``||dq||/sigma`` over the step *from* ``k``, so it is taken on every step
     and the step reuses it; at the budget it measures a step not taken.
 
+    ``v`` starts at zero, and each step shrinks a combination of ``v`` and
+    ``F`` of a real image, so ``v`` stays Hermitian.  The solver holds its
+    half spectrum (``rdft2``): a step takes one ``rdft2``/``irdft2`` pair,
+    ``||dv||`` and ``nnz`` count each stored entry with its mirror
+    multiplicity, and the full ``v`` is formed once, at the end.  The
+    iterates live in work arrays allocated once per solve, written by
+    in-place ufuncs in the order of the plain formulas.
+
     Returns the complex certificate in ``report.v``, the dual field in
     ``report.q`` and the number of nonzero entries in ``report.nnz``.
     """
     if beta <= 0:
         raise ConfigurationError("beta must be positive")
-    fwd = fourier_sampling(full_mask(u_true.shape))
-    tau = _data_step(fwd)
+    shape = u_true.shape
+    tau = _data_step(fourier_sampling(full_mask(shape)))
     sigma = _dual_step(grad_op)
+    weights = mirror_weights(shape[1])
 
     a_field = grad_op.apply(u_true)
-    vt = np.zeros(u_true.shape, dtype=complex)
+    half_shape = (shape[0], weights.size)
+    vt = np.zeros(half_shape, dtype=complex)
     q = np.zeros(grad_op.codomain_shape)
-    vt_new = q_new = None  # the step the metric measured, taken by advance
+    # the step the metric measured, taken by advance, and work space
+    vt_new = np.empty(half_shape, dtype=complex)
+    q_new = np.empty(grad_op.codomain_shape)
+    coupled = np.empty(half_shape, dtype=complex)
+    aq = np.empty(shape)
+    field = np.empty(grad_op.codomain_shape)
+    shrunk = np.empty(grad_op.codomain_shape)
 
     def measure():
-        nonlocal vt_new, q_new
-        aq = grad_op.adjoint(q)
-        coupled = fwd.apply(aq)
-        vt_new = soft_threshold(vt - tau * (vt - coupled), tau * beta)
-        back = fwd.adjoint(vt_new)
-        q_new = q - sigma * (grad_op.apply(aq - back) + prox_h.prox(q + a_field) - a_field)
-        return 0.5 * (float(np.linalg.norm(vt_new - vt)) / tau
-                      + float(np.linalg.norm(q_new - q)) / sigma)
+        grad_op.adjoint_into(q, aq)
+        rdft2(aq, out=coupled)
+        np.subtract(vt, coupled, out=coupled)  # vt - tau (vt - F aq)
+        np.multiply(tau, coupled, out=coupled)
+        np.subtract(vt, coupled, out=coupled)
+        soft_threshold(coupled, tau * beta, out=vt_new)
+        back = irdft2(vt_new, shape)
+        np.subtract(aq, back, out=back)  # q - sigma (A (aq - back) + prox(q + a) - a)
+        grad_op.apply_into(back, field)
+        np.add(q, a_field, out=shrunk)
+        prox_h.prox(shrunk, out=shrunk)
+        np.add(field, shrunk, out=field)
+        np.subtract(field, a_field, out=field)
+        np.multiply(sigma, field, out=field)
+        np.subtract(q, field, out=q_new)
+        np.subtract(vt_new, vt, out=coupled)
+        power = coupled.real * coupled.real + coupled.imag * coupled.imag
+        dv = math.sqrt(float(np.add.reduce(weights * power, axis=None)))
+        np.subtract(q_new, q, out=field)
+        return 0.5 * (dv / tau + float(np.linalg.norm(field)) / sigma)
 
     def advance():
-        nonlocal vt, q
-        vt, q = vt_new, q_new
+        nonlocal vt, q, vt_new, q_new
+        vt, vt_new = vt_new, vt
+        q, q_new = q_new, q
 
     outcome = _iterate(cfg, measure, advance, every_step=True)
-    return _finish(vt, q, *outcome, nnz=int(np.count_nonzero(vt)))
+    nnz = int(np.count_nonzero(vt, axis=0) @ weights)
+    return _finish(full_spectrum(vt, shape[1]), q, *outcome, nnz=nnz)
 
 
 def extract_mask(v_tilde: np.ndarray) -> SamplingMask:

@@ -280,3 +280,148 @@ class TestTuneMaskBeta:
     def test_refuses_what_has_no_answer(self, target, betas):
         with pytest.raises(InputError):
             tune_mask_beta(np.zeros((16, 16)), target, betas=betas, palm_max_iters=1)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def usable_cpus(monkeypatch, n):
+    """Make ``n`` CPUs look usable, so that the fork path runs (or not)
+    whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+class TestForkedStages:
+    """The three certificate stages and the tuning solves run in forked
+    children: results come back in item order, a child's exception is
+    raised here, and every child is reaped."""
+
+    CFG = {"size": [32, 32], "mask_kind": "learned", "mask_beta": 0.08,
+           "cd_max_iters": 60, "pdhg_max_iters": 60, "palm_max_iters": 150,
+           "record_every": 20}
+
+    def test_results_in_item_order_dealt_round_robin(self, monkeypatch):
+        from sourcecond.experiments import _fork_map
+
+        usable_cpus(monkeypatch, 3)
+        got = _fork_map(lambda i: (i * i, os.getpid()), [(f"item {i}", i) for i in range(7)])
+        assert [value for value, _ in got] == [i * i for i in range(7)]
+        # three children, one per CPU: item i runs in process i % 4
+        pids = [pid for _, pid in got]
+        assert pids[0] == os.getpid() and len(set(pids[:4])) == 4
+        assert all(pids[i] == pids[i % 4] for i in range(7))
+        assert_no_child_left()
+
+    def test_one_cpu_runs_in_this_process(self, monkeypatch):
+        from sourcecond.experiments import _fork_map
+
+        def no_fork():
+            raise AssertionError("forked on one CPU")
+
+        usable_cpus(monkeypatch, 1)
+        monkeypatch.setattr(os, "fork", no_fork)
+        got = _fork_map(lambda i: os.getpid(), [(f"item {i}", i) for i in range(3)])
+        assert got == [os.getpid()] * 3
+
+    # two children: items 0 and 3 run here, 1 and 4 in one child, 2 and 5 in
+    # the other
+    @pytest.mark.parametrize("failing, first", [((2, 4, 5), 2), ((0, 2), 0), ((3, 4), 3)])
+    def test_first_failure_in_item_order_is_raised(self, monkeypatch, failing, first):
+        from sourcecond.experiments import _fork_map
+
+        def fn(i):
+            if i in failing:
+                raise InputError(f"item {i} failed in process {os.getpid()}")
+            return i
+
+        usable_cpus(monkeypatch, 2)
+        with pytest.raises(InputError, match=f"item {first} failed") as info:
+            _fork_map(fn, [(f"item {i}", i) for i in range(6)])
+        here = f"process {os.getpid()}" in str(info.value)
+        assert here == (first % 3 == 0)
+        assert_no_child_left()
+
+    def test_interrupt_here_kills_and_reaps_the_children(self, monkeypatch):
+        import time
+
+        from sourcecond.experiments import _fork_map
+
+        parent = os.getpid()
+
+        def fn(i):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        usable_cpus(monkeypatch, 2)
+        t0 = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            _fork_map(fn, [(f"item {i}", i) for i in range(3)])
+        assert time.perf_counter() - t0 < 30
+        assert_no_child_left()
+
+    def test_child_without_result_is_named(self, monkeypatch):
+        from sourcecond.experiments import _fork_map
+
+        parent = os.getpid()
+
+        def fn(i):
+            if i == 1 and os.getpid() != parent:
+                os._exit(7)
+            return i
+
+        usable_cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="item 1 ended without a result"):
+            _fork_map(fn, [(f"item {i}", i) for i in range(3)])
+        assert_no_child_left()
+
+    def test_child_stage_failure_exits_3(self, tmp_path, monkeypatch, capsys):
+        from sourcecond import experiments
+        from sourcecond.cli import main
+        from sourcecond.errors import VerificationError
+
+        stage = experiments._certificate_stage
+
+        def failing(u_true, mask, cfg):
+            if mask == lowpass_mask_count(cfg.size, mask.count):
+                raise VerificationError(f"low-pass stage failed in process {os.getpid()}")
+            return stage(u_true, mask, cfg)
+
+        usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(experiments, "_certificate_stage", failing)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(self.CFG))
+        out = tmp_path / "o"
+        assert main(["optimal-sampling", "--config", str(config), "--out", str(out)]) == 3
+        assert not out.exists()
+        assert_no_child_left()
+        err = capsys.readouterr().err
+        assert "low-pass stage failed" in err and f"process {os.getpid()}" not in err
+
+    def test_forked_and_in_process_artifacts_equal(self, tmp_path, monkeypatch):
+        cfg = Fourier2DConfig(**self.CFG)
+        runs = {}
+        for cpus in (1, 2):
+            usable_cpus(monkeypatch, cpus)
+            out = tmp_path / f"cpus{cpus}"
+            run_optimal_sampling(cfg, out_dir=str(out))
+            assert_no_child_left()
+            runs[cpus] = {p.name: p.read_bytes() for p in out.iterdir()}
+        manifests = [json.loads(runs[cpus].pop("manifest.json")) for cpus in (1, 2)]
+        assert runs[1] == runs[2]
+        for manifest in manifests:
+            del manifest["timings"]
+        assert manifests[0] == manifests[1]
+
+    def test_tuned_beta_does_not_depend_on_forking(self, monkeypatch):
+        u = shepp_logan(32)
+        betas = (0.02, 0.05, 0.08, 0.1, 0.2)
+        picks = []
+        for cpus in (1, 2):
+            usable_cpus(monkeypatch, cpus)
+            picks.append(tune_mask_beta(u, 0.10, betas=betas, palm_max_iters=100))
+            assert_no_child_left()
+        assert picks[0] == picks[1]

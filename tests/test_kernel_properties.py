@@ -21,7 +21,10 @@ arrays, equal the allocating forms exactly.
 ``ProxFunctional.value`` takes the groups its prox uses: the indicator's
 value is 0 exactly when the projection keeps ``z``, and ``group_l21``
 refuses what its prox refuses.  Infinite entries give NaN in all three
-kernels, with the values of the old expressions and no warning.
+kernels, with the values of the old expressions and no warning; the ball
+projection scales the real and imaginary parts of a complex entry apart, so
+an infinite part inside the ball is kept and one outside makes only its own
+part NaN.
 """
 
 import warnings
@@ -47,10 +50,16 @@ def keepdims_group_soft_threshold(z, beta):
 
 
 def where_project_ball(z, r, radius):
-    # radius / r overflows for subnormal r; np.where discards those entries
+    # radius / r overflows for subnormal r; np.where discards those entries.
+    # The factor is real: it scales the real and imaginary parts of a complex
+    # entry apart, so that 0 * inf in one part never reaches the other.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         scale = np.where(r > radius, radius / np.where(r > 0, r, 1.0), 1.0)
-    return z * scale
+        if not np.iscomplexobj(z):
+            return z * scale
+        out = np.empty(z.shape, np.result_type(z, scale))
+        out.real, out.imag = z.real * scale, z.imag * scale
+        return out
 
 
 def keepdims_project_group_ball(z, radius):
@@ -406,7 +415,7 @@ def test_group_soft_threshold_infinite_groups(beta):
 
 
 _BALL_OF_INFINITE_GROUPS = {  # project_group_ball(infinite_groups(), radius)
-    0.0: [[[np.nan, -np.inf, np.nan, 0.0, 0.0]],
+    0.0: [[[np.nan, np.nan, np.nan, 0.0, 0.0]],
           [[np.nan, np.nan, 0.0, 0.0, 0.0]]],
     1.0: [[[np.nan, np.nan, np.nan, 3 * 0.2, 0.0]],
           [[np.nan, np.nan, 0.0, 4 * 0.2, 0.0]]],
@@ -417,14 +426,31 @@ _BALL_OF_INFINITE_GROUPS = {  # project_group_ball(infinite_groups(), radius)
 @pytest.mark.parametrize("radius", [0.0, 1.0, np.inf])
 def test_project_group_ball_infinite_groups(radius):
     # 0 * inf is NaN: an infinite entry outside the ball comes out NaN and
-    # the other entry of its group 0, as before; a NaN group is kept at
-    # radius 0 and inf; complex arrays are clamped entry by entry
+    # the other entry of its group 0, as before; a NaN group comes out NaN
+    # at every finite radius, 0 included, and is kept at radius inf; complex
+    # arrays are clamped entry by entry
     got = warning_free(sc.project_group_ball, infinite_groups(), radius)
     assert np.array_equal(got, _BALL_OF_INFINITE_GROUPS[radius], equal_nan=True)
     z = infinite_groups(complex)
     assert np.array_equal(warning_free(sc.project_group_ball, z, radius),
                           warnings_ignored(where_project_ball, z, np.abs(z), radius),
                           equal_nan=True)
+
+
+def test_project_ball_scales_complex_parts_apart():
+    # the real factor 1.0 reaches neither part of an infinite entry as 0 * inf
+    z = np.array([complex(np.inf, 0.0), 1 + 1j])
+    assert_bits_equal(warning_free(sc.project_group_ball, z, np.inf), z)
+    got = warning_free(sc.project_group_ball, np.array([complex(np.inf, 0.0), 3 + 4j]), 1.0)
+    assert np.isnan(got[0].real) and got[0].imag == 0.0
+    assert got[1] == complex(3 * 0.2, 4 * 0.2)
+
+
+@pytest.mark.parametrize("radius", [0.0, 1.0])
+def test_project_ball_nan_group_at_every_finite_radius(radius):
+    # the field group (3, nan) comes out (nan, nan) at radius 0 as at radius 1
+    got = warning_free(sc.project_group_ball, np.array([[3.0], [np.nan]]), radius)
+    assert np.isnan(got).all()
 
 
 def test_soft_threshold_rejects_nan_weight():

@@ -104,31 +104,54 @@ def reference_source_gd(u_true, fwd, prox, cfg):
     return _finish(v, None, cfg.max_iters, gnorm, history, "max_iters")
 
 
-def reference_palm(u_true, grad_op, prox_h, beta, cfg):
+def reference_palm(u_true, grad_op, prox_h, beta, cfg, half=True):
     """PALM with its own loop: each history entry holds the step into its
     iterate, and a budget stop probes one extra step for the final metric.
-    ``solve_palm`` must match its iterates, ``nnz``, iterations, termination
-    and final metric bit for bit."""
+
+    With ``half`` it holds the half spectrum of ``v`` (``rfft2``/``irfft2``,
+    norms and counts with each column's mirror multiplicity, the Hermitian
+    ``v`` formed by index arithmetic at the end): ``solve_palm`` must match
+    its iterates, ``nnz``, iterations, termination and final metric bit for
+    bit.  Without, it holds the full spectrum (``fft2``/``ifft2``), which
+    ``solve_palm`` must match to rounding."""
     tau = 1.0
     sigma = 1.0 / (grad_op.norm_bound ** 2 + 1.0)
     a_field = grad_op.apply(u_true)
     n_y, n_x = u_true.shape
-    vt = np.zeros((n_y, n_x), dtype=complex)
+    stored = n_x // 2 + 1 if half else n_x
+    # multiplicity of a stored column: 2 unless it is its own mirror
+    mult = np.array([1.0 if not half or j in (0, n_x - j) else 2.0 for j in range(stored)])
+    vt = np.zeros((n_y, stored), dtype=complex)
     q = np.zeros(grad_op.codomain_shape)
 
     def step(vt_cur, q_cur):
         aq = grad_op.adjoint(q_cur)
-        coupled = np.fft.fft2(aq, norm="ortho")
+        coupled = np.fft.rfft2(aq, norm="ortho") if half else np.fft.fft2(aq, norm="ortho")
         vt_new = sc.soft_threshold(vt_cur - tau * (vt_cur - coupled), tau * beta)
-        back = np.real(np.fft.ifft2(vt_new, norm="ortho"))
+        if half:
+            back = np.fft.irfft2(vt_new, s=(n_y, n_x), norm="ortho")
+        else:
+            back = np.real(np.fft.ifft2(vt_new, norm="ortho"))
         q_new = q_cur - sigma * (grad_op.apply(aq - back)
                                  + prox_h.prox(q_cur + a_field) - a_field)
         return vt_new, q_new
 
     def displacement(vt_cur, q_cur, vt_new, q_new):
-        dv = float(np.linalg.norm(vt_new - vt_cur)) / tau
+        d = vt_new - vt_cur
+        dv = math.sqrt(float(np.add.reduce(mult * (d.real * d.real + d.imag * d.imag),
+                                           axis=None))) / tau
         dq = float(np.linalg.norm(q_new - q_cur)) / sigma
         return 0.5 * (dv + dq)
+
+    def finish(k, metric, termination):
+        nnz = int(np.sum(mult * (vt != 0)))
+        v = vt
+        if half:  # v[k_y, k_x] = conj(v[-k_y, -k_x]) for the columns not stored
+            v = np.empty((n_y, n_x), dtype=complex)
+            v[:, :stored] = vt
+            ky, kx = -np.arange(n_y) % n_y, -np.arange(stored, n_x) % n_x
+            v[:, stored:] = np.conj(vt[ky][:, kx])
+        return _finish(v, q, k, metric, history, termination, nnz=nnz)
 
     history = []
     k = 0
@@ -137,17 +160,14 @@ def reference_palm(u_true, grad_op, prox_h, beta, cfg):
         metric = displacement(vt, q, vt_new, q_new)
         if metric <= cfg.grad_tol:
             history.append((k, metric))
-            return _finish(vt, q, k, metric, history, "tolerance",
-                           nnz=int(np.count_nonzero(vt)))
+            return finish(k, metric, "tolerance")
         k += 1
         vt, q = vt_new, q_new
         if k % cfg.record_every == 0:
             history.append((k, metric))
 
     probe = step(vt, q)
-    metric = displacement(vt, q, *probe)
-    return _finish(vt, q, cfg.max_iters, metric, history, "max_iters",
-                   nnz=int(np.count_nonzero(vt)))
+    return finish(cfg.max_iters, displacement(vt, q, *probe), "max_iters")
 
 
 def assert_same_solve(got, want):
@@ -426,12 +446,14 @@ class TestSolvePalm:
         assert rep.v[0, 0] == 0.0
 
 
-    @pytest.mark.parametrize("beta, cfg", [
+    _CASES = pytest.mark.parametrize("beta, cfg", [
         (0.1, sc.SolveConfig(max_iters=47, grad_tol=0.0, record_every=10)),
         (0.1, sc.SolveConfig(max_iters=1000, grad_tol=0.25, record_every=7)),
         (1e6, sc.SolveConfig(max_iters=20, grad_tol=0.0, record_every=3)),
         (0.1, sc.SolveConfig(max_iters=1, grad_tol=0.0)),
     ], ids=["budget", "tolerance", "no-support", "one-step"])
+
+    @_CASES
     def test_matches_reference(self, beta, cfg):
         from sourcecond.experiments import shepp_logan
 
@@ -443,6 +465,32 @@ class TestSolvePalm:
         # history entry k holds the step from iterate k, taken at record steps
         assert rep.history[0][0] == 0
         assert rep.history[-1] == (rep.iterations, rep.final_grad_norm)
+
+    @_CASES
+    def test_close_to_full_spectrum_reference(self, beta, cfg):
+        # the half spectrum changes the iterates by rounding only: the same
+        # support, count and stopping step
+        from sourcecond.experiments import shepp_logan
+
+        args = (shepp_logan(32), sc.grad2(32, 32), sc.ProxFunctional("group_l21"), beta, cfg)
+        rep, ref = sc.solve_palm(*args), reference_palm(*args, half=False)
+        for got, want in ((rep.v, ref.v), (rep.q, ref.q)):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert rep.nnz == ref.nnz and sc.extract_mask(rep.v) == sc.extract_mask(ref.v)
+        assert (rep.iterations, rep.termination) == (ref.iterations, ref.termination)
+        assert rep.final_grad_norm == pytest.approx(ref.final_grad_norm, rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(24, 31), (31, 24), (17, 17), (20, 26)])
+    def test_nnz_counts_the_full_spectrum(self, shape):
+        # odd widths store no self-mirrored last column, even ones do
+        from sourcecond.experiments import textured_image
+
+        args = (textured_image(*shape), sc.grad2(*shape), sc.ProxFunctional("group_l21"),
+                0.05, sc.SolveConfig(max_iters=100, grad_tol=0.0, record_every=50))
+        rep = sc.solve_palm(*args)
+        assert rep.v.shape == shape and 0 < rep.nnz < rep.v.size
+        assert rep.nnz == np.count_nonzero(rep.v)
+        assert rep.v.tobytes() == reference_palm(*args).v.tobytes()
 
 
 class TestIterate:
