@@ -160,16 +160,10 @@ def _cmd_phantom(args) -> int:
     t0 = time.perf_counter()
     img = experiments.shepp_logan(args.size)
     out = _out_dir(args, "phantom")
-    os.makedirs(out, exist_ok=True)
-    fileio.write_pgm16(os.path.join(out, "phantom.pgm"), img)
-    fileio.write_pfm(os.path.join(out, "phantom.pfm"), img)
-    manifest = fileio.RunManifest(
-        command="phantom",
-        config_hash=fileio.config_hash({"size": args.size}),
-        seed=args.seed if args.seed is not None else 0,
-        artifacts=["phantom.pgm", "phantom.pgm.json", "phantom.pfm"],
-        timings={"total": time.perf_counter() - t0})
-    fileio.write_manifest(out, manifest)
+    experiments._write_run(out, "phantom", {"size": args.size},
+                           args.seed if args.seed is not None else 0,
+                           {"setup": time.perf_counter() - t0},
+                           {"phantom.pgm": img, "phantom.pfm": img}, {})
     print(json.dumps({"size": args.size, "out": out}, sort_keys=True))
     return 0
 

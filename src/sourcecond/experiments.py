@@ -124,9 +124,9 @@ def largest_coefficient_mask(u: np.ndarray, count: int) -> SamplingMask:
 
 
 def _child_count(n_items: int) -> int:
-    """Children that ``_fork_map`` forks for ``n_items``: one fewer than the
-    items, at most one per usable CPU, and none on one CPU or without
-    ``os.fork``."""
+    """Children that ``_fork_map`` forks at once for ``n_items``: one fewer
+    than the items, at most one per usable CPU, and none on one CPU or
+    without ``os.fork``."""
     if n_items < 2 or not hasattr(os, "fork"):
         return 0
     if hasattr(os, "sched_getaffinity"):
@@ -136,33 +136,23 @@ def _child_count(n_items: int) -> int:
     return min(n_items - 1, cpus) if cpus > 1 else 0
 
 
-def _run_share(fn, args) -> tuple:
-    """``fn`` over ``args`` in turn, stopping at the first that raises:
-    ``(results so far, exception or None)``."""
-    results = []
-    for arg in args:
-        try:
-            results.append(fn(arg))
-        except Exception as exc:
-            return results, exc
-    return results, None
-
-
-def _child(fn, args, read: int, write: int) -> None:
-    """The body of a forked child: run its share, send ``(results, error)``
-    back as one pickle through ``write`` and end the process.  It writes no
-    file and never returns into its caller."""
+def _child(fn, arg, read: int, write: int) -> None:
+    """The body of a forked child: run ``fn(arg)``, send ``(True, result)``
+    or ``(False, exception)`` back as one pickle through ``write`` and end
+    the process.  It writes no file and never returns into its caller."""
     status = 1
     try:
         os.close(read)
-        results, error = _run_share(fn, args)
-        if error is not None:
+        try:
+            outcome = (True, fn(arg))
+        except Exception as exc:
             try:  # the parent must be able to rebuild what it is sent
-                pickle.loads(pickle.dumps(error))
+                pickle.loads(pickle.dumps(exc))
             except Exception:
-                error = RuntimeError(f"{type(error).__name__}: {error}")
+                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+            outcome = (False, exc)
         with os.fdopen(write, "wb") as pipe:
-            pickle.dump((results, error), pipe, pickle.HIGHEST_PROTOCOL)
+            pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
         status = 0
     finally:
         os._exit(status)
@@ -172,52 +162,50 @@ def _fork_map(fn, items) -> list:
     """``[fn(arg) for _, arg in items]`` for independent ``(label, arg)``
     items, run by this process and forked children at once.
 
-    With ``c`` children (``_child_count``), item ``i`` goes to process
-    ``i % (c + 1)``, where process 0 is this one.  A child sends its results
-    back through its own pipe and ends; this process runs its share, then
-    reads and reaps each child in turn, and on any path out kills and reaps
-    those that are left.  The results come back in item order.
+    The items run in waves of ``c + 1``, where ``c`` is ``_child_count``.
+    This process runs the first item of a wave, and every other item of the
+    wave runs in a child of its own, which sends its result back through its
+    own pipe and ends.  This process then reads and reaps the wave's
+    children in item order, and on any path out kills and reaps those that
+    are left.  The results come back in item order.
 
     As in the loop, the exception of the first item (in item order) that
-    raised is raised here; a process stops its share at an item that
-    raises.  A child that ends without sending raises ``RuntimeError``,
-    naming the labels of its items.
+    raised is raised here, and no later wave starts.  A child that ends
+    without sending raises ``RuntimeError``, naming its item's label.
     """
-    n_children = _child_count(len(items))
-    args = [arg for _, arg in items]
-    if n_children == 0:
-        return [fn(arg) for arg in args]
-    shares = [range(p, len(items), n_children + 1) for p in range(n_children + 1)]
-    children = []  # (pid, read end of its pipe, share) until reaped
-    outcomes = []  # (share, results, error) per process
+    wave = _child_count(len(items)) + 1
+    results = []
+    children = []  # (pid, read end of its pipe, label) until reaped
     try:
-        for share in shares[1:]:
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                _child(fn, [args[i] for i in share], read, write)
-            os.close(write)
-            children.append((pid, os.fdopen(read, "rb"), share))
-        outcomes.append((shares[0], *_run_share(fn, [args[i] for i in shares[0]])))
-        while children:
-            pid, pipe, share = children[0]
-            with pipe:
+        for start in range(0, len(items), wave):
+            for label, arg in items[start + 1:start + wave]:
+                read, write = os.pipe()
                 try:
-                    results, error = pickle.load(pipe)
-                except (EOFError, pickle.UnpicklingError):  # nothing, or not all, was sent
-                    results, error = [], None
-            _, status = os.waitpid(pid, 0)
-            children.pop(0)
-            if error is None and len(results) < len(share):
-                labels = ", ".join(items[i][0] for i in share)
-                error = RuntimeError(f"the process running {labels} ended without "
-                                     f"a result (wait status {status})")
-            outcomes.append((share, results, error))
+                    pid = os.fork()
+                except OSError:
+                    os.close(read)
+                    os.close(write)
+                    raise
+                if pid == 0:
+                    _child(fn, arg, read, write)
+                os.close(write)
+                children.append((pid, os.fdopen(read, "rb"), label))
+            results.append(fn(items[start][1]))
+            while children:
+                pid, pipe, label = children[0]
+                with pipe:
+                    try:
+                        ok, value = pickle.load(pipe)
+                    except (EOFError, pickle.UnpicklingError):  # nothing, or not all, was sent
+                        ok, value = False, None
+                _, status = os.waitpid(pid, 0)
+                children.pop(0)
+                if not ok and value is None:
+                    value = RuntimeError(f"the process running {label} ended "
+                                         f"without a result (wait status {status})")
+                if not ok:
+                    raise value
+                results.append(value)
     finally:
         if children:
             import signal
@@ -225,15 +213,7 @@ def _fork_map(fn, items) -> list:
                 pipe.close()
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    failed = [(share[len(results)], error) for share, results, error in outcomes
-              if error is not None]
-    if failed:
-        raise min(failed, key=lambda failure: failure[0])[1]
-    ordered = [None] * len(items)
-    for share, results, _ in outcomes:
-        for i, result in zip(share, results):
-            ordered[i] = result
-    return ordered
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -282,15 +262,15 @@ def _float32_peak(array) -> float:
     return float(np.max(magnitude, where=np.isfinite(magnitude), initial=0.0))
 
 
-def _write_run(out_dir: str, command: str, experiment: str, cfg, timings: dict,
+def _write_run(out_dir: str, command: str, config: dict, seed: int, timings: dict,
                artifacts: dict, summary: dict) -> None:
     """Write a run's artifacts in order, then its manifest.
 
     ``artifacts`` maps file names to payloads, and the extension picks the
     writer: ``.pfm``/``.pgm`` images, ``.csv`` column dicts, ``.json`` dicts,
     ``.py`` text.  A payload may be a zero-argument callable, called in turn,
-    so that a summary can read back the files written before it.  The config
-    hash covers every field of ``cfg``.
+    so that a summary can read back the files written before it.  The
+    manifest records the hash of ``config`` and the run's ``seed``.
 
     The run's ``summary`` and its ``.pfm`` payloads are checked first, and a
     failed check raises ``VerificationError`` before any file or directory
@@ -329,9 +309,8 @@ def _write_run(out_dir: str, command: str, experiment: str, cfg, timings: dict,
                 f.write(payload)
         names.append(name)
     timings["write"] = time.perf_counter() - t0
-    config = {"experiment": experiment, **dataclasses.asdict(cfg)}
     fileio.write_manifest(out_dir, fileio.RunManifest(
-        command=command, config_hash=fileio.config_hash(config), seed=cfg.seed,
+        command=command, config_hash=fileio.config_hash(config), seed=seed,
         timings=timings, artifacts=names))
 
 
@@ -481,7 +460,8 @@ def run_lasso_experiment(cfg: Lasso1DConfig, out_dir: str | None = None,
               "g_alpha": g_alpha, "w_true": w_true, "dual_certificate": p}
 
     if out_dir is not None:
-        _write_run(out_dir, command, "lasso1d", cfg, timings, {
+        config = {"experiment": "lasso1d", **dataclasses.asdict(cfg)}
+        _write_run(out_dir, command, config, cfg.seed, timings, {
             "series.csv": {"sample": np.linspace(lo, hi, cfg.n_samples),
                            "f_clean": f_clean, "f_noisy": f_noisy,
                            "g_alpha": g_alpha, "v": report.v},
@@ -680,7 +660,8 @@ def run_fourier_experiment(cfg: Fourier2DConfig, out_dir: str | None = None,
             return summary
 
         report, pdhg_report = stage["report"], stage["pdhg_report"]
-        _write_run(out_dir, command, "fourier2d", cfg, timings, {
+        config = {"experiment": "fourier2d", **dataclasses.asdict(cfg)}
+        _write_run(out_dir, command, config, cfg.seed, timings, {
             "u_true.pfm": u_true,
             "u_true.pgm": u_true,
             "mask.pfm": mask.grid.astype(float),
@@ -797,5 +778,6 @@ def run_optimal_sampling(cfg: Fourier2DConfig, out_dir: str | None = None,
         }
         artifacts["metrics.json"] = summary
         artifacts["plot.py"] = plotscript.SAMPLING_PLOT
-        _write_run(out_dir, command, "optimal-sampling", cfg, timings, artifacts, summary)
+        config = {"experiment": "optimal-sampling", **dataclasses.asdict(cfg)}
+        _write_run(out_dir, command, config, cfg.seed, timings, artifacts, summary)
     return result

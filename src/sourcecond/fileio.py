@@ -99,12 +99,7 @@ def _read_samples(f, dtype, count: int, path: str) -> np.ndarray:
 
 def read_pgm16(path: str) -> np.ndarray:
     """Read a P5 graymap; restores float values from the sidecar when present."""
-    with _open_input(path) as f:
-        magic, w, h, maxval = _read_pnm_header(f)
-        if magic != b"P5":
-            raise InputError(f"not a P5 graymap: {path}")
-        dtype = ">u2" if maxval > 255 else np.uint8
-        raw = _read_samples(f, dtype, w * h, path).reshape(h, w)
+    raw, maxval = _read_pnm(path, (b"P5",))
     sidecar = path + ".json"
     if os.path.exists(sidecar):
         with open(sidecar, "r", encoding="ascii") as f:
@@ -114,9 +109,9 @@ def read_pgm16(path: str) -> np.ndarray:
             except (ValueError, KeyError, TypeError) as exc:
                 raise InputError(f"bad scaling sidecar {sidecar}: {exc!r}") from None
         if hi > lo:
-            return lo + raw.astype(float) / maxval * (hi - lo)
+            return lo + raw / maxval * (hi - lo)
         return np.full(raw.shape, lo, dtype=float)
-    return raw.astype(float) / maxval
+    return raw / maxval
 
 
 # ---------------------------------------------------------------------------
@@ -188,14 +183,15 @@ def load_grayscale(path: str) -> np.ndarray:
         magic = f.read(2)
     if magic in (b"Pf", b"PF"):
         img = read_pfm(path)
-        if img.ndim == 3:
-            img = img @ np.array([0.299, 0.587, 0.114])
     elif magic == b"P5":
         img = read_pgm16(path)
     elif magic in (b"P6", b"P2", b"P3"):
-        img = _read_pnm_generic(path)
+        samples, maxval = _read_pnm(path, (b"P2", b"P3", b"P6"))
+        img = samples / maxval
     else:
         raise InputError(f"unsupported image file {path!r} (use PGM/PPM/PFM)")
+    if img.ndim == 3:
+        img = img @ np.array([0.299, 0.587, 0.114])
     img = np.asarray(img, dtype=float)
     if not np.all(np.isfinite(img)):
         raise InputError(f"image {path!r} has non-finite values")
@@ -203,10 +199,16 @@ def load_grayscale(path: str) -> np.ndarray:
     return (img - lo) / (hi - lo) if hi > lo else np.zeros_like(img)
 
 
-def _read_pnm_generic(path: str) -> np.ndarray:
+def _read_pnm(path: str, magics: tuple) -> tuple:
+    """``(samples, maxval)`` of a graymap or pixmap whose magic is one of
+    ``magics``: the samples as floats of shape ``(h, w)``, or ``(h, w, 3)``
+    for a pixmap."""
     with _open_input(path) as f:
         magic, w, h, maxval = _read_pnm_header(f)
-        count = w * h * (3 if magic in (b"P3", b"P6") else 1)
+        if magic not in magics:
+            raise InputError(f"not a {b' or '.join(magics).decode()} map: {path}")
+        color = magic in (b"P3", b"P6")
+        count = w * h * (3 if color else 1)
         if magic in (b"P2", b"P3"):
             try:
                 values = np.array(f.read().split()[:count], dtype=float)
@@ -218,11 +220,7 @@ def _read_pnm_generic(path: str) -> np.ndarray:
         else:
             dtype = ">u2" if maxval > 255 else np.uint8
             values = _read_samples(f, dtype, count, path).astype(float)
-    values = values / maxval
-    if magic in (b"P3", b"P6"):
-        rgb = values.reshape(h, w, 3)
-        return rgb @ np.array([0.299, 0.587, 0.114])
-    return values.reshape(h, w)
+    return values.reshape((h, w, 3) if color else (h, w)), maxval
 
 
 # ---------------------------------------------------------------------------

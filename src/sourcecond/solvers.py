@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import ConfigurationError, InputError
 from .functionals import ProxFunctional, soft_threshold
-from .operators import (LinearMap, SamplingMask, fourier_sampling, full_mask, full_spectrum,
-                        irdft2, mirror_weights, rdft2, real_inner)
+from .operators import (LinearMap, SamplingMask, full_spectrum, irdft2, mirror_weights, rdft2,
+                        real_inner)
 
 
 @dataclass
@@ -281,7 +281,8 @@ def solve_palm(u_true: np.ndarray, grad_op: LinearMap, prox_h: ProxFunctional,
     ``beta`` (complex modulus shrinkage) so that its zero set defines a
     Fourier sampling pattern.  It couples through the unitary DFT ``F``, the
     full-mask Fourier map, and the steps come from the norm bounds:
-    ``tau = 1/||F||^2``, exactly 1, and ``sigma = 1/(||A||^2 + 1)``.
+    ``tau = 1/||F||^2``, which is 1 because a unitary map has norm 1, and
+    ``sigma = 1/(||A||^2 + 1)``.
 
     The stopping metric at iterate ``k`` is the mean of ``||dv||/tau`` and
     ``||dq||/sigma`` over the step *from* ``k``, so it is taken on every step
@@ -301,7 +302,7 @@ def solve_palm(u_true: np.ndarray, grad_op: LinearMap, prox_h: ProxFunctional,
     if beta <= 0:
         raise ConfigurationError("beta must be positive")
     shape = u_true.shape
-    tau = _data_step(fourier_sampling(full_mask(shape)))
+    tau = 1.0
     sigma = _dual_step(grad_op)
     weights = mirror_weights(shape[1])
 

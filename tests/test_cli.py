@@ -1,11 +1,17 @@
+import itertools
 import json
 import os
+import shutil
+import typing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sourcecond import fileio
 from sourcecond.cli import _EXPERIMENTS, _load_config, build_parser, main
+from sourcecond.experiments import shepp_logan
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -25,6 +31,17 @@ class TestPhantomCommand:
             assert os.path.exists(os.path.join(out, name))
         img = fileio.read_pfm(os.path.join(out, "phantom.pfm"))
         assert img.shape == (64, 64)
+
+    def test_manifest_hashes_the_size(self, tmp_path):
+        out = str(tmp_path / "p")
+        assert main(["phantom", "--size", "64", "--seed", "5", "--out", out]) == 0
+        with open(os.path.join(out, "manifest.json")) as f:
+            manifest = json.load(f)
+        assert manifest["command"] == "phantom"
+        assert manifest["config_hash"] == fileio.config_hash({"size": 64}) == (
+            "0321c316eb6dd7911f75810fef3c5c624ef3edc8d82ae2b9cae3e5e0d7e2f5f5")
+        assert manifest["seed"] == 5
+        assert manifest["artifacts"] == ["phantom.pfm", "phantom.pgm", "phantom.pgm.json"]
 
 
 class TestUsageErrors:
@@ -479,3 +496,88 @@ class TestEnvOutputRoot:
         monkeypatch.setenv("SOURCEFORGE_OUT", str(tmp_path / "root"))
         assert main(["phantom", "--size", "32"]) == 0
         assert os.path.exists(tmp_path / "root" / "phantom" / "phantom.pfm")
+
+
+# finite floats at the edges of the double range, drawn beside hypothesis's
+# own; most are nonnegative, as most float fields must be, so that most runs
+# get past the config checks
+_EXTREMES = st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e300,
+                             1.7976931348623157e308, -1e300, -1.7976931348623157e308])
+_FLOATS = (st.floats(min_value=0.0, allow_infinity=False) | _EXTREMES
+           | st.floats(allow_nan=False, allow_infinity=False))
+_STRINGS = {"image_source": ["shepp_logan", "textured", "file", "none"],
+            "mask_kind": ["full", "lowpass", "learned", "file", "none"]}
+
+
+def _field_values(name: str, kind, paths: list):
+    """JSON values for a config field annotated ``kind``: a 16x16 grid, a
+    budget of 1 to 5 steps, extreme finite floats, and for a path an
+    image, a mask, a file of the wrong size or with a NaN, a directory or
+    nothing."""
+    if name == "size":
+        return st.just([16, 16])
+    if name.endswith("max_iters"):
+        return st.integers(1, 5)
+    args = typing.get_args(kind)
+    if typing.get_origin(kind) is tuple:
+        return st.tuples(*(_field_values("", k, paths) for k in args)).map(list)
+    if args:  # ``X | None``
+        return st.one_of([_field_values(name, k, paths) for k in args])
+    if kind is type(None):
+        return st.none()
+    if kind is float:
+        return _FLOATS
+    if kind is int:
+        return st.integers(-1, 2**64) if name == "seed" else st.integers(-1, 64)
+    if kind is dict:
+        return st.dictionaries(st.integers(-1, 70).map(str), _FLOATS, max_size=4)
+    if name.endswith("_path"):
+        return st.sampled_from(paths)
+    return st.sampled_from(_STRINGS[name])
+
+
+@st.composite
+def _commands(draw, paths):
+    """A command and a config drawn from its dataclass: the budgets, the grid
+    and the mask weight (which ``optimal-sampling`` needs) always set, every
+    other field set or left at its default."""
+    command = draw(st.sampled_from(sorted(_EXPERIMENTS)))
+    cls = _EXPERIMENTS[command][0]
+    kinds = typing.get_type_hints(cls)
+    fields = {name: _field_values(name, kind, paths) for name, kind in kinds.items()}
+    required = {name: fields.pop(name) for name in kinds
+                if name in ("size", "mask_beta") or name.endswith("max_iters")}
+    return command, draw(st.fixed_dictionaries(required, optional=fields))
+
+
+class TestConfigFuzz:
+    """Any config a command's dataclass admits ends in exit 0, 2 or 3, and
+    a run that exits 2 or 3 leaves no output directory."""
+
+    RUNS = itertools.count()
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzz")
+        image = shepp_logan(16)
+        files = {"image.pfm": image, "mask.pfm": (image > 0.3).astype(float),
+                 "small.pfm": image[:8, :8], "nan.pfm": np.where(image > 0.3, np.nan, image)}
+        for name, array in files.items():
+            fileio.write_pfm(str(root / name), array)
+        fileio.write_pgm16(str(root / "image.pgm"), image)
+        paths = [str(root / name) for name in [*files, "image.pgm", "missing.pfm"]]
+        return root, [*paths, str(root)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_and_no_output_on_failure(self, inputs, data):
+        root, paths = inputs
+        command, config = data.draw(_commands(paths))
+        run = root / f"run{next(self.RUNS)}"
+        run.mkdir()
+        (run / "config.json").write_text(json.dumps(config))
+        out = run / "out"
+        code = main([command, "--config", str(run / "config.json"), "--out", str(out)])
+        assert code in (0, 2, 3)
+        assert out.exists() == (code == 0)
+        shutil.rmtree(run)

@@ -303,16 +303,37 @@ class TestForkedStages:
            "cd_max_iters": 60, "pdhg_max_iters": 60, "palm_max_iters": 150,
            "record_every": 20}
 
-    def test_results_in_item_order_dealt_round_robin(self, monkeypatch):
+    def test_results_in_item_order_run_in_waves(self, monkeypatch):
         from sourcecond.experiments import _fork_map
 
         usable_cpus(monkeypatch, 3)
         got = _fork_map(lambda i: (i * i, os.getpid()), [(f"item {i}", i) for i in range(7)])
         assert [value for value, _ in got] == [i * i for i in range(7)]
-        # three children, one per CPU: item i runs in process i % 4
+        # waves of four: items 0 and 4 run here, every other item in a child
+        # of its own
         pids = [pid for _, pid in got]
-        assert pids[0] == os.getpid() and len(set(pids[:4])) == 4
-        assert all(pids[i] == pids[i % 4] for i in range(7))
+        assert pids[0] == pids[4] == os.getpid()
+        children = [pid for i, pid in enumerate(pids) if i not in (0, 4)]
+        assert len(set(children)) == 5 and os.getpid() not in children
+        assert_no_child_left()
+
+    def test_failure_in_a_wave_starts_no_later_wave(self, monkeypatch):
+        from sourcecond.experiments import _fork_map
+
+        parent = os.getpid()
+        ran_here = []
+
+        def fn(i):
+            if os.getpid() == parent:
+                ran_here.append(i)
+            if i == 2:
+                raise InputError("item 2 failed")
+            return i
+
+        usable_cpus(monkeypatch, 3)
+        with pytest.raises(InputError, match="item 2 failed"):
+            _fork_map(fn, [(f"item {i}", i) for i in range(7)])
+        assert ran_here == [0]
         assert_no_child_left()
 
     def test_one_cpu_runs_in_this_process(self, monkeypatch):
@@ -326,8 +347,8 @@ class TestForkedStages:
         got = _fork_map(lambda i: os.getpid(), [(f"item {i}", i) for i in range(3)])
         assert got == [os.getpid()] * 3
 
-    # two children: items 0 and 3 run here, 1 and 4 in one child, 2 and 5 in
-    # the other
+    # waves of three: items 0 and 3 run here, every other item in a child of
+    # its own
     @pytest.mark.parametrize("failing, first", [((2, 4, 5), 2), ((0, 2), 0), ((3, 4), 3)])
     def test_first_failure_in_item_order_is_raised(self, monkeypatch, failing, first):
         from sourcecond.experiments import _fork_map
