@@ -157,11 +157,13 @@ def _cmd_experiment(args) -> int:
 def _cmd_phantom(args) -> int:
     if args.config:
         raise ConfigurationError("phantom takes no config file")
+    seed = args.seed if args.seed is not None else 0
+    if seed < 0:
+        raise ConfigurationError("seed must be nonnegative")
     t0 = time.perf_counter()
     img = experiments.shepp_logan(args.size)
     out = _out_dir(args, "phantom")
-    experiments._write_run(out, "phantom", {"size": args.size},
-                           args.seed if args.seed is not None else 0,
+    experiments._write_run(out, "phantom", {"size": args.size}, seed,
                            {"setup": time.perf_counter() - t0},
                            {"phantom.pgm": img, "phantom.pfm": img}, {})
     print(json.dumps({"size": args.size, "out": out}, sort_keys=True))

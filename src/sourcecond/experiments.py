@@ -530,6 +530,8 @@ class Fourier2DConfig:
             raise ConfigurationError("mask_kind 'file' needs mask_path")
         if self.alpha <= 0:
             raise ConfigurationError("alpha must be positive")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be nonnegative")
         if self.verify_tol < 0:
             raise ConfigurationError("verify_tol must be nonnegative")
         self.palm_budget = SolveConfig(max_iters=self.palm_max_iters, grad_tol=0.0,

@@ -259,7 +259,7 @@ class FourierSamplingMap(LinearMap):
         return np.real(np.fft.ifft2(np.where(self.mask.grid, y, 0), norm="ortho"))
 
     def normal(self, x):
-        """``(K* K x, ||K x||)`` from one ``rfft2`` and one ``irfft2``, or
+        """``(K* K x, ||K x||)`` from one ``rdft2`` and one ``irdft2``, or
         ``(x, ||x||)`` with ``x`` itself when the mask is full."""
         self._check_domain(x)
         if self._full:
@@ -271,8 +271,8 @@ class FourierSamplingMap(LinearMap):
         return irdft2(half, self.domain_shape), norm
 
     def normal_resolvent(self, tau):
-        """Division by ``1 + tau * symbol`` between one ``rfft2`` and one
-        ``irfft2``, or by ``1 + tau`` when the mask is full."""
+        """Division by ``1 + tau * symbol`` between one ``rdft2`` and one
+        ``irdft2``, or by ``1 + tau`` when the mask is full."""
         if self._full:
             return lambda r: r / (1.0 + tau)
         shape = self.domain_shape
@@ -399,15 +399,24 @@ def rdft2(image: np.ndarray, out=None) -> np.ndarray:
     """Orthonormal 2D DFT of a real image on its half spectrum: columns
     ``0..n_x//2`` of ``dft2(image)``, the rest being their conjugate
     mirrors (``full_spectrum``).  The result goes to ``out`` when it is
-    given, a complex array of shape ``(n_y, n_x//2 + 1)``."""
-    return np.fft.rfft2(image, norm="ortho", out=out)
+    given, a complex array of shape ``(n_y, n_x//2 + 1)``.
+
+    The two 1-D passes of ``np.fft.rfft2`` run directly, a real FFT along
+    the rows and then a complex FFT down the columns in place, so the result
+    is ``rfft2``'s bit for bit without the fixed cost of its n-D wrapper."""
+    half = np.fft.rfft(image, axis=1, norm="ortho", out=out)
+    return np.fft.fft(half, axis=0, norm="ortho", out=half)
 
 
 def irdft2(half: np.ndarray, shape) -> np.ndarray:
     """A new real image of ``shape`` whose half spectrum is ``half``, the
-    inverse of ``rdft2``.  (numpy's ``irfft2`` takes ``out=`` but ignores
-    it, and its inner complex pass allocates anyway.)"""
-    return np.fft.irfft2(half, s=shape, norm="ortho")
+    inverse of ``rdft2``; ``half`` is left as it was.
+
+    The two 1-D passes of ``np.fft.irfft2`` run directly, a complex inverse
+    FFT down the columns into a new array and then a real inverse FFT along
+    the rows, so the result is ``irfft2``'s bit for bit."""
+    columns = np.fft.ifft(half, n=shape[0], axis=0, norm="ortho")
+    return np.fft.irfft(columns, n=shape[1], axis=1, norm="ortho")
 
 
 def mirror_weights(n_x: int) -> np.ndarray:

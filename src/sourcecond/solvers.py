@@ -35,8 +35,11 @@ class SolveConfig:
     Every solver runs the loop ``_iterate``: it records every
     ``record_every``-th iterate and the last, and stops at a metric
     ``<= grad_tol``, at a NaN metric ("diverged") or at the budget.
-    Accelerated descent (and PDHG with ``grad_tol == 0``) takes its metric
-    only at record steps.  Step sizes are not set here: each solver derives
+    Accelerated descent takes its metric only at record steps; range-CD,
+    PALM and PDHG take theirs on every step when ``grad_tol > 0`` and only at
+    record steps when ``grad_tol == 0``.  Only an exact zero meets a zero
+    tolerance, and then it ("tolerance") or a NaN ("diverged") is found at
+    the next record step.  Step sizes are not set here: each solver derives
     them from the norm bounds of its operators.
     """
 
@@ -210,25 +213,28 @@ def solve_range_cd(u_true: np.ndarray, fwd: LinearMap, grad_op: LinearMap,
     ``q`` at ``A u``, alternating explicit gradient steps in ``v`` and ``q``.
     The steps come from the norm bounds: ``tau = 1/||K||^2`` (1 for the zero
     map) and ``sigma = 1/(||A||^2 + 1)``.  The stopping metric is the mean of
-    the two partial-derivative norms evaluated at the current pair.
+    the two partial-derivative norms evaluated at the current pair, taken on
+    every step when ``cfg.grad_tol > 0`` and only at record steps otherwise.
 
     ``v`` starts at zero and each step moves it by ``-tau K d`` with
     ``d = K* v - A* q``, so ``v = K D`` for the real image ``D``, the sum of
     the ``-tau d``.  The solver holds ``D`` and the carried ``K* v`` instead
     of ``v``: a step updates ``K* v`` by ``-tau K* K d`` and ``v = K D`` is
     formed once, at the end.  The metric at a pair and the step from it share
-    ``A* q``, ``d``, ``K* K d`` and ``prox(a + q)``, so an iteration calls
-    ``fwd.normal`` once (one real FFT pair for Fourier sampling, no transform
-    for a full mask), the gradient twice, the divergence once and the prox
-    once.
+    ``A* q``, ``d``, ``K* K d`` and ``prox(a + q)``, which are computed once
+    per pair, by the step into it.  So a step calls ``fwd.normal`` once (one
+    real FFT pair for Fourier sampling, no transform for a full mask), the
+    gradient once, the divergence once and the prox once; a metric adds one
+    gradient, three field passes and a norm.
 
     The iterates and the shared terms live in work arrays allocated once per
     solve.  The gradient, divergence and prox write into them through
     ``apply_into``, ``adjoint_into`` and ``prox(..., out=)``, and the updates
     are in-place ufuncs that keep the order of every operation, so the
-    iterates are those of the plain formulas, bit for bit.  A step allocates
-    no image or field of its own; ``fwd.normal`` and the per-pixel norms
-    inside the prox still allocate theirs.
+    iterates are those of the plain formulas, bit for bit, whichever steps
+    take the metric.  A step allocates no image or field of its own;
+    ``fwd.normal`` and the per-pixel norms inside the prox still allocate
+    theirs.
     """
     tau = _data_step(fwd)
     sigma = _dual_step(grad_op)
@@ -236,21 +242,23 @@ def solve_range_cd(u_true: np.ndarray, fwd: LinearMap, grad_op: LinearMap,
     image = np.zeros(fwd.domain_shape)  # D, with v = K D
     kv = np.zeros(fwd.domain_shape)  # K* v
     q = np.zeros(grad_op.codomain_shape)
-    # the terms the metric carries into the step, and work space for both
+    # the terms the metric and the step share, and work space for both
     aq = np.empty(fwd.domain_shape)
     d = np.empty(fwd.domain_shape)
     scaled = np.empty(fwd.domain_shape)
     shrunk = np.empty(grad_op.codomain_shape)
     field = np.empty(grad_op.codomain_shape)
-    kkd = None
+    kkd = kd_norm = None
 
-    def measure():
-        nonlocal kkd
+    def share():
+        nonlocal kkd, kd_norm
         grad_op.adjoint_into(q, aq)
         np.subtract(kv, aq, out=d)
         kkd, kd_norm = fwd.normal(d)
         np.add(a_field, q, out=shrunk)
         prox_h.prox(shrunk, out=shrunk)
+
+    def measure():
         grad_op.apply_into(d, field)  # -A d + prox(a + q) - a
         np.negative(field, out=field)
         np.add(field, shrunk, out=field)
@@ -268,8 +276,10 @@ def solve_range_cd(u_true: np.ndarray, fwd: LinearMap, grad_op: LinearMap,
         np.subtract(field, a_field, out=field)
         np.multiply(sigma, field, out=field)
         np.subtract(q, field, out=q)
+        share()
 
-    outcome = _iterate(cfg, measure, advance, every_step=True)
+    share()
+    outcome = _iterate(cfg, measure, advance, every_step=cfg.grad_tol > 0)
     return _finish(fwd.apply(image), q, *outcome)
 
 
@@ -285,8 +295,11 @@ def solve_palm(u_true: np.ndarray, grad_op: LinearMap, prox_h: ProxFunctional,
     ``sigma = 1/(||A||^2 + 1)``.
 
     The stopping metric at iterate ``k`` is the mean of ``||dv||/tau`` and
-    ``||dq||/sigma`` over the step *from* ``k``, so it is taken on every step
-    and the step reuses it; at the budget it measures a step not taken.
+    ``||dq||/sigma`` over the step *from* ``k``, so each step is computed
+    once, into the iterate it comes from, and the metric takes only the two
+    displacement norms; at the budget it measures a step not taken.  The
+    metric is taken on every step when ``cfg.grad_tol > 0`` and only at
+    record steps otherwise.
 
     ``v`` starts at zero, and each step shrinks a combination of ``v`` and
     ``F`` of a real image, so ``v`` stays Hermitian.  The solver holds its
@@ -310,7 +323,7 @@ def solve_palm(u_true: np.ndarray, grad_op: LinearMap, prox_h: ProxFunctional,
     half_shape = (shape[0], weights.size)
     vt = np.zeros(half_shape, dtype=complex)
     q = np.zeros(grad_op.codomain_shape)
-    # the step the metric measured, taken by advance, and work space
+    # the step from the current iterate, and work space
     vt_new = np.empty(half_shape, dtype=complex)
     q_new = np.empty(grad_op.codomain_shape)
     coupled = np.empty(half_shape, dtype=complex)
@@ -318,7 +331,7 @@ def solve_palm(u_true: np.ndarray, grad_op: LinearMap, prox_h: ProxFunctional,
     field = np.empty(grad_op.codomain_shape)
     shrunk = np.empty(grad_op.codomain_shape)
 
-    def measure():
+    def step():
         grad_op.adjoint_into(q, aq)
         rdft2(aq, out=coupled)
         np.subtract(vt, coupled, out=coupled)  # vt - tau (vt - F aq)
@@ -334,6 +347,8 @@ def solve_palm(u_true: np.ndarray, grad_op: LinearMap, prox_h: ProxFunctional,
         np.subtract(field, a_field, out=field)
         np.multiply(sigma, field, out=field)
         np.subtract(q, field, out=q_new)
+
+    def measure():
         np.subtract(vt_new, vt, out=coupled)
         power = coupled.real * coupled.real + coupled.imag * coupled.imag
         dv = math.sqrt(float(np.add.reduce(weights * power, axis=None)))
@@ -344,8 +359,10 @@ def solve_palm(u_true: np.ndarray, grad_op: LinearMap, prox_h: ProxFunctional,
         nonlocal vt, q, vt_new, q_new
         vt, vt_new = vt_new, vt
         q, q_new = q_new, q
+        step()
 
-    outcome = _iterate(cfg, measure, advance, every_step=True)
+    step()
+    outcome = _iterate(cfg, measure, advance, every_step=cfg.grad_tol > 0)
     nnz = int(np.count_nonzero(vt, axis=0) @ weights)
     return _finish(full_spectrum(vt, shape[1]), q, *outcome, nnz=nnz)
 

@@ -84,6 +84,9 @@ class TestUsageErrors:
         ("lasso1d", {"verify_tol": 10 ** 400}),
         ("lasso1d", {"grad_tol": 10 ** 400}),
         ("lasso1d", {"coeffs_true": {"0": 10 ** 400}}),
+        # a seed out of range
+        ("fourier2d", {"size": [16, 16], "seed": -1, "cd_max_iters": 3, "pdhg_max_iters": 3}),
+        ("optimal-sampling", {"seed": -1, "mask_beta": 0.1}),
     ])
     def test_value_of_wrong_type(self, tmp_path, command, payload):
         # json.dump writes NaN as the bare constant the parser must refuse;
@@ -108,6 +111,14 @@ class TestUsageErrors:
     def test_negative_seed_flag(self, tmp_path):
         out = tmp_path / "o"
         assert main(["lasso1d", "--out", str(out), "--seed", "-1"]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fourier2d", "phantom"])
+    def test_negative_seed_flag_of_other_commands(self, tmp_path, command):
+        # the seed reaches no Fourier computation, but it is hashed and
+        # reported, so a negative one is refused as lasso1d refuses it
+        out = tmp_path / "o"
+        assert main([command, "--out", str(out), "--seed", "-1"]) == 2
         assert not out.exists()
 
     @pytest.mark.parametrize("command, payload", [

@@ -8,35 +8,65 @@ import pytest
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src", "sourcecond")
 
-# frequency grids and shifts (fftfreq, fftshift) are no transforms
-FFT_TRANSFORMS = {"fft2", "ifft2", "rfft2", "irfft2"}
+# the 2-D transforms and the 1-D passes they are made of; frequency grids and
+# shifts (fftfreq, fftshift) are no transforms, and neither is the module
+# ``np.fft`` itself
+FFT_TRANSFORMS = {"fft2", "ifft2", "rfft2", "irfft2", "fft", "ifft", "rfft", "irfft"}
 
 
-def transform_calls(path):
-    """``(line, name)`` of every FFT transform that ``path`` names, whether as
-    an attribute (``np.fft.fft2``), a bare name or an import."""
-    with open(path, encoding="utf-8") as f:
-        tree = ast.parse(f.read(), filename=path)
+def _is_fft_module(node):
+    # ``np.fft`` or ``numpy.fft``: the module, whose attributes are the transforms
+    return (isinstance(node, ast.Attribute) and node.attr == "fft"
+            and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+
+
+def transform_calls(source, filename="<source>"):
+    """``(line, name)`` of every FFT transform that ``source`` names, whether
+    as an attribute (``np.fft.fft2``), a bare name or an import."""
+    tree = ast.parse(source, filename=filename)
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and node.attr in FFT_TRANSFORMS:
-            found.append((node.lineno, node.attr))
+            if not _is_fft_module(node):
+                found.append((node.lineno, node.attr))
         elif isinstance(node, ast.Name) and node.id in FFT_TRANSFORMS:
             found.append((node.lineno, node.id))
-        elif isinstance(node, ast.ImportFrom):
+        elif isinstance(node, ast.ImportFrom) and node.module != "numpy":
             found += [(node.lineno, a.name) for a in node.names if a.name in FFT_TRANSFORMS]
     return sorted(found)
+
+
+def module_transform_calls(module):
+    path = os.path.join(SRC, module)
+    with open(path, encoding="utf-8") as f:
+        return transform_calls(f.read(), path)
 
 
 @pytest.mark.parametrize("module", sorted(
     name for name in os.listdir(SRC) if name.endswith(".py") and name != "operators.py"))
 def test_fft_transforms_only_in_operators(module):
     # FFT conventions (norm, half spectrum, mirror weights) live in operators.py
-    calls = transform_calls(os.path.join(SRC, module))
+    calls = module_transform_calls(module)
     assert not calls, f"{module} calls FFT transforms at {calls}; go through operators"
 
 
 def test_operators_is_seen_to_transform():
-    # the scan finds the transforms where they are, so an empty scan means something
-    names = {name for _, name in transform_calls(os.path.join(SRC, "operators.py"))}
-    assert names == FFT_TRANSFORMS
+    # the scan finds the transforms where they are, so an empty scan means
+    # something: the full-spectrum maps name fft2/ifft2, and rdft2/irdft2
+    # run the 1-D passes of the real pair
+    names = {name for _, name in module_transform_calls("operators.py")}
+    assert names == {"fft2", "ifft2", "fft", "ifft", "rfft", "irfft"}
+
+
+def test_scan_tells_transforms_from_the_module_and_grids():
+    source = "\n".join([
+        "import numpy as np",
+        "from numpy import fft",
+        "freqs = np.fft.fftfreq(8) + np.fft.fftshift(np.arange(8))",
+        "module = np.fft",
+        "a = np.fft.fft(x)",
+        "b = numpy.fft.irfft(y, n=8)",
+        "from numpy.fft import rfft",
+        "c = ifft(z)",
+    ])
+    assert transform_calls(source) == [(5, "fft"), (6, "irfft"), (7, "rfft"), (8, "ifft")]

@@ -6,6 +6,13 @@ from hypothesis.extra import numpy as hnp
 
 import sourcecond as sc
 from sourcecond.errors import InputError
+from sourcecond.operators import irdft2, rdft2
+
+
+# every transform numpy.fft offers, the 2-D ones and their 1-D passes
+FFT_NAMES = ("fft2", "ifft2", "rfft2", "irfft2", "fft", "ifft", "rfft", "irfft")
+# one real FFT pair, as rdft2 and irdft2 run it
+REAL_PAIR = ["rfft", "fft", "ifft", "irfft"]
 
 
 def all_test_maps(rng):
@@ -82,6 +89,36 @@ class TestDft2:
     def test_rejects_bad_direction(self):
         with pytest.raises(InputError):
             sc.dft2(np.ones((2, 2)), "sideways")
+
+
+class TestRdft2:
+    """``rdft2``/``irdft2`` run the 1-D passes of numpy's ``rfft2``/``irfft2``
+    and give their results byte for byte."""
+
+    _SHAPES = pytest.mark.parametrize("shape", [
+        (2, 2), (5, 2), (2, 5), (4, 4), (7, 7), (16, 17), (48, 47), (47, 48), (64, 64),
+        (400, 400),
+    ], ids=lambda s: f"{s[0]}x{s[1]}")
+
+    @_SHAPES
+    def test_forward_is_rfft2(self, rng, shape):
+        x = rng.standard_normal(shape)
+        want = np.fft.rfft2(x, norm="ortho")
+        got = rdft2(x)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        out = np.full(want.shape, np.nan + 1j)
+        assert rdft2(x, out=out) is out and out.tobytes() == want.tobytes()
+
+    @_SHAPES
+    def test_inverse_is_irfft2_and_keeps_its_input(self, rng, shape):
+        half = np.fft.rfft2(rng.standard_normal(shape), norm="ortho")
+        half *= rng.uniform(0.5, 1.5, half.shape)  # not the spectrum of a real image
+        kept = half.copy()
+        want = np.fft.irfft2(half, s=shape, norm="ortho")
+        got = irdft2(half, shape)
+        assert got.shape == shape and got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        assert half.tobytes() == kept.tobytes()
 
 
 class TestSampling:
@@ -304,7 +341,7 @@ class TestNormal:
     def test_full_mask_runs_no_transform(self, rng, monkeypatch):
         # K* K = I: normal returns x itself, the resolvent divides by 1 + tau
         maps = (sc.fourier_sampling(sc.full_mask((6, 7))), sc.IdentityMap((6, 7)))
-        for name in ("fft2", "ifft2", "rfft2", "irfft2"):
+        for name in FFT_NAMES:
             monkeypatch.setattr(np.fft, name, None)
         x = rng.standard_normal((6, 7))
         for k in maps:
@@ -313,21 +350,22 @@ class TestNormal:
             assert np.array_equal(k.normal_resolvent(0.125)(x), x / 1.125)
 
     def test_only_full_mask_is_identity(self, rng, monkeypatch):
-        # one frequency missing: normal and resolvent each take a real FFT pair
+        # one frequency missing: normal and resolvent each take a real FFT
+        # pair, rdft2's two passes and irdft2's two
         grid = np.ones((6, 7), dtype=bool)
         grid[1, 2] = False
         k = sc.fourier_sampling(sc.SamplingMask(grid))
         calls = []
-        for name in ("rfft2", "irfft2"):
+        for name in FFT_NAMES:
             def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
                 calls.append(_name)
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(np.fft, name, counted)
         x = rng.standard_normal((6, 7))
         got, _ = k.normal(x)
-        assert calls == ["rfft2", "irfft2"] and not np.array_equal(got, x)
+        assert calls == REAL_PAIR and not np.array_equal(got, x)
         got = k.normal_resolvent(0.125)(x)
-        assert calls == ["rfft2", "irfft2"] * 2 and not np.allclose(got, x / 1.125)
+        assert calls == REAL_PAIR * 2 and not np.allclose(got, x / 1.125)
 
     def test_default_is_adjoint_of_apply(self, rng):
         for m in all_test_maps(rng):

@@ -493,6 +493,71 @@ class TestSolvePalm:
         assert rep.v.tobytes() == reference_palm(*args).v.tobytes()
 
 
+class TestMetricAtRecordSteps:
+    """With ``grad_tol == 0`` range-CD and PALM take their metric only at
+    record steps.  ``grad_tol = 5e-324``, the least positive float, stops
+    them no sooner but takes the metric on every step; both runs must give
+    the same solve, byte for byte."""
+
+    @staticmethod
+    def _range_cd(shape, mask, cfg):
+        from sourcecond.experiments import shepp_logan
+
+        fwd = sc.IdentityMap(shape) if mask is None else sc.fourier_sampling(mask(shape))
+        return sc.solve_range_cd(shepp_logan(*shape), fwd, sc.grad2(*shape),
+                                 sc.ProxFunctional("group_l21"), cfg)
+
+    @staticmethod
+    def _palm(shape, beta, cfg):
+        from sourcecond.experiments import textured_image
+
+        return sc.solve_palm(textured_image(*shape), sc.grad2(*shape),
+                             sc.ProxFunctional("group_l21"), beta, cfg)
+
+    _SOLVES = pytest.mark.parametrize("solve, args", [
+        ("_range_cd", ((17, 23), None)),
+        ("_range_cd", ((48, 47), lambda s: sc.lowpass_mask(s, 20, 13))),
+        ("_range_cd", ((32, 32), sc.full_mask)),
+        ("_palm", ((32, 32), 0.05)),
+        ("_palm", ((24, 31), 0.1)),
+        ("_palm", ((20, 26), 1e6)),
+    ], ids=["cd-identity", "cd-odd-lowpass", "cd-full-mask", "palm", "palm-odd-width",
+            "palm-no-support"])
+
+    @_SOLVES
+    @pytest.mark.parametrize("max_iters, record_every", [(60, 7), (1, 1), (25, 100)])
+    def test_same_solve_as_measuring_every_step(self, solve, args, max_iters, record_every):
+        run = getattr(self, solve)
+        got, want = (run(*args, sc.SolveConfig(max_iters=max_iters, grad_tol=tol,
+                                               record_every=record_every))
+                     for tol in (0.0, 5e-324))
+        assert_same_solve(got, want)
+        assert got.nnz == want.nnz
+        assert got.termination == "max_iters" and got.iterations == max_iters
+
+    def test_metric_only_gradient_runs_at_record_steps(self, monkeypatch):
+        # a step takes one gradient, one divergence and one normal product;
+        # the metric adds one gradient, at the record steps 0, 7, 14 and 20
+        # with grad_tol == 0 and at all 21 iterates with grad_tol > 0
+        from sourcecond.experiments import shepp_logan
+
+        u = shepp_logan(16, 17)
+        for tol, metrics in ((0.0, 4), (5e-324, 21)):
+            fwd = sc.fourier_sampling(sc.lowpass_mask(u.shape, 9, 7))
+            grad_op = sc.grad2(*u.shape)
+            calls = {"apply": 0, "adjoint": 0, "normal": 0}
+            for owner, name in ((grad_op, "apply"), (grad_op, "adjoint"), (fwd, "normal")):
+                def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+                    calls[_name] += 1
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(owner, name, counted)
+            rep = sc.solve_range_cd(u, fwd, grad_op, sc.ProxFunctional("group_l21"),
+                                    sc.SolveConfig(max_iters=20, grad_tol=tol, record_every=7))
+            assert rep.iterations == 20 and [k for k, _ in rep.history] == [0, 7, 14, 20]
+            # the apply of A u, one per step and one per metric
+            assert calls == {"apply": 1 + 20 + metrics, "adjoint": 21, "normal": 21}
+
+
 class TestIterate:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 30), st.integers(1, 7), st.sampled_from([0.0, 0.5]),

@@ -276,7 +276,7 @@ class TestPdhgMatchesReference:
         # transform of the solve is the ifft2 that forms K*g
         prob = noisy_fourier_problem((16, 17), sc.full_mask((16, 17)))
         calls = []
-        for name in ("fft2", "ifft2", "rfft2", "irfft2"):
+        for name in ("fft2", "ifft2", "rfft2", "irfft2", "fft", "ifft", "rfft", "irfft"):
             def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
                 calls.append(_name)
                 return _fn(*args, **kwargs)
