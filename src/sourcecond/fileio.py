@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import platform
 from dataclasses import dataclass, field
@@ -144,6 +145,9 @@ def read_pfm(path: str) -> np.ndarray:
             scale = float(f.readline())
         except ValueError as exc:
             raise InputError(f"bad floatmap header in {path}: {exc}") from None
+        # the sign gives the byte order; a zero or non-finite scale is not a PFM scale
+        if not 0 < abs(scale) < math.inf:
+            raise InputError(f"bad floatmap scale {scale} in {path}")
         _check_size(w, h)
         channels = 3 if magic == b"PF" else 1
         dtype = "<f4" if scale < 0 else ">f4"

@@ -81,8 +81,10 @@ class LinearMap(ABC):
         return self.adjoint(kx), float(np.linalg.norm(kx))
 
     def normal_resolvent(self, tau: float):
-        """``r -> (I + tau K* K)^{-1} r``, for maps with a closed form.  The
-        solve returns a new array and leaves ``r`` as it was."""
+        """``solve(r, out=None) -> (I + tau K* K)^{-1} r``, for maps with a
+        closed form.  The solve writes to ``out`` when it is given, an array
+        of the domain's shape or ``r`` itself, and otherwise returns a new
+        array and leaves ``r`` as it was."""
         raise ConfigurationError(
             f"no closed-form resolvent for forward map of type {type(self).__name__}")
 
@@ -95,6 +97,14 @@ class LinearMap(ABC):
         if np.shape(y) != self.codomain_shape:
             raise InputError(
                 f"expected codomain shape {self.codomain_shape}, got {np.shape(y)}")
+
+
+def _scalar_resolvent(tau):
+    """The resolvent of ``K* K = I``: division by ``1 + tau``."""
+    def solve(r, out=None):
+        return np.divide(r, 1.0 + tau, out=out)
+
+    return solve
 
 
 class MatrixMap(LinearMap):
@@ -122,7 +132,16 @@ class MatrixMap(LinearMap):
         ``L`` and then ``L^T``."""
         m = self.matrix
         factor = np.linalg.cholesky(np.eye(m.shape[1]) + tau * (m.T @ m))
-        return lambda r: np.linalg.solve(factor.T, np.linalg.solve(factor, r))
+
+        def solve(r, out=None):
+            x = np.linalg.solve(factor.T, np.linalg.solve(factor, r))
+            if out is None:
+                return x
+            _check_out(out, self.domain_shape)
+            np.copyto(out, x)
+            return out
+
+        return solve
 
 
 class IdentityMap(LinearMap):
@@ -143,7 +162,7 @@ class IdentityMap(LinearMap):
         return x, float(np.linalg.norm(x))
 
     def normal_resolvent(self, tau):
-        return lambda r: r / (1.0 + tau)
+        return _scalar_resolvent(tau)
 
 
 class SamplingMask:
@@ -274,14 +293,14 @@ class FourierSamplingMap(LinearMap):
         """Division by ``1 + tau * symbol`` between one ``rdft2`` and one
         ``irdft2``, or by ``1 + tau`` when the mask is full."""
         if self._full:
-            return lambda r: r / (1.0 + tau)
+            return _scalar_resolvent(tau)
         shape = self.domain_shape
         symbol = 1.0 + tau * self._half_symbol
 
-        def solve(r):
+        def solve(r, out=None):
             rhs = rdft2(r)
             rhs /= symbol
-            return irdft2(rhs, shape)
+            return irdft2(rhs, shape, out=out)
 
         return solve
 
@@ -330,8 +349,10 @@ class GradientMap(LinearMap):
         n_x = self.domain_shape[1]
         qf = np.ascontiguousarray(q).reshape(2, -1)
         flat = out.reshape(-1)
-        out.fill(0.0)
-        np.add(flat[n_x:], qf[0, :-n_x], out=flat[n_x:])
+        # the zero fill and the first update in one pass: 0 + south, and 0
+        # on the first row, which has no south term
+        np.add(0.0, qf[0, :-n_x], out=flat[n_x:])
+        flat[:n_x] = 0.0
         np.subtract(flat, qf[0], out=flat)
         np.add(flat[1:], qf[1, :-1], out=flat[1:])
         np.subtract(flat, qf[1], out=flat)
@@ -408,15 +429,17 @@ def rdft2(image: np.ndarray, out=None) -> np.ndarray:
     return np.fft.fft(half, axis=0, norm="ortho", out=half)
 
 
-def irdft2(half: np.ndarray, shape) -> np.ndarray:
-    """A new real image of ``shape`` whose half spectrum is ``half``, the
-    inverse of ``rdft2``; ``half`` is left as it was.
+def irdft2(half: np.ndarray, shape, out=None) -> np.ndarray:
+    """The real image of ``shape`` whose half spectrum is ``half``, the
+    inverse of ``rdft2``; ``half`` is left as it was.  The image goes to
+    ``out`` when it is given, a float array of ``shape``, and to a new array
+    otherwise.
 
     The two 1-D passes of ``np.fft.irfft2`` run directly, a complex inverse
     FFT down the columns into a new array and then a real inverse FFT along
     the rows, so the result is ``irfft2``'s bit for bit."""
     columns = np.fft.ifft(half, n=shape[0], axis=0, norm="ortho")
-    return np.fft.irfft(columns, n=shape[1], axis=1, norm="ortho")
+    return np.fft.irfft(columns, n=shape[1], axis=1, norm="ortho", out=out)
 
 
 def mirror_weights(n_x: int) -> np.ndarray:

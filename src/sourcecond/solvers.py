@@ -36,11 +36,16 @@ class SolveConfig:
     ``record_every``-th iterate and the last, and stops at a metric
     ``<= grad_tol``, at a NaN metric ("diverged") or at the budget.
     Accelerated descent takes its metric only at record steps; range-CD,
-    PALM and PDHG take theirs on every step when ``grad_tol > 0`` and only at
-    record steps when ``grad_tol == 0``.  Only an exact zero meets a zero
-    tolerance, and then it ("tolerance") or a NaN ("diverged") is found at
-    the next record step.  Step sizes are not set here: each solver derives
-    them from the norm bounds of its operators.
+    PALM and PDHG take theirs only at record steps when ``grad_tol == 0``.
+    Only an exact zero meets a zero tolerance, and then it ("tolerance") or
+    a NaN ("diverged") is found at the next record step.  When
+    ``grad_tol > 0`` they test every step, and their metric is the mean of
+    two norms, of which a non-record step takes the second only when the
+    first is not finite or is at most ``2 * grad_tol``: the mean cannot stop
+    the solve otherwise.  A NaN that only the second norm carries is then
+    found once it reaches the first or at the next record step.  Step sizes
+    are not set here: each solver derives them from the norm bounds of its
+    operators.
     """
 
     max_iters: int = 1000
@@ -115,19 +120,22 @@ def _source_gradient(v, u_true, fwd, prox):
 def _iterate(cfg: SolveConfig, measure, advance, every_step: bool, start: int = 0):
     """The iteration loop of every solver, over iterates ``start..max_iters``.
 
-    ``advance()`` steps from iterate ``k`` to ``k + 1``; ``measure()`` gives
-    the stopping metric at the current one, at record steps (which enter the
-    history) and, with ``every_step``, at all others.  The loop stops at the
-    first metric ``<= cfg.grad_tol``, at a NaN metric or at the budget, and
-    returns ``(iterations, metric, history, termination)``, the arguments
-    ``_finish`` takes after the iterates.
+    ``advance()`` steps from iterate ``k`` to ``k + 1``; ``measure(exact)``
+    gives the stopping metric at the current one, at record steps (which
+    enter the history, ``exact`` True) and, with ``every_step``, at all
+    others (``exact`` False).  A non-record step only tests the metric, so
+    there ``measure`` may return any number above ``cfg.grad_tol`` in its
+    place when the metric is sure to be above it (``_mean_of_halves``).  The
+    loop stops at the first metric ``<= cfg.grad_tol``, at a NaN metric or at
+    the budget, and returns ``(iterations, metric, history, termination)``,
+    the arguments ``_finish`` takes after the iterates.
     """
     history = []
     for k in range(start, cfg.max_iters + 1):
         last = k == cfg.max_iters
         record = last or k % cfg.record_every == 0
         if record or every_step:
-            metric = measure()
+            metric = measure(record)
             if record:
                 history.append((k, metric))
             if metric <= cfg.grad_tol:
@@ -137,6 +145,21 @@ def _iterate(cfg: SolveConfig, measure, advance, every_step: bool, start: int = 
         if not last:
             advance()
     return cfg.max_iters, metric, history, "max_iters"
+
+
+def _mean_of_halves(first: float, second, exact: bool, grad_tol: float) -> float:
+    """The two-part metric ``0.5 * (first + second())``.
+
+    Unless ``exact``, ``second`` is not called when ``0.5 * first`` is finite
+    and above ``grad_tol``, and that value is returned instead: ``second()``
+    is a norm, so the mean is at least ``0.5 * first`` in floating point too
+    and cannot stop the loop.  A NaN that only ``second`` carries is then
+    seen once it reaches ``first`` or at the next exact metric.
+    """
+    half = 0.5 * first
+    if not exact and half > grad_tol and math.isfinite(first):
+        return half
+    return 0.5 * (first + second())
 
 
 def _data_step(fwd: LinearMap) -> float:
@@ -183,7 +206,7 @@ def solve_source_gd(u_true: np.ndarray, fwd: LinearMap, prox: ProxFunctional,
     y = v
     t = 1.0
 
-    def measure():
+    def measure(exact):
         return float(np.linalg.norm(_source_gradient(v, u_true, fwd, prox)))
 
     def advance():
@@ -213,8 +236,11 @@ def solve_range_cd(u_true: np.ndarray, fwd: LinearMap, grad_op: LinearMap,
     ``q`` at ``A u``, alternating explicit gradient steps in ``v`` and ``q``.
     The steps come from the norm bounds: ``tau = 1/||K||^2`` (1 for the zero
     map) and ``sigma = 1/(||A||^2 + 1)``.  The stopping metric is the mean of
-    the two partial-derivative norms evaluated at the current pair, taken on
-    every step when ``cfg.grad_tol > 0`` and only at record steps otherwise.
+    the two partial-derivative norms evaluated at the current pair,
+    ``||K d||`` and the norm of the field residual.  It is taken at record
+    steps, and with ``cfg.grad_tol > 0`` tested on every step, where the
+    field norm is taken only when ``||K d||`` is not finite or is at most
+    ``2 * grad_tol``.
 
     ``v`` starts at zero and each step moves it by ``-tau K d`` with
     ``d = K* v - A* q``, so ``v = K D`` for the real image ``D``, the sum of
@@ -222,19 +248,19 @@ def solve_range_cd(u_true: np.ndarray, fwd: LinearMap, grad_op: LinearMap,
     of ``v``: a step updates ``K* v`` by ``-tau K* K d`` and ``v = K D`` is
     formed once, at the end.  The metric at a pair and the step from it share
     ``A* q``, ``d``, ``K* K d`` and ``prox(a + q)``, which are computed once
-    per pair, by the step into it.  So a step calls ``fwd.normal`` once (one
-    real FFT pair for Fourier sampling, no transform for a full mask), the
-    gradient once, the divergence once and the prox once; a metric adds one
-    gradient, three field passes and a norm.
+    per pair, by the step into it, and ``fwd.normal`` returns ``||K d||``
+    with ``K* K d``.  So a step calls ``fwd.normal`` once (one real FFT pair
+    for Fourier sampling, no transform for a full mask), the gradient once,
+    the divergence once and the prox once; a metric that takes its field
+    norm adds one gradient, three field passes and a norm.
 
     The iterates and the shared terms live in work arrays allocated once per
     solve.  The gradient, divergence and prox write into them through
     ``apply_into``, ``adjoint_into`` and ``prox(..., out=)``, and the updates
     are in-place ufuncs that keep the order of every operation, so the
     iterates are those of the plain formulas, bit for bit, whichever steps
-    take the metric.  A step allocates no image or field of its own;
-    ``fwd.normal`` and the per-pixel norms inside the prox still allocate
-    theirs.
+    take the metric.  A step allocates no image or field of its own; a masked ``fwd.normal`` and the per-pixel norms inside
+    the prox still allocate theirs.
     """
     tau = _data_step(fwd)
     sigma = _dual_step(grad_op)
@@ -258,12 +284,15 @@ def solve_range_cd(u_true: np.ndarray, fwd: LinearMap, grad_op: LinearMap,
         np.add(a_field, q, out=shrunk)
         prox_h.prox(shrunk, out=shrunk)
 
-    def measure():
+    def field_norm():
         grad_op.apply_into(d, field)  # -A d + prox(a + q) - a
         np.negative(field, out=field)
         np.add(field, shrunk, out=field)
         np.subtract(field, a_field, out=field)
-        return 0.5 * (kd_norm + float(np.linalg.norm(field)))
+        return float(np.linalg.norm(field))
+
+    def measure(exact):
+        return _mean_of_halves(kd_norm, field_norm, exact, cfg.grad_tol)
 
     def advance():
         np.multiply(tau, d, out=scaled)
@@ -298,8 +327,9 @@ def solve_palm(u_true: np.ndarray, grad_op: LinearMap, prox_h: ProxFunctional,
     ``||dq||/sigma`` over the step *from* ``k``, so each step is computed
     once, into the iterate it comes from, and the metric takes only the two
     displacement norms; at the budget it measures a step not taken.  The
-    metric is taken on every step when ``cfg.grad_tol > 0`` and only at
-    record steps otherwise.
+    metric is taken at record steps, and with ``cfg.grad_tol > 0`` tested
+    on every step, where ``||dq||`` is taken only when ``||dv||/tau`` is not
+    finite or is at most ``2 * grad_tol``.
 
     ``v`` starts at zero, and each step shrinks a combination of ``v`` and
     ``F`` of a real image, so ``v`` stays Hermitian.  The solver holds its
@@ -348,12 +378,15 @@ def solve_palm(u_true: np.ndarray, grad_op: LinearMap, prox_h: ProxFunctional,
         np.multiply(sigma, field, out=field)
         np.subtract(q, field, out=q_new)
 
-    def measure():
+    def dq_norm():
+        np.subtract(q_new, q, out=field)
+        return float(np.linalg.norm(field)) / sigma
+
+    def measure(exact):
         np.subtract(vt_new, vt, out=coupled)
         power = coupled.real * coupled.real + coupled.imag * coupled.imag
         dv = math.sqrt(float(np.add.reduce(weights * power, axis=None)))
-        np.subtract(q_new, q, out=field)
-        return 0.5 * (dv / tau + float(np.linalg.norm(field)) / sigma)
+        return _mean_of_halves(dv / tau, dq_norm, exact, cfg.grad_tol)
 
     def advance():
         nonlocal vt, q, vt_new, q_new

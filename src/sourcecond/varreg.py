@@ -11,7 +11,7 @@ import numpy as np
 from .errors import ConfigurationError, InputError, VerificationError
 from .functionals import project_group_ball, tv_value
 from .operators import LinearMap, grad2, real_inner
-from .solvers import SolveConfig, _finish, _iterate
+from .solvers import SolveConfig, _finish, _iterate, _mean_of_halves
 
 _BOUND_SLACK = 1.0 + 1e-12  # tolerate roundoff when tau*sigma*||A||^2 is exactly 1
 
@@ -109,16 +109,22 @@ def solve_pdhg(problem: VarRegProblem, cfg: SolveConfig):
     (``||A|| <= sqrt(8)``); a caller-supplied ``A`` whose norm bound breaks
     that is refused.  Stops when the mean relative change of primal and dual
     iterates is at most ``cfg.grad_tol``; the change is first taken after one
-    step, and only at record steps if ``grad_tol == 0``.
+    step, and only at record steps if ``grad_tol == 0``.  With
+    ``grad_tol > 0`` it is tested on every step, where the change of ``q``
+    is taken only when that of ``u`` is not finite or is at most
+    ``2 * grad_tol``.
 
-    The dual iterates, the extrapolated primal point and the right-hand side
-    of the data prox live in work arrays allocated once per solve.  The
-    gradient, divergence and ball projection write into them, and the updates
-    are in-place ufuncs in the order of the plain formulas, so the iterates
-    are theirs bit for bit.  A step allocates no field of its own; the data
-    prox returns a new image and the ball projection's per-pixel norms are
-    new arrays.  With ``sigma = 1`` the dual step adds ``A u_bar`` unscaled,
-    which is exact.
+    The iterates, the extrapolated primal point and the right-hand side of
+    the data prox live in work arrays allocated once per solve.  The
+    gradient, divergence, ball projection and data prox write into them,
+    and the updates are in-place ufuncs in the order of the plain formulas,
+    so the iterates are theirs bit for bit.  ``u`` and the iterate before it
+    swap two image buffers: a step builds the data prox's right-hand side in
+    the buffer of the iterate before the last and solves it in place
+    (``solve(r, out=r)``), so it allocates no image or field of its own; the
+    ball projection's per-pixel norms are new arrays, and so are a masked
+    solve's half spectra.  With ``sigma = 1`` the dual step adds
+    ``A u_bar`` unscaled, which is exact.
 
     Returns ``(solution, dual_field, report)``.
     """
@@ -131,26 +137,30 @@ def solve_pdhg(problem: VarRegProblem, cfg: SolveConfig):
     solve = problem.K.normal_resolvent(tau)
     kg = tau * problem.K.adjoint(problem.data)
     A = problem.A
-    u = u_old = np.zeros(A.domain_shape)
+    u, u_old = np.zeros(A.domain_shape), np.empty(A.domain_shape)
     u_bar = np.zeros(A.domain_shape)
-    rhs = np.empty(A.domain_shape)
     q, q_old = np.zeros(A.codomain_shape), np.zeros(A.codomain_shape)
     u_diff, q_diff = np.empty(A.domain_shape), np.empty(A.codomain_shape)
 
-    def measure():
-        return 0.5 * (_relative_change(u, u_old, u_diff) + _relative_change(q, q_old, q_diff))
+    def q_change():
+        return _relative_change(q, q_old, q_diff)
+
+    def measure(exact):
+        return _mean_of_halves(_relative_change(u, u_old, u_diff), q_change, exact,
+                               cfg.grad_tol)
 
     def advance():
         nonlocal u, q, u_old, q_old
-        u_old, q_old, q = u, q, q_old  # the new q overwrites the one before the last
+        # the new u and q overwrite the ones before the last
+        u_old, u, q_old, q = u, u_old, q, q_old
         A.apply_into(u_bar, q)
         np.add(q_old, q, out=q)
         project_group_ball(q, problem.alpha, out=q)
-        A.adjoint_into(q, rhs)  # u_old - tau A* q + tau K* g
-        np.multiply(tau, rhs, out=rhs)
-        np.subtract(u_old, rhs, out=rhs)
-        np.add(rhs, kg, out=rhs)
-        u = solve(rhs)
+        A.adjoint_into(q, u)  # the data prox's rhs, u_old - tau A* q + tau K* g
+        np.multiply(tau, u, out=u)
+        np.subtract(u_old, u, out=u)
+        np.add(u, kg, out=u)
+        solve(u, out=u)
         np.multiply(2.0, u, out=u_bar)
         np.subtract(u_bar, u_old, out=u_bar)
 

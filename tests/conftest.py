@@ -46,3 +46,28 @@ def denoise_cert(phantom64):
         "check": check,
         "build_seconds": time.perf_counter() - t0,
     }
+
+
+@pytest.fixture
+def metric_halves(monkeypatch):
+    """Counts the two-part stopping metrics of range-CD, PALM and PDHG
+    (``_mean_of_halves``): ``counts["metrics"]`` calls, of which
+    ``counts["second"]`` took the second half.  Setting ``counts["full"]``
+    makes every metric take both halves, as on every step before the stop
+    test that skips a second half which cannot stop the solve."""
+    from sourcecond import solvers, varreg
+
+    mean = solvers._mean_of_halves
+    counts = {"metrics": 0, "second": 0, "full": False}
+
+    def counted(first, second, exact, grad_tol):
+        def taken():
+            counts["second"] += 1
+            return second()
+
+        counts["metrics"] += 1
+        return mean(first, taken, exact or counts["full"], grad_tol)
+
+    for module in (solvers, varreg):
+        monkeypatch.setattr(module, "_mean_of_halves", counted)
+    return counts

@@ -198,6 +198,30 @@ class TestRunsThatCannotCertify:
         assert "rel_error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_nan_in_dual_field_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # from its 30th call the prox gives NaN at one interior pixel; with a
+        # positive cd_tol range-CD skips the metric's field half, which
+        # carries it first, and finds it one step later in K d
+        from sourcecond.functionals import ProxFunctional
+
+        prox, calls = ProxFunctional.prox, []
+
+        def planted(self, z, out=None):
+            out = prox(self, z, out=out)
+            calls.append(None)
+            if len(calls) >= 30:
+                out[0, 5, 5] = np.nan
+            return out
+
+        monkeypatch.setattr(ProxFunctional, "prox", planted)
+        cfg = write_cfg(tmp_path, "c.json", {"size": [16, 16], "cd_tol": 1e-13,
+                                             "cd_max_iters": 1000, "pdhg_max_iters": 50,
+                                             "record_every": 100})
+        out = tmp_path / "o"
+        assert main(["fourier2d", "--config", cfg, "--out", str(out)]) == 3
+        assert "diverged at iteration 30" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_float_map_beyond_float32_writes_nothing(self, tmp_path, capsys):
         # PDHG iterates near 1e200 are finite, and so are their relative
         # change and relative error, but the range data near 1e200 do not fit

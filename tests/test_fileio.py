@@ -186,6 +186,10 @@ class TestMalformedImages:
         b"P2\n2 2\n255\n1 2 x 4\n",           # ascii, bad sample
         b"Pf\n0 4\n-1.0\n",                   # empty floatmap
         b"Pf\n4 4\nscale\n" + bytes(64),      # bad scale line
+        b"Pf\n4 4\nnan\n" + bytes(64),        # scales that give no byte order
+        b"Pf\n4 4\n0\n" + bytes(64),
+        b"Pf\n4 4\n-0.0\n" + bytes(64),
+        b"Pf\n4 4\ninf\n" + bytes(64),
     ])
     def test_rejected_as_input_error(self, tmp_path, payload):
         path = str(tmp_path / "bad.img")

@@ -393,7 +393,11 @@ class TestNormalResolvent:
     def test_solves_the_normal_equations(self, kind, data, tau):
         k = data.draw(_RESOLVENT_MAPS[kind])
         r = data.draw(hnp.arrays(np.float64, k.domain_shape, elements=_ENTRIES))
-        x = k.normal_resolvent(tau)(r)
+        solve, kept = k.normal_resolvent(tau), r.copy()
+        x = solve(r)
         assert x.shape == r.shape and x.dtype == np.float64
+        assert r.tobytes() == kept.tobytes()
         residual = x + tau * k.adjoint(k.apply(x)) - r
         assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(r)
+        # solved into r itself, the same bytes
+        assert solve(r, out=r) is r and r.tobytes() == x.tobytes()

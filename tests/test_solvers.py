@@ -409,6 +409,21 @@ class TestSolveRangeCd:
         assert rep.termination == "tolerance" and rep.iterations > 10
         assert_same_solve(rep, reference_range_cd(*args))
 
+    def test_matches_reference_half_plane_mask_at_budget(self):
+        # no sampled frequency has its mirror sampled: the symbol is at most
+        # 1/2, so tau is about 2 and the step scales d and K* K d
+        from sourcecond.experiments import shepp_logan
+
+        grid = np.zeros((24, 24), dtype=bool)
+        grid[1:12] = True
+        fwd = sc.fourier_sampling(sc.SamplingMask(grid))
+        assert fwd.norm_bound == pytest.approx(math.sqrt(0.5))
+        args = (shepp_logan(24), fwd, sc.grad2(24, 24), sc.ProxFunctional("group_l21"),
+                sc.SolveConfig(max_iters=300, grad_tol=1e-300, record_every=10))
+        rep = sc.solve_range_cd(*args)
+        assert rep.iterations == 300
+        assert_close_solve(rep, reference_range_cd(*args))
+
 
 class TestSolvePalm:
     def test_huge_weight_kills_certificate(self, phantom64):
@@ -496,16 +511,18 @@ class TestSolvePalm:
 class TestMetricAtRecordSteps:
     """With ``grad_tol == 0`` range-CD and PALM take their metric only at
     record steps.  ``grad_tol = 5e-324``, the least positive float, stops
-    them no sooner but takes the metric on every step; both runs must give
-    the same solve, byte for byte."""
+    them no sooner; elsewhere it takes the metric's first half, and the
+    second only where the first is at most twice the tolerance.  Both runs,
+    and one that takes the whole metric on every step, must give the same
+    solve, byte for byte."""
 
     @staticmethod
-    def _range_cd(shape, mask, cfg):
+    def _range_cd(shape, mask, cfg, prox_h=None):
         from sourcecond.experiments import shepp_logan
 
         fwd = sc.IdentityMap(shape) if mask is None else sc.fourier_sampling(mask(shape))
         return sc.solve_range_cd(shepp_logan(*shape), fwd, sc.grad2(*shape),
-                                 sc.ProxFunctional("group_l21"), cfg)
+                                 prox_h or sc.ProxFunctional("group_l21"), cfg)
 
     @staticmethod
     def _palm(shape, beta, cfg):
@@ -526,36 +543,145 @@ class TestMetricAtRecordSteps:
 
     @_SOLVES
     @pytest.mark.parametrize("max_iters, record_every", [(60, 7), (1, 1), (25, 100)])
-    def test_same_solve_as_measuring_every_step(self, solve, args, max_iters, record_every):
+    def test_same_solve_as_measuring_every_step(self, solve, args, max_iters, record_every,
+                                                metric_halves):
         run = getattr(self, solve)
-        got, want = (run(*args, sc.SolveConfig(max_iters=max_iters, grad_tol=tol,
-                                               record_every=record_every))
-                     for tol in (0.0, 5e-324))
-        assert_same_solve(got, want)
-        assert got.nnz == want.nnz
+        solves = []
+        for tol, full in ((0.0, False), (5e-324, False), (5e-324, True)):
+            metric_halves["full"] = full
+            solves.append(run(*args, sc.SolveConfig(max_iters=max_iters, grad_tol=tol,
+                                                    record_every=record_every)))
+        got, *wants = solves
+        for want in wants:
+            assert_same_solve(got, want)
+            assert got.nnz == want.nnz
         assert got.termination == "max_iters" and got.iterations == max_iters
 
     def test_metric_only_gradient_runs_at_record_steps(self, monkeypatch):
         # a step takes one gradient, one divergence and one normal product;
         # the metric adds one gradient, at the record steps 0, 7, 14 and 20
-        # with grad_tol == 0 and at all 21 iterates with grad_tol > 0
+        # with grad_tol == 0 and with 5e-324, and also wherever half the
+        # normal product's norm is at most a larger tolerance
         from sourcecond.experiments import shepp_logan
 
         u = shepp_logan(16, 17)
-        for tol, metrics in ((0.0, 4), (5e-324, 21)):
+
+        def run(tol):
             fwd = sc.fourier_sampling(sc.lowpass_mask(u.shape, 9, 7))
             grad_op = sc.grad2(*u.shape)
             calls = {"apply": 0, "adjoint": 0, "normal": 0}
+            norms = []
             for owner, name in ((grad_op, "apply"), (grad_op, "adjoint"), (fwd, "normal")):
                 def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
                     calls[_name] += 1
-                    return _fn(*args, **kwargs)
+                    result = _fn(*args, **kwargs)
+                    if _name == "normal":
+                        norms.append(result[1])  # ||K d|| at iterate len(norms)
+                    return result
                 monkeypatch.setattr(owner, name, counted)
             rep = sc.solve_range_cd(u, fwd, grad_op, sc.ProxFunctional("group_l21"),
                                     sc.SolveConfig(max_iters=20, grad_tol=tol, record_every=7))
             assert rep.iterations == 20 and [k for k, _ in rep.history] == [0, 7, 14, 20]
+            return calls, [0.5 * n for n in norms]
+
+        for tol in (0.0, 5e-324):
+            calls, halves = run(tol)
             # the apply of A u, one per step and one per metric
-            assert calls == {"apply": 1 + 20 + metrics, "adjoint": 21, "normal": 21}
+            assert calls == {"apply": 1 + 20 + 4, "adjoint": 21, "normal": 21}
+        tol = 0.5 * (min(halves[1:]) + max(halves[1:]))  # iterate 0 has d = 0
+        calls, halves = run(tol)
+        metrics = sum(k in (0, 7, 14, 20) or half <= tol for k, half in enumerate(halves))
+        assert 4 < metrics < 21
+        assert calls == {"apply": 1 + 20 + metrics, "adjoint": 21, "normal": 21}
+
+
+class TestStopTest:
+    """At a non-record step range-CD, PALM and PDHG skip the second half of
+    their stopping metric when the first half alone puts the mean above the
+    tolerance.  The solves stay those of a metric taken whole on every step,
+    byte for byte, whether a positive tolerance stops them or not."""
+
+    _CASES = pytest.mark.parametrize("solve, args, tol, max_iters, stops", [
+        ("_range_cd", ((17, 23), None), 1e-3, 1000, True),
+        ("_range_cd", ((17, 23), None), 1e-13, 300, False),
+        ("_range_cd", ((32, 32), sc.full_mask), 1e-3, 1000, True),
+        ("_range_cd", ((32, 32), sc.full_mask), 1e-13, 300, False),
+        ("_range_cd", ((48, 47), lambda s: sc.lowpass_mask(s, 20, 13)), 0.15, 1000, True),
+        ("_range_cd", ((48, 47), lambda s: sc.lowpass_mask(s, 20, 13)), 0.01, 300, False),
+        ("_palm", ((32, 32), 0.05), 0.2, 1000, True),
+        ("_palm", ((32, 32), 0.05), 1e-3, 300, False),
+    ], ids=["cd-identity-stops", "cd-identity-runs-out", "cd-full-mask-stops",
+            "cd-full-mask-runs-out", "cd-odd-lowpass-stops", "cd-odd-lowpass-runs-out",
+            "palm-stops", "palm-runs-out"])
+
+    @_CASES
+    def test_same_solve_as_full_metric(self, solve, args, tol, max_iters, stops,
+                                       metric_halves):
+        run = getattr(TestMetricAtRecordSteps, solve)
+        cfg = sc.SolveConfig(max_iters=max_iters, grad_tol=tol, record_every=50)
+        metric_halves["full"] = True
+        want = run(*args, cfg)
+        metric_halves.update(full=False, metrics=0, second=0)
+        got = run(*args, cfg)
+        assert_same_solve(got, want)
+        assert got.nnz == want.nnz
+        assert (got.termination == "tolerance") == stops
+        assert got.iterations < max_iters if stops else got.iterations == max_iters
+        # the skip is taken on some steps
+        assert metric_halves["metrics"] == got.iterations + 1
+        assert metric_halves["second"] < metric_halves["metrics"]
+
+    @_CASES
+    def test_matches_reference(self, solve, args, tol, max_iters, stops):
+        cfg = sc.SolveConfig(max_iters=max_iters, grad_tol=tol, record_every=50)
+        if solve == "_palm":
+            from sourcecond.experiments import textured_image
+
+            shape, beta = args
+            ref_args = (textured_image(*shape), sc.grad2(*shape),
+                        sc.ProxFunctional("group_l21"), beta, cfg)
+            got, want = sc.solve_palm(*ref_args), reference_palm(*ref_args)
+            # the reference records the step from an iterate at the one after
+            assert got.v.tobytes() == want.v.tobytes() and got.q.tobytes() == want.q.tobytes()
+            assert (got.nnz, got.iterations, got.termination, got.final_grad_norm) == \
+                (want.nnz, want.iterations, want.termination, want.final_grad_norm)
+            return
+        from sourcecond.experiments import shepp_logan
+
+        shape, mask = args
+        fwd = sc.IdentityMap(shape) if mask is None else sc.fourier_sampling(mask(shape))
+        ref_args = (shepp_logan(*shape), fwd, sc.grad2(*shape),
+                    sc.ProxFunctional("group_l21"), cfg)
+        got, want = sc.solve_range_cd(*ref_args), reference_range_cd(*ref_args)
+        if mask is None:  # bit for bit; Fourier maps to rounding
+            assert_same_solve(got, want)
+        else:
+            assert_close_solve(got, want)
+
+    def test_nan_in_q_found_one_step_later(self, metric_halves):
+        # from its 30th call, the one at iterate 29, the prox gives NaN at an
+        # interior pixel: the metric's field half at iterate 29 is NaN, and
+        # the step from 29 carries it into q and so into K d at iterate 30
+        class NanProx(sc.ProxFunctional):
+            calls = 0
+
+            def prox(self, z, out=None):
+                out = super().prox(z, out=out)
+                self.calls += 1
+                if self.calls >= 30:
+                    out[0, 5, 5] = np.nan
+                return out
+
+        cfg = sc.SolveConfig(max_iters=1000, grad_tol=1e-13, record_every=100)
+        reports = []
+        for full in (True, False):
+            metric_halves["full"] = full
+            reports.append(TestMetricAtRecordSteps._range_cd(
+                (17, 23), None, cfg, NanProx("group_l21")))
+        for rep, stop in zip(reports, (29, 30)):
+            assert rep.termination == "diverged" and rep.iterations == stop
+            assert math.isnan(rep.final_grad_norm)
+            assert np.isnan(rep.q).any() == (stop == 30)
 
 
 class TestIterate:
@@ -571,7 +697,12 @@ class TestIterate:
         at = [start]
         measured = []
 
-        def measure():
+        def recorded(j):
+            return j % record_every == 0 or j == max_iters
+
+        def measure(exact):
+            # exact at the record steps, the ones that enter the history
+            assert exact == recorded(at[0])
             measured.append(at[0])
             return metrics[at[0]]
 
@@ -579,9 +710,6 @@ class TestIterate:
             at[0] += 1
 
         k, metric, history, termination = _iterate(cfg, measure, advance, every_step, start)
-
-        def recorded(j):
-            return j % record_every == 0 or j == max_iters
 
         taken = [j for j in range(start, max_iters + 1) if every_step or recorded(j)]
         stop = next((j for j in taken if metrics[j] <= grad_tol or math.isnan(metrics[j])),

@@ -330,3 +330,52 @@ class TestPdhgMatchesReference:
             assert rep.history == ref.history
             assert (rep.iterations, rep.termination, rep.final_grad_norm) == \
                 (ref.iterations, ref.termination, ref.final_grad_norm)
+
+
+class TestPdhgStopTest:
+    """At a non-record step PDHG takes the relative change of ``q`` only
+    when that of ``u`` leaves the mean at most twice the tolerance.  The
+    solves stay those of the reference, which takes both on every step:
+    bit for bit for the identity map, to rounding for Fourier maps, and byte
+    for byte those of the same solver taking both halves."""
+
+    @staticmethod
+    def _problem(kind):
+        if kind == "identity":
+            rng = np.random.default_rng(12345)
+            u0 = shepp_logan(17, 23)
+            return sc.VarRegProblem(K=sc.IdentityMap(u0.shape),
+                                    data=u0 + 0.05 * rng.standard_normal(u0.shape),
+                                    alpha=0.3, A=sc.grad2(17, 23))
+        if kind == "full-mask":
+            return noisy_fourier_problem((32, 32), sc.full_mask((32, 32)))
+        return noisy_fourier_problem((48, 47), sc.lowpass_mask((48, 47), 20, 13))
+
+    @pytest.mark.parametrize("kind", ["identity", "full-mask", "odd-lowpass"])
+    @pytest.mark.parametrize("tol, max_iters, stops", [(0.01, 1000, True), (1e-7, 300, False)],
+                             ids=["stops", "runs-out"])
+    def test_same_solve_as_full_metric(self, kind, tol, max_iters, stops, metric_halves):
+        prob = self._problem(kind)
+        cfg = sc.SolveConfig(max_iters=max_iters, grad_tol=tol, record_every=50)
+        metric_halves["full"] = True
+        u_full, q_full, full = sc.solve_pdhg(prob, cfg)
+        metric_halves.update(full=False, metrics=0, second=0)
+        u, q, rep = sc.solve_pdhg(prob, cfg)
+        assert u.tobytes() == u_full.tobytes() and q.tobytes() == q_full.tobytes()
+        assert rep.history == full.history
+        assert (rep.iterations, rep.termination, rep.final_grad_norm) == \
+            (full.iterations, full.termination, full.final_grad_norm)
+        assert (rep.termination == "tolerance") == stops
+        assert rep.iterations < max_iters if stops else rep.iterations == max_iters
+        # the change is first taken after one step; the skip is taken on some
+        assert metric_halves["metrics"] == rep.iterations
+        assert metric_halves["second"] < metric_halves["metrics"]
+
+        u_ref, q_ref, ref = reference_pdhg(prob, cfg)
+        if kind == "identity":
+            assert np.array_equal(u, u_ref) and np.array_equal(q, q_ref)
+            assert rep.history == ref.history
+            assert (rep.iterations, rep.termination, rep.final_grad_norm) == \
+                (ref.iterations, ref.termination, ref.final_grad_norm)
+        else:
+            assert_close_solve((u, q, rep), (u_ref, q_ref, ref))
