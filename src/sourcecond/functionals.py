@@ -12,6 +12,7 @@ that every group kernel maps to zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,24 +25,78 @@ def _is_field(z: np.ndarray) -> bool:
     return z.ndim >= 2 and z.shape[0] == 2 and not np.iscomplexobj(z)
 
 
+def _squares(z: np.ndarray) -> np.ndarray:
+    """A new array of the squared norms ``z[0] * z[0] + z[1] * z[1]`` of
+    the 2-vectors of a field."""
+    z0, z1 = z[0], z[1]
+    s = z0 * z0
+    s += z1 * z1
+    return s
+
+
 def _magnitudes(z: np.ndarray, pairs: bool) -> np.ndarray:
     """A new array of the norms of the 2-vectors of a field with ``pairs``,
     bit for bit ``sqrt(sum(z * z, axis=0))``, else of the entries' moduli."""
     if not pairs:
         return np.abs(z)
-    z0, z1 = z[0], z[1]
-    r = z0 * z0
-    r += z1 * z1
-    return np.sqrt(r, out=r if r.dtype.kind == "f" else None)  # or an integer field
+    s = _squares(z)
+    return np.sqrt(s, out=s if s.dtype.kind == "f" else None)  # or an integer field
+
+
+# the least positive normal float: a bound whose square is below it (or
+# overflows) gives no exact test in _moving_groups
+_TINY = float(np.finfo(float).tiny)
+
+
+def _moving_groups(s: np.ndarray, bound: float, out):
+    """The flat indices of the groups of a float field, with squared norms
+    ``s``, whose norm may exceed ``bound``, or None when the kernel should
+    scale the whole field instead.
+
+    A group with ``s <= bound**2 * (1 - 1e-12)`` has a norm, rounded as
+    ``sqrt(s)``, of at most ``bound``: the square and the product round by
+    far less than the margin when ``bound**2`` is a normal float, and the
+    square root is rounded correctly.  Every other group, NaN and inf ones
+    included, may move.  None is returned when more than one group in ten
+    may move, when ``bound**2`` is 0, subnormal or infinite, or when
+    ``out`` is not C-contiguous (its flat view would not write through).
+    """
+    square = bound * bound
+    if not _TINY <= square < math.inf or not (out is None or out.flags.c_contiguous):
+        return None
+    inside = s <= square * (1.0 - 1e-12)
+    if 10 * (inside.size - np.count_nonzero(inside)) > inside.size:
+        return None
+    return np.flatnonzero(~inside)
+
+
+def _scale_moving(z: np.ndarray, s: np.ndarray, moving: np.ndarray, factor_of, out,
+                  keep: bool) -> np.ndarray:
+    """``z * factor`` as by ``_scale_into`` for a float field, with the
+    factors of the groups at the flat indices ``moving`` from
+    ``factor_of(sqrt(s[moving]))``.  Every other group's factor is 1.0 with
+    ``keep`` and 0.0 otherwise; those groups are copied, or multiplied by
+    0.0 (signed zeros kept), without a root or a division."""
+    entries = np.concatenate((moving, moving + s.size))  # in both channels
+    # collected before out, which may be z, is written
+    moved = z.reshape(-1).take(entries).reshape(2, -1)
+    moved *= factor_of(np.sqrt(s.reshape(-1).take(moving)))
+    if out is None:
+        out = np.empty(z.shape)
+    if not keep:
+        np.multiply(z, 0.0, out=out)
+    elif out is not z:
+        np.copyto(out, z)
+    out.reshape(-1)[entries] = moved.reshape(-1)
+    return out
 
 
 def _scale_into(z: np.ndarray, factor: np.ndarray, out, pairs: bool) -> np.ndarray:
     """``z * factor`` written into ``out`` (a new array if it is None, or ``z``
-    itself); with ``pairs`` each factor scales one 2-vector of a field."""
+    itself, checked by the caller); with ``pairs`` each factor scales one
+    2-vector of a field."""
     if out is None:
         out = np.empty(z.shape, np.result_type(z, factor))
-    else:
-        _check_out(out, z.shape)
     if pairs:
         np.multiply(z[0], factor, out=out[0])
         np.multiply(z[1], factor, out=out[1])
@@ -50,47 +105,87 @@ def _scale_into(z: np.ndarray, factor: np.ndarray, out, pairs: bool) -> np.ndarr
     return out
 
 
-@np.errstate(invalid="ignore")  # raised by infinite entries only
-def _shrink(z: np.ndarray, r: np.ndarray, beta: float, out, pairs: bool) -> np.ndarray:
-    """``z * factor`` as by ``_scale_into``, with ``factor = max(r - beta, 0) / r``
-    where the group magnitude ``r > 0`` and 0 elsewhere; NaN where ``r`` is inf or NaN."""
-    # np.maximum returns a scalar for 0-d input; out= needs an array
-    factor = np.asarray(np.maximum(r - beta, 0.0))
+def _shrink_factor(r: np.ndarray, beta: float) -> np.ndarray:
+    """``max(r - beta, 0) / r`` where the group magnitude ``r > 0`` and 0
+    elsewhere; NaN where ``r`` is inf or NaN (the caller ignores the
+    invalid-operation warnings of infinite entries)."""
+    # r - beta is a scalar for 0-d input; out= needs an array
+    factor = np.asarray(r - beta)
+    np.maximum(factor, 0.0, out=factor)
     np.divide(factor, r, out=factor, where=r > 0)
-    if out is None and not pairs:  # the descent's per-step prox: no further call
-        return z * factor
-    return _scale_into(z, factor, out, pairs)
+    return factor
 
 
+def _ball_scale(r: np.ndarray, radius: float) -> np.ndarray:
+    """``radius / max(r, radius)``, computed in ``r`` when it is a float
+    array (a new one, which the caller gives up)."""
+    if not isinstance(r, np.ndarray) or r.dtype.kind != "f":  # 0-d, or integer norms
+        return radius / np.maximum(r, radius)
+    np.maximum(r, radius, out=r)
+    return np.divide(radius, r, out=r)
+
+
+def _check_kernel_out(z: np.ndarray, out) -> None:
+    """Refuse an ``out`` of the wrong shape, or one that cannot hold the
+    float (or, for a complex ``z``, complex) result of a kernel on ``z``."""
+    if out is None:
+        return
+    _check_out(out, z.shape)
+    result = "complex" if z.dtype.kind == "c" else "float"
+    dtype = np.asarray(out).dtype
+    if dtype.kind not in ("c" if result == "complex" else "fc"):
+        raise InputError(f"an output array of dtype {dtype} cannot hold the {result} result")
+
+
+@np.errstate(invalid="ignore")  # raised by infinite entries only
 def soft_threshold(z: np.ndarray, beta: float = 1.0, out=None) -> np.ndarray:
     """Componentwise shrinkage towards zero by ``beta``.
 
     Real entries follow ``sign(z) * max(|z| - beta, 0)``; complex entries are
     shrunk in modulus, with 0 mapping to 0.  An infinite or NaN entry comes
     out NaN, without a floating-point warning.  The result goes to ``out``
-    when it is given, an array of the shape of ``z`` or ``z`` itself.
+    when it is given, an array of the shape of ``z`` or ``z`` itself, whose
+    dtype can hold the float (or complex) result.
     """
     if not beta >= 0:
         raise InputError("shrinkage weight must be nonnegative")
     z = np.asarray(z)
-    return _shrink(z, np.abs(z), beta, out, pairs=False)
+    _check_kernel_out(z, out)
+    return np.multiply(z, _shrink_factor(np.abs(z), beta), out=out)
 
 
+@np.errstate(invalid="ignore")  # raised by infinite entries only
 def group_soft_threshold(z: np.ndarray, beta: float = 1.0, out=None) -> np.ndarray:
     """Pixelwise shrinkage of the 2-vectors of a field by ``beta`` in the
     Euclidean norm; anything but a field is refused.  A zero 2-vector stays
     zero, and one holding inf or NaN comes out NaN, without a floating-point
     warning.  The result goes to ``out`` when it is given, an array of the
-    shape of ``z`` or ``z`` itself."""
+    shape of ``z`` or ``z`` itself, whose dtype can hold a float result.
+
+    A group whose norm is at most ``beta`` shrinks to zero.  When at most one
+    group in ten may be longer (``_moving_groups``, from the squared norms
+    and ``beta**2``), the square root and the division are taken on those
+    groups alone and every other group is multiplied by 0.0; otherwise they
+    are taken on the whole field.  Either way each entry is ``z * factor``
+    with the factor ``max(r - beta, 0) / r`` of the whole-field formula, in
+    which a group of norm ``r <= beta`` gets exactly 0.0, so both paths give
+    the same bytes.
+    """
     if not beta >= 0:
         raise InputError("shrinkage weight must be nonnegative")
     z = np.asarray(z)
     if not _is_field(z):
         raise InputError(f"group shrinkage needs a real (2, ...) field, got {z.shape} {z.dtype}")
     z = np.asarray(z, dtype=float)
-    return _shrink(z, _magnitudes(z, True), beta, out, pairs=True)
+    _check_kernel_out(z, out)
+    s = _squares(z)
+    moving = _moving_groups(s, beta, out)
+    if moving is not None:
+        return _scale_moving(z, s, moving, lambda r: _shrink_factor(r, beta), out, keep=False)
+    return _scale_into(z, _shrink_factor(np.sqrt(s, out=s), beta), out, pairs=True)
 
 
+@np.errstate(invalid="ignore")  # 0 / 0, discarded, and 0 * inf
 def project_group_ball(z: np.ndarray, radius: float = 1.0, out=None) -> np.ndarray:
     """Project onto the Euclidean ball of the given radius, groupwise.
 
@@ -100,29 +195,44 @@ def project_group_ball(z: np.ndarray, radius: float = 1.0, out=None) -> np.ndarr
     for an infinite one.  In a group outside the ball an infinite entry (or
     part) comes out NaN (``0 * inf``) and a finite one 0, without a
     floating-point warning.  The result goes to ``out`` when it is given, an
-    array of the shape of ``z`` or ``z`` itself.
+    array of the shape of ``z`` or ``z`` itself, whose dtype can hold the
+    float (or complex) result.
+
+    A group is scaled by ``radius / max(r, radius)``, which is exactly 1.0
+    for a group of norm ``r <= radius``.  On a float64 field at a finite
+    positive radius, when at most one group in ten may lie outside the ball
+    (``_moving_groups``, from the squared norms and ``radius**2``), the
+    square root and the division are taken on those groups alone and every
+    other group is copied as it is, the bytes ``z * 1.0`` gives; otherwise
+    they are taken on the whole field.  Both paths give the same bytes.
     """
     if not radius >= 0:
         raise InputError("ball radius must be nonnegative")
     z = np.asarray(z)
+    _check_kernel_out(z, out)
     pairs = _is_field(z)
-    r = _magnitudes(z, pairs)
-    with np.errstate(invalid="ignore"):  # 0 / 0, discarded, and 0 * inf
-        if radius == np.inf:
-            scale = np.ones(np.shape(r))
-        elif radius > 0:
-            # radius / radius == 1.0 exactly, so groups inside the ball are kept
-            scale = radius / np.maximum(r, radius)
-        else:  # groups of norm 0 (squares may underflow) are kept
-            scale = np.where(r == 0, 1.0, 0.0 / r)
-        if z.dtype.kind != "c":
-            return _scale_into(z, scale, out, pairs)
-        if out is None:
-            out = np.empty(z.shape, np.result_type(z, scale))
-        _check_out(out, z.shape)
-        _scale_into(z.real, scale, out.real, False)
-        _scale_into(z.imag, scale, out.imag, False)
-        return out
+    if pairs and z.dtype == float:
+        s = _squares(z)
+        moving = _moving_groups(s, radius, out)
+        if moving is not None:
+            return _scale_moving(z, s, moving, lambda r: _ball_scale(r, radius), out, keep=True)
+        r = np.sqrt(s, out=s)
+    else:
+        r = _magnitudes(z, pairs)
+    if radius == np.inf:
+        scale = np.ones(np.shape(r))
+    elif radius > 0:
+        # radius / radius == 1.0 exactly, so groups inside the ball are kept
+        scale = _ball_scale(r, radius)
+    else:  # groups of norm 0 (squares may underflow) are kept
+        scale = np.where(r == 0, 1.0, 0.0 / r)
+    if z.dtype.kind != "c":
+        return _scale_into(z, scale, out, pairs)
+    if out is None:
+        out = np.empty(z.shape, np.result_type(z, scale))
+    _scale_into(z.real, scale, out.real, False)
+    _scale_into(z.imag, scale, out.imag, False)
+    return out
 
 
 def tv_value(u: np.ndarray) -> float:

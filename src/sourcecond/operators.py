@@ -75,10 +75,12 @@ class LinearMap(ABC):
         np.copyto(out, self.adjoint(y))
         return out
 
-    def normal(self, x: np.ndarray) -> tuple[np.ndarray, float]:
-        """Normal operator and image norm: ``(K* K x, ||K x||)``."""
+    def normal(self, x: np.ndarray, norm: bool = True) -> tuple[np.ndarray, float | None]:
+        """Normal operator and image norm: ``(K* K x, ||K x||)``, or
+        ``(K* K x, None)`` with ``norm=False``, which skips the norm.  A
+        norm taken in another call is the same float, bit for bit."""
         kx = self.apply(x)
-        return self.adjoint(kx), float(np.linalg.norm(kx))
+        return self.adjoint(kx), float(np.linalg.norm(kx)) if norm else None
 
     def normal_resolvent(self, tau: float):
         """``solve(r, out=None) -> (I + tau K* K)^{-1} r``, for maps with a
@@ -156,10 +158,10 @@ class IdentityMap(LinearMap):
         self._check_codomain(y)
         return np.array(y, copy=True)
 
-    def normal(self, x):
+    def normal(self, x, norm=True):
         """``(x, ||x||)``, with ``x`` itself returned."""
         self._check_domain(x)
-        return x, float(np.linalg.norm(x))
+        return x, float(np.linalg.norm(x)) if norm else None
 
     def normal_resolvent(self, tau):
         return _scalar_resolvent(tau)
@@ -277,17 +279,19 @@ class FourierSamplingMap(LinearMap):
         self._check_codomain(y)
         return np.real(np.fft.ifft2(np.where(self.mask.grid, y, 0), norm="ortho"))
 
-    def normal(self, x):
+    def normal(self, x, norm=True):
         """``(K* K x, ||K x||)`` from one ``rdft2`` and one ``irdft2``, or
         ``(x, ||x||)`` with ``x`` itself when the mask is full."""
         self._check_domain(x)
         if self._full:
-            return x, float(np.linalg.norm(x))
+            return x, float(np.linalg.norm(x)) if norm else None
         half = rdft2(x)
-        power = half.real * half.real + half.imag * half.imag
-        norm = math.sqrt(float(np.add.reduce(self._norm_weight * power, axis=None)))
+        kx_norm = None
+        if norm:
+            power = half.real * half.real + half.imag * half.imag
+            kx_norm = math.sqrt(float(np.add.reduce(self._norm_weight * power, axis=None)))
         half *= self._half_symbol
-        return irdft2(half, self.domain_shape), norm
+        return irdft2(half, self.domain_shape), kx_norm
 
     def normal_resolvent(self, tau):
         """Division by ``1 + tau * symbol`` between one ``rdft2`` and one

@@ -249,18 +249,24 @@ def solve_range_cd(u_true: np.ndarray, fwd: LinearMap, grad_op: LinearMap,
     formed once, at the end.  The metric at a pair and the step from it share
     ``A* q``, ``d``, ``K* K d`` and ``prox(a + q)``, which are computed once
     per pair, by the step into it, and ``fwd.normal`` returns ``||K d||``
-    with ``K* K d``.  So a step calls ``fwd.normal`` once (one real FFT pair
-    for Fourier sampling, no transform for a full mask), the gradient once,
-    the divergence once and the prox once; a metric that takes its field
-    norm adds one gradient, three field passes and a norm.
+    with ``K* K d`` when ``cfg.grad_tol > 0``.  With ``grad_tol == 0`` only
+    record steps read ``||K d||``: the steps call ``fwd.normal(d,
+    norm=False)``, and a record step takes the norm in one more
+    ``fwd.normal(d)``, the same float.  So a step calls ``fwd.normal`` once
+    (one real FFT pair for Fourier sampling, no transform for a full mask),
+    the gradient once, the divergence once and the prox once; a metric that
+    takes its field norm adds one gradient, three field passes and a norm.
 
     The iterates and the shared terms live in work arrays allocated once per
     solve.  The gradient, divergence and prox write into them through
     ``apply_into``, ``adjoint_into`` and ``prox(..., out=)``, and the updates
     are in-place ufuncs that keep the order of every operation, so the
     iterates are those of the plain formulas, bit for bit, whichever steps
-    take the metric.  A step allocates no image or field of its own; a masked ``fwd.normal`` and the per-pixel norms inside
-    the prox still allocate theirs.
+    take the metric.  A step allocates no image or field of its own; a
+    masked ``fwd.normal`` still allocates its half spectra, and the group
+    shrinkage its squared-norm plane, the mask of the groups that may cross
+    the threshold and, when more than one group in ten may, the factors of
+    the whole field (``group_soft_threshold``).
     """
     tau = _data_step(fwd)
     sigma = _dual_step(grad_op)
@@ -275,12 +281,13 @@ def solve_range_cd(u_true: np.ndarray, fwd: LinearMap, grad_op: LinearMap,
     shrunk = np.empty(grad_op.codomain_shape)
     field = np.empty(grad_op.codomain_shape)
     kkd = kd_norm = None
+    every_step = cfg.grad_tol > 0  # else only record steps read ||K d||
 
     def share():
         nonlocal kkd, kd_norm
         grad_op.adjoint_into(q, aq)
         np.subtract(kv, aq, out=d)
-        kkd, kd_norm = fwd.normal(d)
+        kkd, kd_norm = fwd.normal(d, norm=every_step)
         np.add(a_field, q, out=shrunk)
         prox_h.prox(shrunk, out=shrunk)
 
@@ -292,7 +299,8 @@ def solve_range_cd(u_true: np.ndarray, fwd: LinearMap, grad_op: LinearMap,
         return float(np.linalg.norm(field))
 
     def measure(exact):
-        return _mean_of_halves(kd_norm, field_norm, exact, cfg.grad_tol)
+        kd = kd_norm if every_step else fwd.normal(d)[1]
+        return _mean_of_halves(kd, field_norm, exact, cfg.grad_tol)
 
     def advance():
         np.multiply(tau, d, out=scaled)
@@ -308,7 +316,7 @@ def solve_range_cd(u_true: np.ndarray, fwd: LinearMap, grad_op: LinearMap,
         share()
 
     share()
-    outcome = _iterate(cfg, measure, advance, every_step=cfg.grad_tol > 0)
+    outcome = _iterate(cfg, measure, advance, every_step)
     return _finish(fwd.apply(image), q, *outcome)
 
 

@@ -121,10 +121,13 @@ def solve_pdhg(problem: VarRegProblem, cfg: SolveConfig):
     so the iterates are theirs bit for bit.  ``u`` and the iterate before it
     swap two image buffers: a step builds the data prox's right-hand side in
     the buffer of the iterate before the last and solves it in place
-    (``solve(r, out=r)``), so it allocates no image or field of its own; the
-    ball projection's per-pixel norms are new arrays, and so are a masked
-    solve's half spectra.  With ``sigma = 1`` the dual step adds
-    ``A u_bar`` unscaled, which is exact.
+    (``solve(r, out=r)``), so it allocates no image or field of its own.
+    The ball projection allocates its squared-norm plane and the mask of the
+    groups that may leave the ball, and takes roots and scale factors only
+    for those when they are at most one group in ten
+    (``project_group_ball``); a masked solve allocates its half spectra.
+    With ``sigma = 1`` the dual step adds ``A u_bar`` unscaled, which is
+    exact.
 
     Returns ``(solution, dual_field, report)``.
     """

@@ -398,10 +398,10 @@ def warning_free(kernel, *args, **kwargs):
         return kernel(*args, **kwargs)
 
 
-def warnings_ignored(reference, *args):
+def warnings_ignored(reference, *args, **kwargs):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return reference(*args)
+        return reference(*args, **kwargs)
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0, np.inf])
@@ -518,3 +518,178 @@ def test_prox_functional_value_uses_the_prox_groups(z, scale, data):
             with pytest.raises(InputError):
                 group.prox(z)
 
+
+
+# The group kernels take the square root and the division only on the groups
+# that may leave the ball or cross the threshold, when at most one in ten may
+# (the selective path), and on the whole field otherwise.  The fields above
+# are too small and too spread for that; these are larger and mostly inside.
+
+_SPECIAL_SCALES = (-5e-13, -2e-13, -1e-13, 0.0, 1e-13, 2e-13, 5e-13)
+
+
+def boundary_groups(w):
+    """Groups on the sphere of radius ``w`` (``r == w`` exactly), one ulp
+    either side of it, with squared norms within 1e-12 of ``w**2``, holding
+    NaN or inf, and zeros of both signs."""
+    below, above = np.nextafter(w, 0.0), np.nextafter(w, np.inf)
+    groups = [(w, 0.0), (0.0, -w), (-w, -0.0), (below, 0.0), (0.0, -below), (above, 0.0),
+              (-0.0, -above), (np.nan, 0.5 * w), (0.25 * w, np.nan), (np.nan, np.nan),
+              (np.inf, 0.0), (-np.inf, 0.5 * w), (np.inf, np.nan), (0.0, -0.0), (-0.0, -0.0)]
+    for d in _SPECIAL_SCALES:
+        groups += [(w * (1.0 + d), 0.0), (0.6 * w * (1.0 + d), -0.8 * w * (1.0 + d))]
+    return np.array(groups).T
+
+
+# bounds whose squares are normal, and ones whose squares are subnormal or
+# zero (below about 1.5e-154) or overflow (above about 1.34e154)
+_bounds = st.one_of(st.floats(1e-150, 1e150), st.sampled_from([1.0, 0.1, 3.0]),
+                    st.sampled_from([1e-160, 1e-155, 2e154, 1e160]))
+
+
+@st.composite
+def mostly_inside_fields(draw):
+    """A bound ``w`` and a ``(2, n_y, n_x)`` field of at least 32 x 32 groups,
+    of which at most one in ten lies outside the ball of radius ``w``: a
+    drawn share of random groups, and ``boundary_groups(w)``.  The others lie
+    inside, some of them zero."""
+    n_y, n_x = draw(st.integers(32, 40)), draw(st.integers(32, 40))
+    w = draw(_bounds)
+    share = draw(st.floats(0.0, 0.1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = n_y * n_x
+    z = rng.standard_normal((2, n))
+    z /= np.sqrt(np.sum(z * z, axis=0))
+    special = boundary_groups(w)
+    outside = max(int(share * n) - special.shape[1], 0)
+    where = rng.permutation(n)
+    z[:, where[:outside]] *= w * rng.uniform(1.0 + 1e-9, 4.0, outside)
+    z[:, where[outside:]] *= w * rng.uniform(0.0, 0.999, n - outside)
+    z[:, where[outside:][rng.random(n - outside) < 0.05]] = -0.0
+    z[:, where[outside:outside + special.shape[1]]] = special
+    return z.reshape(2, n_y, n_x), w
+
+
+def whole_field(kernel, z, w, **kwargs):
+    """``kernel(z, w)`` by the whole-field path: ``z`` is scaled beside as
+    many NaN groups again, which may all move, and each group's result
+    depends on that group alone."""
+    wide = np.concatenate([z, np.full(z.shape, np.nan)], axis=2)
+    return kernel(wide, w, **kwargs)[:, :, :z.shape[2]]
+
+
+_GROUP_KERNELS = [(sc.group_soft_threshold, keepdims_group_soft_threshold),
+                  (sc.project_group_ball, keepdims_project_group_ball)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(mostly_inside_fields())
+def test_selective_path_bit_identical(case):
+    z, w = case
+    finite = np.isfinite(z).all(axis=0)
+    # squares that overflow warn, as they always did; inf and NaN groups do not
+    call = warning_free if w <= 1e150 else warnings_ignored
+    for kernel, reference in _GROUP_KERNELS:
+        got = call(kernel, z, w)
+        assert_bits_equal(got, warnings_ignored(whole_field, kernel, z, w))
+        # the old expressions differ only on groups holding inf or NaN
+        assert_bits_equal(got[:, finite], warnings_ignored(reference, z, w)[:, finite])
+        into = z.copy()
+        assert call(kernel, into, w, out=into) is into
+        assert_bits_equal(into, got)
+        strided = np.full(z.shape[:2] + (2 * z.shape[2],), np.nan)[:, :, ::2]
+        call(kernel, z, w, out=strided)
+        assert_bits_equal(np.ascontiguousarray(strided), got)
+        # casts to float32 may overflow, with a warning
+        single = np.full(z.shape, np.nan, dtype=np.float32)
+        assert warnings_ignored(kernel, z, w, single) is single
+        assert_bits_equal(single, warnings_ignored(got.astype, np.float32))
+
+
+@pytest.fixture
+def selective_calls(monkeypatch):
+    """Counts the kernel calls that take the selective path."""
+    from sourcecond import functionals
+
+    calls = []
+    scale_moving = functionals._scale_moving
+
+    def counted(*args, **kwargs):
+        calls.append(args[2].size)  # the groups that may move
+        return scale_moving(*args, **kwargs)
+
+    monkeypatch.setattr(functionals, "_scale_moving", counted)
+    return calls
+
+
+def _field_with_outside(n, outside, w=1.0, seed=0):
+    """An ``n x n`` field with exactly ``outside`` groups outside radius ``w``."""
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(-0.5, 0.5, (2, n, n)) * w
+    z.reshape(2, -1)[0, rng.permutation(n * n)[:outside]] = 2.0 * w
+    return z
+
+
+@pytest.mark.parametrize("kernel, reference", _GROUP_KERNELS,
+                         ids=["group_soft_threshold", "project_group_ball"])
+def test_each_path_is_taken(kernel, reference, selective_calls):
+    n = 40  # 1600 groups: the selective path for at most 160 that may move
+    tenth = _field_with_outside(n, 160)
+    cases = [  # (field, bound, out, takes the selective path)
+        (_field_with_outside(n, 80), 1.0, None, True),
+        (tenth, 1.0, None, True),
+        (_field_with_outside(n, 161), 1.0, None, False),
+        (tenth, 1.0, tenth.copy(), True),
+        (tenth, 1.0, np.empty(tenth.shape, np.float32), True),
+        (tenth, 1.0, np.empty((2, n, 2 * n))[:, :, ::2], False),  # not contiguous
+        (np.zeros((2, n, n)), 1.0, None, True),
+        (tenth, 0.0, None, False),
+        (tenth, np.inf, None, False),
+        (tenth * 1e-160, 1e-160, None, False),  # the square is 0
+        (tenth * 1e-154, 1e-154, None, False),  # the square is subnormal
+        (tenth * 1e154, 1e154, None, True),  # the square is normal, the far squares inf
+        (tenth * 2e154, 2e154, None, False),  # the square overflows
+    ]
+    want_calls = []
+    for z, w, out, selective in cases:
+        before = len(selective_calls)
+        got = warnings_ignored(kernel, z, w, out=out)  # squares may overflow
+        assert (len(selective_calls) > before) == selective
+        if selective:
+            want_calls.append(selective_calls[-1])
+        assert_bits_equal(np.ascontiguousarray(got, dtype=float) if out is None or
+                          out.dtype == float else got,
+                          warnings_ignored(reference, z, w).astype(got.dtype))
+    assert want_calls == [80, 160, 160, 160, 0, 160]
+
+
+def test_ball_selective_path_only_for_float64_fields(selective_calls):
+    z = _field_with_outside(40, 10)
+    for field in (z.astype(np.float32), np.round(8 * z).astype(np.int64)):
+        assert_bits_equal(sc.project_group_ball(field, 1.0),
+                          keepdims_project_group_ball(field, 1.0))
+    complex_grid = z[0] + 1j * z[1]
+    assert_bits_equal(sc.project_group_ball(complex_grid, 1.0),
+                      where_project_ball(complex_grid, np.abs(complex_grid), 1.0))
+    assert selective_calls == []
+    sc.project_group_ball(z, 1.0)
+    assert selective_calls == [10]
+
+
+@pytest.mark.parametrize("kernel", [sc.soft_threshold, sc.group_soft_threshold,
+                                    sc.project_group_ball])
+def test_out_that_cannot_hold_the_result_is_refused(kernel):
+    # an integer out would truncate (or, in numpy, fail to cast); a float32
+    # out is accepted and rounds the float64 result
+    z = _field_with_outside(8, 3)
+    for dtype in (np.int64, np.int32, np.bool_):
+        out = np.zeros(z.shape, dtype)
+        with pytest.raises(InputError, match="cannot hold"):
+            kernel(z, 0.5, out=out)
+        assert not out.any()
+    single = np.empty(z.shape, np.float32)
+    assert kernel(z, 0.5, out=single) is single
+    assert_bits_equal(single, kernel(z, 0.5).astype(np.float32))
+    if kernel is not sc.group_soft_threshold:  # complex input: a real out is refused
+        with pytest.raises(InputError, match="cannot hold"):
+            kernel(z[0] + 1j * z[1], 0.5, out=np.empty(z.shape[1:]))

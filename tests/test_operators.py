@@ -377,6 +377,21 @@ class TestNormal:
             assert np.allclose(got, m.adjoint(kx), rtol=0.0, atol=1e-12 * np.linalg.norm(x))
             assert norm == pytest.approx(np.linalg.norm(kx), rel=1e-12)
 
+    def test_norm_skipped_when_asked(self, rng):
+        # norm=False returns None for the norm and the same K* K x, bytes and
+        # all, on every kind of map
+        maps = [sc.fourier_sampling(sc.lowpass_mask((8, 9), 3)),
+                sc.fourier_sampling(sc.full_mask((8, 9))), sc.IdentityMap((8, 9)),
+                *all_test_maps(rng)]
+        for m in maps:
+            x = rng.standard_normal(m.domain_shape)
+            if m.domain_complex:
+                x = x + 1j * rng.standard_normal(m.domain_shape)
+            want, norm = m.normal(x)
+            got, skipped = m.normal(x, norm=False)
+            assert skipped is None and isinstance(norm, float)
+            assert got.tobytes() == want.tobytes()
+
     def test_shape_check(self):
         for m in (sc.fourier_sampling(sc.lowpass_mask((8, 8), 3)),
                   sc.fourier_sampling(sc.full_mask((8, 8)))):

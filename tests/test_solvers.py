@@ -561,10 +561,13 @@ class TestMetricAtRecordSteps:
         # a step takes one gradient, one divergence and one normal product;
         # the metric adds one gradient, at the record steps 0, 7, 14 and 20
         # with grad_tol == 0 and with 5e-324, and also wherever half the
-        # normal product's norm is at most a larger tolerance
+        # normal product's norm is at most a larger tolerance.  With
+        # grad_tol == 0 no step takes the norm with its normal product:
+        # each record step takes it in one more normal product, the same float
         from sourcecond.experiments import shepp_logan
 
         u = shepp_logan(16, 17)
+        records = (0, 7, 14, 20)
 
         def run(tol):
             fwd = sc.fourier_sampling(sc.lowpass_mask(u.shape, 9, 7))
@@ -575,22 +578,26 @@ class TestMetricAtRecordSteps:
                 def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
                     calls[_name] += 1
                     result = _fn(*args, **kwargs)
-                    if _name == "normal":
-                        norms.append(result[1])  # ||K d|| at iterate len(norms)
+                    if _name == "normal" and result[1] is not None:
+                        norms.append(result[1])
                     return result
                 monkeypatch.setattr(owner, name, counted)
             rep = sc.solve_range_cd(u, fwd, grad_op, sc.ProxFunctional("group_l21"),
                                     sc.SolveConfig(max_iters=20, grad_tol=tol, record_every=7))
-            assert rep.iterations == 20 and [k for k, _ in rep.history] == [0, 7, 14, 20]
-            return calls, [0.5 * n for n in norms]
+            assert rep.iterations == 20 and [k for k, _ in rep.history] == list(records)
+            return calls, norms
 
-        for tol in (0.0, 5e-324):
-            calls, halves = run(tol)
-            # the apply of A u, one per step and one per metric
-            assert calls == {"apply": 1 + 20 + 4, "adjoint": 21, "normal": 21}
+        calls, at_records = run(0.0)
+        # the apply of A u, one per step and one per metric
+        assert calls == {"apply": 1 + 20 + 4, "adjoint": 21, "normal": 21 + 4}
+        calls, norms = run(5e-324)  # ||K d|| at iterate k is norms[k]
+        assert calls == {"apply": 1 + 20 + 4, "adjoint": 21, "normal": 21}
+        assert at_records == [norms[k] for k in records]
+        halves = [0.5 * n for n in norms]
         tol = 0.5 * (min(halves[1:]) + max(halves[1:]))  # iterate 0 has d = 0
-        calls, halves = run(tol)
-        metrics = sum(k in (0, 7, 14, 20) or half <= tol for k, half in enumerate(halves))
+        calls, norms = run(tol)
+        assert [0.5 * n for n in norms] == halves
+        metrics = sum(k in records or half <= tol for k, half in enumerate(halves))
         assert 4 < metrics < 21
         assert calls == {"apply": 1 + 20 + metrics, "adjoint": 21, "normal": 21}
 
