@@ -149,7 +149,7 @@ def _cmd_experiment(args) -> int:
     cls, driver, overrides = _EXPERIMENTS[args.command]
     cfg = _load_config(args, cls, overrides)
     out = _out_dir(args, args.command)
-    result = getattr(experiments, driver)(cfg, out_dir=out, command=args.command)
+    result = getattr(experiments, driver)(cfg, out_dir=out)
     print(json.dumps(result["summary"], sort_keys=True))
     return 0
 

@@ -23,7 +23,7 @@ from . import fileio, plotscript
 from .errors import ConfigurationError, InputError, VerificationError
 from .functionals import ProxFunctional, _magnitudes, verify_l1_subgradient, verify_tv_subgradient
 from .operators import (SamplingMask, dft2, full_mask, fourier_sampling, grad2,
-                        lowpass_mask, vandermonde)
+                        lowpass_mask, norm, vandermonde)
 from .solvers import (SolveConfig, extract_mask, range_data, solve_palm,
                       solve_range_cd, solve_source_gd)
 from .varreg import VarRegProblem, error_estimate, norm_ratio, solve_pdhg
@@ -398,7 +398,7 @@ def make_lasso_data(cfg: Lasso1DConfig):
         rng = np.random.default_rng(cfg.seed)
         noise = cfg.noise_std * rng.standard_normal(cfg.n_samples)
         f_noisy = f_clean + noise
-        delta = float(np.linalg.norm(f_clean - f_noisy))
+        delta = norm(f_clean - f_noisy)
     if not (np.all(np.isfinite(phi.matrix)) and math.isfinite(phi.norm_bound)
             and np.all(np.isfinite(f_noisy)) and math.isfinite(delta)):
         raise InputError("the lasso data overflow: shrink the sample interval, "
@@ -406,8 +406,7 @@ def make_lasso_data(cfg: Lasso1DConfig):
     return phi, f_clean, f_noisy, delta
 
 
-def run_lasso_experiment(cfg: Lasso1DConfig, out_dir: str | None = None,
-                         command: str = "lasso1d") -> dict:
+def run_lasso_experiment(cfg: Lasso1DConfig, out_dir: str | None = None) -> dict:
     """Compute and verify the certificate for a polynomial regression setup.
 
     Runs accelerated descent (step ``1/||Phi||^2``), checks the
@@ -461,7 +460,7 @@ def run_lasso_experiment(cfg: Lasso1DConfig, out_dir: str | None = None,
 
     if out_dir is not None:
         config = {"experiment": "lasso1d", **dataclasses.asdict(cfg)}
-        _write_run(out_dir, command, config, cfg.seed, timings, {
+        _write_run(out_dir, "lasso1d", config, cfg.seed, timings, {
             "series.csv": {"sample": np.linspace(lo, hi, cfg.n_samples),
                            "f_clean": f_clean, "f_noisy": f_noisy,
                            "g_alpha": g_alpha, "v": report.v},
@@ -482,10 +481,11 @@ def run_lasso_experiment(cfg: Lasso1DConfig, out_dir: str | None = None,
 class Fourier2DConfig:
     """Fourier sub-sampling experiment setup.
 
-    ``mask_kind`` is one of "full", "lowpass" (needs ``mask_width`` and
-    optionally ``mask_height``), "learned" (needs ``mask_beta``), or "file"
+    ``mask_kind`` is one of "full", "lowpass" (needs ``mask_width``, the
+    side of a square block), "learned" (needs ``mask_beta``), or "file"
     (needs ``mask_path``).  Budgets are per stage: ``palm_budget``,
     ``cd_budget`` and ``pdhg_budget``, built here and no fields (nor hashed).
+    PALM and PDHG take a zero tolerance and range-CD takes ``cd_tol``.
     """
 
     image_source: str = "shepp_logan"
@@ -493,14 +493,12 @@ class Fourier2DConfig:
     size: tuple[int, int] = (64, 64)
     mask_kind: str = "full"
     mask_width: int | None = None
-    mask_height: int | None = None
     mask_beta: float | None = None
     mask_path: str | None = None
     alpha: float = 0.5
     cd_max_iters: int = 1000
     cd_tol: float = 0.0
     pdhg_max_iters: int = 1000
-    pdhg_tol: float = 0.0
     palm_max_iters: int = 1000
     verify_tol: float = 1e-6
     seed: int = 0
@@ -520,9 +518,7 @@ class Fourier2DConfig:
         if self.mask_kind == "lowpass":
             if not self.mask_width:
                 raise ConfigurationError("lowpass mask needs mask_width")
-            w = self.mask_width
-            h = self.mask_height if self.mask_height else w
-            if w > n_x or h > n_y:
+            if self.mask_width > min(n_y, n_x):
                 raise ConfigurationError("lowpass block does not fit the grid")
         if self.mask_kind == "learned" and (self.mask_beta is None or self.mask_beta <= 0):
             raise ConfigurationError("learned mask needs a positive mask_beta")
@@ -538,7 +534,7 @@ class Fourier2DConfig:
                                        record_every=self.record_every)
         self.cd_budget = SolveConfig(max_iters=self.cd_max_iters, grad_tol=self.cd_tol,
                                      record_every=self.record_every)
-        self.pdhg_budget = SolveConfig(max_iters=self.pdhg_max_iters, grad_tol=self.pdhg_tol,
+        self.pdhg_budget = SolveConfig(max_iters=self.pdhg_max_iters, grad_tol=0.0,
                                        record_every=self.record_every)
 
 
@@ -560,8 +556,7 @@ def _build_mask(cfg: Fourier2DConfig, u_true: np.ndarray):
     if cfg.mask_kind == "full":
         return full_mask(cfg.size), None
     if cfg.mask_kind == "lowpass":
-        h = cfg.mask_height if cfg.mask_height else cfg.mask_width
-        return lowpass_mask(cfg.size, cfg.mask_width, h), None
+        return lowpass_mask(cfg.size, cfg.mask_width), None
     if cfg.mask_kind == "file":
         grid = fileio.read_pfm(cfg.mask_path)
         if grid.ndim != 2 or grid.shape != tuple(cfg.size):
@@ -600,7 +595,7 @@ def _certificate_stage(u_true, mask, cfg: Fourier2DConfig) -> dict:
         "cd_termination": report.termination,
         "cd_iterations": report.iterations,
         "v_norm": report.v_norm,
-        "imag_residual": float(np.linalg.norm(imag_res)),
+        "imag_residual": norm(imag_res),
         "q_max_norm": check.max_group_norm,
         "pdhg_metric": pdhg_report.final_grad_norm,
         "pdhg_iterations": pdhg_report.iterations,
@@ -636,8 +631,7 @@ def _artifact_verify_tol(out_dir: str) -> float | None:
     return None
 
 
-def run_fourier_experiment(cfg: Fourier2DConfig, out_dir: str | None = None,
-                           command: str = "fourier2d") -> dict:
+def run_fourier_experiment(cfg: Fourier2DConfig, out_dir: str | None = None) -> dict:
     """Certificate computation, verification and range-data sanity check for
     one sampling pattern."""
     timings = {}
@@ -663,7 +657,7 @@ def run_fourier_experiment(cfg: Fourier2DConfig, out_dir: str | None = None,
 
         report, pdhg_report = stage["report"], stage["pdhg_report"]
         config = {"experiment": "fourier2d", **dataclasses.asdict(cfg)}
-        _write_run(out_dir, command, config, cfg.seed, timings, {
+        _write_run(out_dir, "fourier2d", config, cfg.seed, timings, {
             "u_true.pfm": u_true,
             "u_true.pgm": u_true,
             "mask.pfm": mask.grid.astype(float),
@@ -716,8 +710,7 @@ def tune_mask_beta(u_true: np.ndarray, target_fraction: float,
     return best_beta
 
 
-def run_optimal_sampling(cfg: Fourier2DConfig, out_dir: str | None = None,
-                         command: str = "optimal-sampling") -> dict:
+def run_optimal_sampling(cfg: Fourier2DConfig, out_dir: str | None = None) -> dict:
     """Learn a sampling pattern, then benchmark it against equal-cardinality
     low-pass and largest-coefficient patterns."""
     if cfg.mask_kind != "learned" or cfg.mask_beta is None:
@@ -781,5 +774,5 @@ def run_optimal_sampling(cfg: Fourier2DConfig, out_dir: str | None = None,
         artifacts["metrics.json"] = summary
         artifacts["plot.py"] = plotscript.SAMPLING_PLOT
         config = {"experiment": "optimal-sampling", **dataclasses.asdict(cfg)}
-        _write_run(out_dir, command, config, cfg.seed, timings, artifacts, summary)
+        _write_run(out_dir, "optimal-sampling", config, cfg.seed, timings, artifacts, summary)
     return result

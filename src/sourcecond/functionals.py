@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .operators import _check_out, grad2
+from .operators import _check_out, grad2, norm
 
 
 def _is_field(z: np.ndarray) -> bool:
@@ -334,8 +334,8 @@ def verify_tv_subgradient(v: np.ndarray, q: np.ndarray, u: np.ndarray,
     a = grad2(*u.shape)
     if v.shape != u.shape or q.shape != a.codomain_shape:
         raise InputError("inconsistent shapes for TV subgradient check")
-    residual = float(np.linalg.norm(v - a.adjoint(q)))
-    norm_ok = residual <= tol * max(1.0, float(np.linalg.norm(v)))
+    residual = norm(v - a.adjoint(q))
+    norm_ok = residual <= tol * max(1.0, norm(v))
     # the pads of q hold no group; the adjoint reads them as zero too
     max_group_norm = float(_magnitudes(q[:, :-1, :-1], True).max(initial=0.0))
     gu = a.apply(u)

@@ -32,6 +32,32 @@ def real_inner(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.add.reduce(x * y, axis=None))
 
 
+def norm(x: np.ndarray, weights=None) -> float:
+    """Euclidean norm of ``x``, complex entries counting as real pairs: the
+    one place where every norm of a metric, a stop, a check or a summary is
+    summed.  ``weights`` (broadcast against ``x``) count each entry that
+    many times, as a half spectrum counts its mirrors (``mirror_weights``).
+
+    A sum of squares that overflows (past about 1e154) is taken again of
+    ``x / peak``, ``peak`` its largest magnitude, and scaled by ``peak``, so
+    a finite ``x`` has a finite norm unless the norm passes the float range.
+    """
+    with np.errstate(over="ignore"):  # an overflowing sum is rescaled below
+        if weights is None:
+            n = float(np.linalg.norm(x))
+        else:
+            n = math.sqrt(float(np.add.reduce(weights * (x.real * x.real + x.imag * x.imag),
+                                              axis=None)))
+    if math.isinf(n):
+        peak = float(np.max(np.abs(x)))
+        if peak < math.inf:
+            return peak * norm(x / peak, weights)
+    return n
+
+
+_norm = norm  # for the methods whose ``norm`` flag hides the function
+
+
 def _check_out(out, shape) -> None:
     if np.shape(out) != tuple(shape):
         raise InputError(f"expected an output array of shape {tuple(shape)}, "
@@ -80,7 +106,7 @@ class LinearMap(ABC):
         ``(K* K x, None)`` with ``norm=False``, which skips the norm.  A
         norm taken in another call is the same float, bit for bit."""
         kx = self.apply(x)
-        return self.adjoint(kx), float(np.linalg.norm(kx)) if norm else None
+        return self.adjoint(kx), _norm(kx) if norm else None
 
     def normal_resolvent(self, tau: float):
         """``solve(r, out=None) -> (I + tau K* K)^{-1} r``, for maps with a
@@ -161,7 +187,7 @@ class IdentityMap(LinearMap):
     def normal(self, x, norm=True):
         """``(x, ||x||)``, with ``x`` itself returned."""
         self._check_domain(x)
-        return x, float(np.linalg.norm(x)) if norm else None
+        return x, _norm(x) if norm else None
 
     def normal_resolvent(self, tau):
         return _scalar_resolvent(tau)
@@ -284,12 +310,9 @@ class FourierSamplingMap(LinearMap):
         ``(x, ||x||)`` with ``x`` itself when the mask is full."""
         self._check_domain(x)
         if self._full:
-            return x, float(np.linalg.norm(x)) if norm else None
+            return x, _norm(x) if norm else None
         half = rdft2(x)
-        kx_norm = None
-        if norm:
-            power = half.real * half.real + half.imag * half.imag
-            kx_norm = math.sqrt(float(np.add.reduce(self._norm_weight * power, axis=None)))
+        kx_norm = _norm(half, self._norm_weight) if norm else None
         half *= self._half_symbol
         return irdft2(half, self.domain_shape), kx_norm
 
@@ -499,11 +522,11 @@ def power_norm(m: LinearMap, iters: int = 100, tol: float = 1e-10) -> float:
         raise InputError("iters must be at least 1")
     rng = np.random.default_rng(0)
     x = _random_element(m.domain_shape, m.domain_complex, rng)
-    x = x / np.linalg.norm(x)
+    x = x / norm(x)
     lam = 0.0
     for _ in range(iters):
         z = m.adjoint(m.apply(x))
-        lam_new = float(np.linalg.norm(z))
+        lam_new = norm(z)
         if lam_new == 0.0:
             return 0.0
         x = z / lam_new
@@ -522,6 +545,6 @@ def adjoint_gap(m: LinearMap, rng, n_pairs: int = 20) -> float:
         y = _random_element(m.codomain_shape, m.codomain_complex, rng)
         lhs = real_inner(m.apply(x), y)
         rhs = real_inner(x, m.adjoint(y))
-        scale = np.linalg.norm(x) * np.linalg.norm(y)
+        scale = norm(x) * norm(y)
         worst = max(worst, abs(lhs - rhs) / scale)
     return worst

@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import ConfigurationError, InputError
 from .functionals import ProxFunctional, soft_threshold
-from .operators import (LinearMap, SamplingMask, full_spectrum, irdft2, mirror_weights, rdft2,
-                        real_inner)
+from .operators import (LinearMap, SamplingMask, full_spectrum, irdft2, mirror_weights, norm,
+                        rdft2, real_inner)
 
 
 @dataclass
@@ -43,9 +43,10 @@ class SolveConfig:
     two norms, of which a non-record step takes the second only when the
     first is not finite or is at most ``2 * grad_tol``: the mean cannot stop
     the solve otherwise.  A NaN that only the second norm carries is then
-    found once it reaches the first or at the next record step.  Step sizes
-    are not set here: each solver derives them from the norm bounds of its
-    operators.
+    found once it reaches the first or at the next record step.  Each norm
+    is ``operators.norm``; a step told that it makes a record step takes
+    the norms it can give with its work (range-CD's ``||K d||``).  Step
+    sizes are not set here: each solver derives them from its operators.
     """
 
     max_iters: int = 1000
@@ -81,7 +82,7 @@ def _finish(v, q, iterations, grad_norm, history, termination, nnz=None) -> Solv
     if not history or history[-1][0] != iterations:
         history.append((iterations, grad_norm))
     return SolveReport(v=v, q=q, iterations=iterations, final_grad_norm=grad_norm,
-                       v_norm=float(np.linalg.norm(v)), history=history,
+                       v_norm=norm(v), history=history,
                        termination=termination, nnz=nnz)
 
 
@@ -120,20 +121,24 @@ def _source_gradient(v, u_true, fwd, prox):
 def _iterate(cfg: SolveConfig, measure, advance, every_step: bool, start: int = 0):
     """The iteration loop of every solver, over iterates ``start..max_iters``.
 
-    ``advance()`` steps from iterate ``k`` to ``k + 1``; ``measure(exact)``
-    gives the stopping metric at the current one, at record steps (which
-    enter the history, ``exact`` True) and, with ``every_step``, at all
-    others (``exact`` False).  A non-record step only tests the metric, so
-    there ``measure`` may return any number above ``cfg.grad_tol`` in its
-    place when the metric is sure to be above it (``_mean_of_halves``).  The
-    loop stops at the first metric ``<= cfg.grad_tol``, at a NaN metric or at
-    the budget, and returns ``(iterations, metric, history, termination)``,
-    the arguments ``_finish`` takes after the iterates.
+    ``advance(record)`` steps from iterate ``k`` to ``k + 1``, told whether
+    that is a record step (every ``cfg.record_every``-th iterate and the
+    last); ``measure(exact)`` gives the stopping metric at the current one,
+    at record steps (which enter the history, ``exact`` True) and, with
+    ``every_step``, at all others (``exact`` False).  A non-record step only
+    tests the metric, so there ``measure`` may return any number above
+    ``cfg.grad_tol`` in its place when the metric is sure to be above it
+    (``_mean_of_halves``).  The loop stops at the first metric
+    ``<= cfg.grad_tol``, at a NaN metric or at the budget, and returns
+    ``(iterations, metric, history, termination)``, the arguments
+    ``_finish`` takes after the iterates.
     """
+    def is_record(k):
+        return k == cfg.max_iters or k % cfg.record_every == 0
+
     history = []
+    record = is_record(start)
     for k in range(start, cfg.max_iters + 1):
-        last = k == cfg.max_iters
-        record = last or k % cfg.record_every == 0
         if record or every_step:
             metric = measure(record)
             if record:
@@ -142,8 +147,9 @@ def _iterate(cfg: SolveConfig, measure, advance, every_step: bool, start: int = 
                 return k, metric, history, "tolerance"
             if math.isnan(metric):
                 return k, metric, history, "diverged"
-        if not last:
-            advance()
+        if k < cfg.max_iters:
+            record = is_record(k + 1)
+            advance(record)
     return cfg.max_iters, metric, history, "max_iters"
 
 
@@ -207,9 +213,9 @@ def solve_source_gd(u_true: np.ndarray, fwd: LinearMap, prox: ProxFunctional,
     t = 1.0
 
     def measure(exact):
-        return float(np.linalg.norm(_source_gradient(v, u_true, fwd, prox)))
+        return norm(_source_gradient(v, u_true, fwd, prox))
 
-    def advance():
+    def advance(_record):
         nonlocal v, y, t
         g = _source_gradient(y, u_true, fwd, prox)
         v_next = y - tau * g
@@ -248,11 +254,10 @@ def solve_range_cd(u_true: np.ndarray, fwd: LinearMap, grad_op: LinearMap,
     of ``v``: a step updates ``K* v`` by ``-tau K* K d`` and ``v = K D`` is
     formed once, at the end.  The metric at a pair and the step from it share
     ``A* q``, ``d``, ``K* K d`` and ``prox(a + q)``, which are computed once
-    per pair, by the step into it, and ``fwd.normal`` returns ``||K d||``
-    with ``K* K d`` when ``cfg.grad_tol > 0``.  With ``grad_tol == 0`` only
-    record steps read ``||K d||``: the steps call ``fwd.normal(d,
-    norm=False)``, and a record step takes the norm in one more
-    ``fwd.normal(d)``, the same float.  So a step calls ``fwd.normal`` once
+    per pair, by the step into it.  ``fwd.normal`` returns ``||K d||`` with
+    ``K* K d`` on the steps into a record step, which ``_iterate`` names, and
+    on every step when ``cfg.grad_tol > 0``; the other steps call
+    ``fwd.normal(d, norm=False)``.  So a step calls ``fwd.normal`` once
     (one real FFT pair for Fourier sampling, no transform for a full mask),
     the gradient once, the divergence once and the prox once; a metric that
     takes its field norm adds one gradient, three field passes and a norm.
@@ -283,11 +288,11 @@ def solve_range_cd(u_true: np.ndarray, fwd: LinearMap, grad_op: LinearMap,
     kkd = kd_norm = None
     every_step = cfg.grad_tol > 0  # else only record steps read ||K d||
 
-    def share():
+    def share(record):
         nonlocal kkd, kd_norm
         grad_op.adjoint_into(q, aq)
         np.subtract(kv, aq, out=d)
-        kkd, kd_norm = fwd.normal(d, norm=every_step)
+        kkd, kd_norm = fwd.normal(d, norm=record or every_step)
         np.add(a_field, q, out=shrunk)
         prox_h.prox(shrunk, out=shrunk)
 
@@ -296,13 +301,12 @@ def solve_range_cd(u_true: np.ndarray, fwd: LinearMap, grad_op: LinearMap,
         np.negative(field, out=field)
         np.add(field, shrunk, out=field)
         np.subtract(field, a_field, out=field)
-        return float(np.linalg.norm(field))
+        return norm(field)
 
     def measure(exact):
-        kd = kd_norm if every_step else fwd.normal(d)[1]
-        return _mean_of_halves(kd, field_norm, exact, cfg.grad_tol)
+        return _mean_of_halves(kd_norm, field_norm, exact, cfg.grad_tol)
 
-    def advance():
+    def advance(record):
         np.multiply(tau, d, out=scaled)
         np.subtract(image, scaled, out=image)
         np.multiply(tau, kkd, out=scaled)
@@ -313,9 +317,9 @@ def solve_range_cd(u_true: np.ndarray, fwd: LinearMap, grad_op: LinearMap,
         np.subtract(field, a_field, out=field)
         np.multiply(sigma, field, out=field)
         np.subtract(q, field, out=q)
-        share()
+        share(record)
 
-    share()
+    share(True)  # iterate 0 is always recorded
     outcome = _iterate(cfg, measure, advance, every_step)
     return _finish(fwd.apply(image), q, *outcome)
 
@@ -388,15 +392,13 @@ def solve_palm(u_true: np.ndarray, grad_op: LinearMap, prox_h: ProxFunctional,
 
     def dq_norm():
         np.subtract(q_new, q, out=field)
-        return float(np.linalg.norm(field)) / sigma
+        return norm(field) / sigma
 
     def measure(exact):
         np.subtract(vt_new, vt, out=coupled)
-        power = coupled.real * coupled.real + coupled.imag * coupled.imag
-        dv = math.sqrt(float(np.add.reduce(weights * power, axis=None)))
-        return _mean_of_halves(dv / tau, dq_norm, exact, cfg.grad_tol)
+        return _mean_of_halves(norm(coupled, weights) / tau, dq_norm, exact, cfg.grad_tol)
 
-    def advance():
+    def advance(_record):
         nonlocal vt, q, vt_new, q_new
         vt, vt_new = vt_new, vt
         q, q_new = q_new, q

@@ -3,14 +3,13 @@ error-estimate bookkeeping used to turn certificate norms into bounds."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, InputError, VerificationError
 from .functionals import project_group_ball, tv_value
-from .operators import LinearMap, grad2, real_inner
+from .operators import LinearMap, grad2, norm, real_inner
 from .solvers import SolveConfig, _finish, _iterate, _mean_of_halves
 
 _BOUND_SLACK = 1.0 + 1e-12  # tolerate roundoff when tau*sigma*||A||^2 is exactly 1
@@ -54,7 +53,7 @@ def error_estimate(v: np.ndarray, delta: float) -> ErrorEstimate:
     """Noise-adapted weight and worst-case bound from a certificate norm."""
     if delta < 0:
         raise InputError("delta must be nonnegative")
-    v_norm = float(np.linalg.norm(v))
+    v_norm = norm(v)
     if v_norm == 0.0:
         raise InputError("zero certificate: the adapted weight is undefined")
     alpha_star = delta / v_norm
@@ -63,37 +62,19 @@ def error_estimate(v: np.ndarray, delta: float) -> ErrorEstimate:
                          bound=v_norm * delta_eff)
 
 
-def _norm_and_scale(x) -> tuple[float, float]:
-    """``(n, s)`` with ``||x|| = n * s``.  ``s`` is 1 unless the plain norm
-    overflows, which its squares do past about 1e154; then ``s`` is the
-    largest magnitude in ``x`` (if finite) and ``n`` the norm of ``x / s``."""
-    with np.errstate(over="ignore"):  # an overflowing norm is handled below
-        n = float(np.linalg.norm(x))
-    if math.isinf(n):
-        peak = float(np.max(np.abs(x)))
-        if peak < math.inf:
-            return float(np.linalg.norm(x / peak)), peak
-    return n, 1.0
-
-
 def norm_ratio(x, y) -> float:
-    """``||x|| / ||y||``: 0 when both norms are zero, infinite when only
-    ``||y||`` is.
-
-    Each norm that overflows is taken of its array scaled by the largest
-    entry, so finite arrays give a finite ratio (unless the ratio itself
-    passes the float range), not ``inf / inf``.  When neither overflows the
-    ratio is that of the two plain norms, bit for bit.
-    """
-    num, num_scale = _norm_and_scale(x)
-    den, den_scale = _norm_and_scale(y)
+    """``norm(x) / norm(y)``: 0 when both norms are zero, infinite when only
+    ``norm(y)`` is.  ``operators.norm`` rescales a sum of squares that
+    overflows, so finite arrays give a finite ratio unless a norm or the
+    ratio itself passes the float range."""
+    num, den = norm(x), norm(y)
     if den == 0.0:
         return 0.0 if num == 0.0 else float("inf")
-    return num / den * (num_scale / den_scale)
+    return num / den
 
 
 def _relative_change(new, old, work=None):
-    """``||new - old|| / ||new||`` by ``norm_ratio``, with the difference
+    """``norm(new - old) / norm(new)`` by ``norm_ratio``, with the difference
     written to ``work`` when it is given."""
     return norm_ratio(np.subtract(new, old, out=work), new)
 
@@ -152,7 +133,7 @@ def solve_pdhg(problem: VarRegProblem, cfg: SolveConfig):
         return _mean_of_halves(_relative_change(u, u_old, u_diff), q_change, exact,
                                cfg.grad_tol)
 
-    def advance():
+    def advance(_record):
         nonlocal u, q, u_old, q_old
         # the new u and q overwrite the ones before the last
         u_old, u, q_old, q = u, u_old, q, q_old
@@ -167,7 +148,7 @@ def solve_pdhg(problem: VarRegProblem, cfg: SolveConfig):
         np.multiply(2.0, u, out=u_bar)
         np.subtract(u_bar, u_old, out=u_bar)
 
-    advance()
+    advance(None)  # into iterate 1, where the loop starts
     outcome = _iterate(cfg, measure, advance, every_step=cfg.grad_tol > 0, start=1)
     return u, q, _finish(u, q, *outcome)
 

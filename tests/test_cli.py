@@ -122,7 +122,7 @@ class TestUsageErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize("command, payload", [
-        ("fourier2d", {"size": [16, 16], "pdhg_tol": -1}),
+        ("fourier2d", {"size": [16, 16], "cd_tol": -1}),
         ("fourier2d", {"size": [16, 16], "pdhg_max_iters": 0}),
         ("fourier2d", {"size": [16, 16], "record_every": 0}),
         ("optimal-sampling", {"size": [16, 16], "mask_beta": 0.08, "pdhg_max_iters": 0}),

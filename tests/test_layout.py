@@ -70,3 +70,68 @@ def test_scan_tells_transforms_from_the_module_and_grids():
         "c = ifft(z)",
     ])
     assert transform_calls(source) == [(5, "fft"), (6, "irfft"), (7, "rfft"), (8, "ifft")]
+
+
+# the numpy calls that sum a norm or an inner product, through BLAS for
+# float arrays; every norm is taken by ``operators.norm``
+def _is_numpy(node):
+    return isinstance(node, ast.Name) and node.id in ("np", "numpy")
+
+
+def _is_linalg(node):
+    # ``np.linalg``, or ``linalg`` imported from numpy
+    return ((isinstance(node, ast.Attribute) and node.attr == "linalg"
+             and _is_numpy(node.value))
+            or (isinstance(node, ast.Name) and node.id == "linalg"))
+
+
+def norm_sum_calls(source, filename="<source>"):
+    """``(line, name)`` of every ``np.linalg.norm``, ``np.dot`` and
+    ``np.vdot`` that ``source`` names, as an attribute or an import."""
+    tree = ast.parse(source, filename=filename)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            if node.attr in ("dot", "vdot") and _is_numpy(node.value):
+                found.append((node.lineno, node.attr))
+            elif node.attr == "norm" and _is_linalg(node.value):
+                found.append((node.lineno, "linalg.norm"))
+        elif isinstance(node, ast.ImportFrom):
+            wanted = {"numpy": ("dot", "vdot"), "numpy.linalg": ("norm",)}.get(node.module, ())
+            found += [(node.lineno, a.name) for a in node.names if a.name in wanted]
+    return sorted(found)
+
+
+def module_norm_sum_calls(module):
+    path = os.path.join(SRC, module)
+    with open(path, encoding="utf-8") as f:
+        return norm_sum_calls(f.read(), path)
+
+
+@pytest.mark.parametrize("module", sorted(
+    name for name in os.listdir(SRC) if name.endswith(".py") and name != "operators.py"))
+def test_norms_only_in_operators(module):
+    # one summation for every norm that feeds a metric, a stop, a
+    # verification or a summary: operators.norm
+    calls = module_norm_sum_calls(module)
+    assert not calls, f"{module} sums norms at {calls}; call operators.norm"
+
+
+def test_operators_is_seen_to_take_the_norm():
+    # operators.norm's plain branch is the one np.linalg.norm left
+    assert [name for _, name in module_norm_sum_calls("operators.py")] == ["linalg.norm"]
+
+
+def test_norm_scan_finds_each_spelling():
+    source = "\n".join([
+        "import numpy as np",
+        "from numpy import linalg",
+        "a = np.linalg.norm(x) + numpy.linalg.norm(y)",
+        "b = np.dot(x, y) + np.vdot(x, y)",
+        "c = linalg.norm(x) + scipy.linalg.norm(x) + x.dot(y) + norm(x)",
+        "from numpy.linalg import norm",
+        "from numpy import dot, vdot",
+    ])
+    assert norm_sum_calls(source) == [
+        (3, "linalg.norm"), (3, "linalg.norm"), (4, "dot"), (4, "vdot"),
+        (5, "linalg.norm"), (6, "norm"), (7, "dot"), (7, "vdot")]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 import sourcecond as sc
 from sourcecond.errors import InputError
-from sourcecond.operators import irdft2, rdft2
+from sourcecond.operators import irdft2, norm, rdft2
 
 
 # every transform numpy.fft offers, the 2-D ones and their 1-D passes
@@ -397,6 +399,60 @@ class TestNormal:
                   sc.fourier_sampling(sc.full_mask((8, 8)))):
             with pytest.raises(InputError):
                 m.normal(np.zeros((8, 7)))
+
+
+class TestNorm:
+    """``operators.norm``, the one place where a norm is summed."""
+
+    def test_bytes_of_the_plain_norm(self, rng):
+        # real, complex and field inputs: np.linalg.norm, bit for bit
+        for x in (rng.standard_normal(7), rng.standard_normal((5, 6)),
+                  rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3)),
+                  rng.standard_normal((2, 9, 8)), np.zeros((3, 3))):
+            got = norm(x)
+            assert isinstance(got, float)
+            assert np.float64(got).tobytes() == np.float64(np.linalg.norm(x)).tobytes()
+
+    @pytest.mark.parametrize("shape", [(8, 8), (7, 9)])
+    def test_bytes_of_the_weighted_half_spectrum_sum(self, rng, shape):
+        # the expression the half-spectrum norms summed before they came here,
+        # with mirror weights alone and with the symbol folded in
+        half = rdft2(rng.standard_normal(shape))
+        weights = sc.operators.mirror_weights(shape[1])
+        symbol = sc.fourier_sampling(sc.lowpass_mask(shape, 3))._norm_weight
+        for w in (weights, symbol):
+            power = half.real * half.real + half.imag * half.imag
+            want = math.sqrt(float(np.add.reduce(w * power, axis=None)))
+            assert norm(half, w) == want
+        # every column weighted with its mirrors: the norm of the full spectrum
+        assert norm(half, weights) == pytest.approx(
+            np.linalg.norm(sc.operators.full_spectrum(half, shape[1])), rel=1e-14)
+
+    def test_finite_past_overflow_of_the_squares(self):
+        x = np.full((3, 4), 1e200)
+        assert norm(x) == pytest.approx(1e200 * math.sqrt(12), rel=1e-15)
+        assert norm(x * 1j) == pytest.approx(1e200 * math.sqrt(12), rel=1e-15)
+        assert norm(x, np.full(4, 2.0)) == pytest.approx(1e200 * math.sqrt(24), rel=1e-15)
+        # a norm beyond the float range is still infinite
+        assert norm(np.full(4, 1.7e308)) == math.inf
+
+    @pytest.mark.parametrize("weights", [None, np.ones(3)])
+    def test_non_finite_entries(self, weights):
+        assert norm(np.array([np.inf, 1e200, 1.0]), weights) == math.inf
+        assert math.isnan(norm(np.array([np.nan, 1e200, 1.0]), weights))
+        assert math.isnan(norm(np.array([np.nan, np.inf, 1.0]), weights))
+
+    def test_finish_and_error_estimate_past_overflow(self):
+        # a certificate of 1e200 entries has a finite norm, and so a finite
+        # weight and bound
+        from sourcecond.solvers import _finish
+
+        v = np.full((2, 3), 1e200)
+        report = _finish(v, None, 0, 0.0, [], "max_iters")
+        assert report.v_norm == pytest.approx(1e200 * math.sqrt(6), rel=1e-15)
+        est = sc.error_estimate(v, 1.0)
+        assert est.v_norm == report.v_norm
+        assert all(math.isfinite(x) for x in (est.alpha_star, est.bound, est.delta))
 
 
 class TestNormalResolvent:

@@ -562,8 +562,8 @@ class TestMetricAtRecordSteps:
         # the metric adds one gradient, at the record steps 0, 7, 14 and 20
         # with grad_tol == 0 and with 5e-324, and also wherever half the
         # normal product's norm is at most a larger tolerance.  With
-        # grad_tol == 0 no step takes the norm with its normal product:
-        # each record step takes it in one more normal product, the same float
+        # grad_tol == 0 only the normal products into a record step take
+        # the norm, the same float as on every step
         from sourcecond.experiments import shepp_logan
 
         u = shepp_logan(16, 17)
@@ -589,7 +589,7 @@ class TestMetricAtRecordSteps:
 
         calls, at_records = run(0.0)
         # the apply of A u, one per step and one per metric
-        assert calls == {"apply": 1 + 20 + 4, "adjoint": 21, "normal": 21 + 4}
+        assert calls == {"apply": 1 + 20 + 4, "adjoint": 21, "normal": 21}
         calls, norms = run(5e-324)  # ||K d|| at iterate k is norms[k]
         assert calls == {"apply": 1 + 20 + 4, "adjoint": 21, "normal": 21}
         assert at_records == [norms[k] for k in records]
@@ -600,6 +600,28 @@ class TestMetricAtRecordSteps:
         metrics = sum(k in records or half <= tol for k, half in enumerate(halves))
         assert 4 < metrics < 21
         assert calls == {"apply": 1 + 20 + metrics, "adjoint": 21, "normal": 21}
+
+    def test_one_real_transform_per_step_at_every_record(self, monkeypatch):
+        # record_every = 1 makes every iterate a record step: the normal
+        # product into it returns ||K d|| with K* K d, so a masked map takes
+        # one rdft2 per step (and one before the loop) at a zero tolerance too
+        from sourcecond import operators
+        from sourcecond.experiments import shepp_logan
+
+        calls = []
+        original = operators.rdft2
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(operators, "rdft2", counted)
+        u = shepp_logan(16, 17)
+        rep = sc.solve_range_cd(u, sc.fourier_sampling(sc.lowpass_mask(u.shape, 9)),
+                                sc.grad2(*u.shape), sc.ProxFunctional("group_l21"),
+                                sc.SolveConfig(max_iters=30, grad_tol=0.0, record_every=1))
+        assert rep.iterations == 30 and len(rep.history) == 31
+        assert len(calls) == 1 + 30
 
 
 class TestStopTest:
@@ -713,8 +735,10 @@ class TestIterate:
             measured.append(at[0])
             return metrics[at[0]]
 
-        def advance():
+        def advance(record):
+            # told whether the iterate it steps into is a record step
             at[0] += 1
+            assert record == recorded(at[0])
 
         k, metric, history, termination = _iterate(cfg, measure, advance, every_step, start)
 
