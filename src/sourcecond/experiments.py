@@ -262,6 +262,17 @@ def _float32_peak(array) -> float:
     return float(np.max(magnitude, where=np.isfinite(magnitude), initial=0.0))
 
 
+def _remove_file(path: str) -> None:
+    """Remove the file an earlier run left at ``path``, if any, before it is
+    written again.  Truncating a file to rewrite it in place can wait on the
+    flush of its old blocks (ext4 flushes a file replaced that way, its
+    ``auto_da_alloc`` default); a new file does not."""
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+
+
 def _write_run(out_dir: str, command: str, config: dict, seed: int, timings: dict,
                artifacts: dict, summary: dict) -> None:
     """Write a run's artifacts in order, then its manifest.
@@ -270,7 +281,8 @@ def _write_run(out_dir: str, command: str, config: dict, seed: int, timings: dic
     writer: ``.pfm``/``.pgm`` images, ``.csv`` column dicts, ``.json`` dicts,
     ``.py`` text.  A payload may be a zero-argument callable, called in turn,
     so that a summary can read back the files written before it.  The
-    manifest records the hash of ``config`` and the run's ``seed``.
+    manifest records the hash of ``config`` and the run's ``seed``.  A file
+    that an earlier run left under a name written here is removed first.
 
     The run's ``summary`` and its ``.pfm`` payloads are checked first, and a
     failed check raises ``VerificationError`` before any file or directory
@@ -295,11 +307,13 @@ def _write_run(out_dir: str, command: str, config: dict, seed: int, timings: dic
             payload = payload()
         path = os.path.join(out_dir, name)
         ext = os.path.splitext(name)[1]
+        files = [name, name + ".json"] if ext == ".pgm" else [name]  # with its sidecar
+        for file in files:
+            _remove_file(os.path.join(out_dir, file))
         if ext == ".pfm":
             fileio.write_pfm(path, payload)
         elif ext == ".pgm":
             fileio.write_pgm16(path, payload)
-            names.append(name + ".json")
         elif ext == ".csv":
             fileio.write_series_csv(path, payload)
         elif ext == ".json":
@@ -307,8 +321,9 @@ def _write_run(out_dir: str, command: str, config: dict, seed: int, timings: dic
         elif ext == ".py":
             with open(path, "w", encoding="ascii") as f:
                 f.write(payload)
-        names.append(name)
+        names += files
     timings["write"] = time.perf_counter() - t0
+    _remove_file(os.path.join(out_dir, "manifest.json"))
     fileio.write_manifest(out_dir, fileio.RunManifest(
         command=command, config_hash=fileio.config_hash(config), seed=seed,
         timings=timings, artifacts=names))

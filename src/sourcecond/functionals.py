@@ -105,15 +105,27 @@ def _scale_into(z: np.ndarray, factor: np.ndarray, out, pairs: bool) -> np.ndarr
     return out
 
 
-def _shrink_factor(r: np.ndarray, beta: float) -> np.ndarray:
-    """``max(r - beta, 0) / r`` where the group magnitude ``r > 0`` and 0
-    elsewhere; NaN where ``r`` is inf or NaN (the caller ignores the
-    invalid-operation warnings of infinite entries)."""
-    # r - beta is a scalar for 0-d input; out= needs an array
-    factor = np.asarray(r - beta)
-    np.maximum(factor, 0.0, out=factor)
-    np.divide(factor, r, out=factor, where=r > 0)
-    return factor
+# 0-d operands of the shrinkage: a ufunc converts a Python float on every call
+_ZERO = np.zeros(())
+_LEAST = np.array(5e-324)  # the least positive float64
+_ZERO.flags.writeable = _LEAST.flags.writeable = False
+
+
+def _shrink_factor(r: np.ndarray, beta, factor=None, least=_LEAST) -> np.ndarray:
+    """``max(r - beta, 0) / max(r, least)`` for a float array ``r >= 0`` of
+    group magnitudes, ``least`` the least positive float of its dtype; ``r``
+    is overwritten with the divisor, and the factor goes to ``factor`` when
+    it is given.
+
+    Where ``r > 0`` the divisor is ``r`` itself, as no positive float is
+    below the least one.  Where ``r == 0`` the numerator ``max(0 - beta, 0)``
+    is 0.0 and so is the factor.  Where ``r`` is inf or NaN the factor is NaN
+    (the caller ignores the invalid-operation warnings of infinite entries).
+    """
+    factor = np.subtract(r, beta, out=np.empty_like(r) if factor is None else factor)
+    np.maximum(factor, _ZERO, out=factor)
+    np.maximum(r, least, out=r)
+    return np.divide(factor, r, out=factor)
 
 
 def _ball_scale(r: np.ndarray, radius: float) -> np.ndarray:
@@ -137,7 +149,11 @@ def _check_kernel_out(z: np.ndarray, out) -> None:
         raise InputError(f"an output array of dtype {dtype} cannot hold the {result} result")
 
 
-@np.errstate(invalid="ignore")  # raised by infinite entries only
+# invalid: raised by infinite entries only; over: raised by numpy's scalar
+# product of 0-d complex operands, without out=, whose parts are both near
+# the float limit, though the product, z times a factor in [0, 1], is exact
+# (no step here overflows)
+@np.errstate(invalid="ignore", over="ignore")
 def soft_threshold(z: np.ndarray, beta: float = 1.0, out=None) -> np.ndarray:
     """Componentwise shrinkage towards zero by ``beta``.
 
@@ -146,12 +162,25 @@ def soft_threshold(z: np.ndarray, beta: float = 1.0, out=None) -> np.ndarray:
     out NaN, without a floating-point warning.  The result goes to ``out``
     when it is given, an array of the shape of ``z`` or ``z`` itself, whose
     dtype can hold the float (or complex) result.
+
+    Each entry is ``z * factor`` with ``factor = max(r - beta, 0) / max(r,
+    least)`` of its modulus ``r``, ``least`` the least positive float (5e-324
+    in float64): the divisor is ``r`` wherever ``r > 0``, and where ``r`` is
+    0 the numerator and so the factor are 0.0, so the bytes are those of the
+    ``np.where`` formula that divides only where ``r > 0``.  The moduli and
+    the factors are the call's two temporaries, and the divisor is written
+    over the moduli.  ``ProxFunctional.in_place`` runs the same arithmetic in
+    work arrays, for a loop that sets the error state once.
     """
     if not beta >= 0:
         raise InputError("shrinkage weight must be nonnegative")
     z = np.asarray(z)
     _check_kernel_out(z, out)
-    return np.multiply(z, _shrink_factor(np.abs(z), beta), out=out)
+    r = np.asarray(np.abs(z))
+    if r.dtype.kind != "f":  # the moduli of integers
+        r = r.astype(float)
+    least = _LEAST if r.dtype == np.float64 else np.finfo(r.dtype).smallest_subnormal
+    return np.multiply(z, _shrink_factor(r, beta, least=least), out=out)
 
 
 @np.errstate(invalid="ignore")  # raised by infinite entries only
@@ -288,6 +317,32 @@ class ProxFunctional:
         if self.kind == "group_l21":
             return group_soft_threshold(z, self.scale, out=out)
         return project_group_ball(z, self.scale, out=out)
+
+    def in_place(self, z: np.ndarray):
+        """A function of no arguments that overwrites ``z``, a float64 or
+        complex128 array the caller holds, with ``prox(z)``, for a loop that
+        takes the prox of the same array many times.
+
+        For the one-norm it runs the arithmetic of ``soft_threshold`` in work
+        arrays allocated here, with its checks made here and ``scale`` a 0-d
+        operand, so each call gives the bytes of ``soft_threshold`` and
+        allocates nothing.  It does not set the error state: the caller
+        ignores invalid-operation warnings, which infinite entries raise.
+        The other kinds call ``prox(z, out=z)``.
+        """
+        if self.kind != "l1":
+            return lambda: self.prox(z, out=z)
+        if z.dtype not in (np.float64, np.complex128):
+            raise InputError(f"an in-place prox needs a float64 or complex128 array, got {z.dtype}")
+        beta = np.array(self.scale)
+        magnitude, factor = np.empty(z.shape), np.empty(z.shape)
+
+        def shrink():
+            np.abs(z, out=magnitude)
+            _shrink_factor(magnitude, beta, factor)
+            np.multiply(z, factor, out=z)
+
+        return shrink
 
 
 @dataclass

@@ -127,6 +127,11 @@ class LinearMap(ABC):
                 f"expected codomain shape {self.codomain_shape}, got {np.shape(y)}")
 
 
+def _blas_vector(x) -> bool:
+    return (isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype == np.float64
+            and x.flags.c_contiguous)
+
+
 def _scalar_resolvent(tau):
     """The resolvent of ``K* K = I``: division by ``1 + tau``."""
     def solve(r, out=None):
@@ -144,6 +149,8 @@ class MatrixMap(LinearMap):
         if matrix.ndim != 2:
             raise InputError("MatrixMap needs a 2D matrix")
         self.matrix = matrix
+        self._transpose = matrix.T
+        self._blas = matrix.flags.c_contiguous or matrix.flags.f_contiguous
         super().__init__((matrix.shape[1],), (matrix.shape[0],), 0.0)
         self.norm_bound = power_norm(self)
 
@@ -154,6 +161,28 @@ class MatrixMap(LinearMap):
     def adjoint(self, y):
         self._check_codomain(y)
         return self.matrix.T @ y
+
+    # ``ndarray.dot`` writes the product into ``out``.  On a contiguous matrix
+    # and a C-contiguous float64 vector it makes the BLAS call of ``@``; on
+    # others ``@`` may take its own loop, so they go through the base method.
+    # ``dot`` refuses a vector of the wrong length, or an ``out`` that is not
+    # a C-contiguous float64 vector of the product's length, with ValueError,
+    # and then the base method refuses it too or copies the product into it.
+    def apply_into(self, x, out):
+        if self._blas and _blas_vector(x):
+            try:
+                return self.matrix.dot(x, out=out)
+            except ValueError:
+                pass
+        return super().apply_into(x, out)
+
+    def adjoint_into(self, y, out):
+        if self._blas and _blas_vector(y):
+            try:
+                return self._transpose.dot(y, out=out)
+            except ValueError:
+                pass
+        return super().adjoint_into(y, out)
 
     def normal_resolvent(self, tau):
         """Cholesky factor ``L`` of ``I + tau M^T M`` once; a call solves with

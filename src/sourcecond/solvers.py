@@ -133,24 +133,22 @@ def _iterate(cfg: SolveConfig, measure, advance, every_step: bool, start: int = 
     ``(iterations, metric, history, termination)``, the arguments
     ``_finish`` takes after the iterates.
     """
-    def is_record(k):
-        return k == cfg.max_iters or k % cfg.record_every == 0
-
+    last, every, tol = cfg.max_iters, cfg.record_every, cfg.grad_tol
     history = []
-    record = is_record(start)
-    for k in range(start, cfg.max_iters + 1):
+    record = start == last or start % every == 0
+    for k in range(start, last + 1):
         if record or every_step:
             metric = measure(record)
             if record:
                 history.append((k, metric))
-            if metric <= cfg.grad_tol:
+            if metric <= tol:
                 return k, metric, history, "tolerance"
             if math.isnan(metric):
                 return k, metric, history, "diverged"
-        if k < cfg.max_iters:
-            record = is_record(k + 1)
+        if k < last:
+            record = k + 1 == last or (k + 1) % every == 0
             advance(record)
-    return cfg.max_iters, metric, history, "max_iters"
+    return last, metric, history, "max_iters"
 
 
 def _mean_of_halves(first: float, second, exact: bool, grad_tol: float) -> float:
@@ -191,6 +189,23 @@ def solve_source_gd(u_true: np.ndarray, fwd: LinearMap, prox: ProxFunctional,
     the gradient norm at the iterate drops to ``cfg.grad_tol`` (checked every
     ``cfg.record_every`` iterations) or the budget runs out.
 
+    The iterates and the gradient's terms live in work arrays allocated once
+    per solve, and the shapes are checked once, here.  ``v`` and the next
+    ``v`` swap two buffers; ``y``, the step, the gradient ``g`` and
+    ``z = u + K* y`` have one each, and a restart copies the next ``v`` into
+    ``y``.  A step takes ``K* y`` and ``K z`` by ``adjoint_into`` and
+    ``apply_into``, shrinks ``z`` in place (``ProxFunctional.in_place``: for
+    the one-norm, ``soft_threshold``'s arithmetic with its divisor
+    ``max(|z|, 5e-324)``, in two more work arrays) and updates by in-place
+    ufuncs in the order of the plain formulas, with ``tau`` and the momentum
+    factor as 0-d operands, so the iterates are those of the plain formulas
+    bit for bit and a step allocates nothing.  The metric at a record step
+    is the norm of ``source_gradient`` at ``v``, formed by the plain calls.
+    The loop runs under one ``np.errstate(invalid="ignore")`` instead of the
+    shrinkage entering one per call: an infinite entry makes NaN without a
+    warning, and the solve ends "diverged".  A complex ``u_true`` needs a
+    map with a complex codomain, as its gradient is complex.
+
     Parameters
     ----------
     u_true : ndarray
@@ -202,35 +217,56 @@ def solve_source_gd(u_true: np.ndarray, fwd: LinearMap, prox: ProxFunctional,
     cfg : SolveConfig
         Budget.
     """
-    tau = _data_step(fwd)
+    tau = np.array(_data_step(fwd))
     # v is built in the data space; the loop skips source_gradient's checks
     if np.shape(u_true) != fwd.domain_shape:
         raise InputError("u_true must live in the domain of the forward map")
 
     dtype = complex if fwd.codomain_complex else float
     v = np.zeros(fwd.codomain_shape, dtype=dtype)
-    y = v
-    t = 1.0
+    u = np.asarray(u_true)
+    z = u + fwd.adjoint(v)  # u + K* y, in the dtype the sum takes
+    if z.dtype.kind == "c" and dtype is float:
+        raise InputError("a complex u_true needs a forward map with a complex codomain")
+    v_next, y, step, g = (np.zeros_like(v) for _ in range(4))
+    shrink = prox.in_place(z)
+    t, momentum = 1.0, np.zeros(())  # the 0-d operand of (t - 1) / t_next
+    if dtype is complex:
+        def ascent():
+            return real_inner(g, step)
+    else:
+        product = np.empty_like(g)
+
+        def ascent():  # real_inner's sum, into a work array
+            return np.add.reduce(np.multiply(g, step, out=product), axis=None)
 
     def measure(exact):
         return norm(_source_gradient(v, u_true, fwd, prox))
 
     def advance(_record):
-        nonlocal v, y, t
-        g = _source_gradient(y, u_true, fwd, prox)
-        v_next = y - tau * g
-        step = v_next - v
-        if real_inner(g, step) > 0:
+        nonlocal v, v_next, t
+        fwd.adjoint_into(y, z)
+        np.add(u, z, out=z)
+        shrink()
+        np.subtract(z, u, out=z)
+        fwd.apply_into(z, g)
+        np.multiply(tau, g, out=v_next)
+        np.subtract(y, v_next, out=v_next)
+        np.subtract(v_next, v, out=step)
+        if ascent() > 0:
             # extrapolation is fighting the gradient: restart the momentum
             t = 1.0
-            y = v_next
+            np.copyto(y, v_next)
         else:
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            y = v_next + ((t - 1.0) / t_next) * step
+            momentum[()] = (t - 1.0) / t_next
+            np.multiply(momentum, step, out=y)
+            np.add(v_next, y, out=y)
             t = t_next
-        v = v_next
+        v, v_next = v_next, v
 
-    outcome = _iterate(cfg, measure, advance, every_step=False)
+    with np.errstate(invalid="ignore"):
+        outcome = _iterate(cfg, measure, advance, every_step=False)
     return _finish(v, None, *outcome)
 
 

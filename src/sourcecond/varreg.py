@@ -3,6 +3,7 @@ error-estimate bookkeeping used to turn certificate norms into bounds."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,21 +63,39 @@ def error_estimate(v: np.ndarray, delta: float) -> ErrorEstimate:
                          bound=v_norm * delta_eff)
 
 
+def _peak(x) -> float:
+    return float(np.max(np.abs(x)))
+
+
 def norm_ratio(x, y) -> float:
     """``norm(x) / norm(y)``: 0 when both norms are zero, infinite when only
     ``norm(y)`` is.  ``operators.norm`` rescales a sum of squares that
     overflows, so finite arrays give a finite ratio unless a norm or the
-    ratio itself passes the float range."""
+    ratio itself passes the float range.
+
+    When a norm passes it and ``y`` is finite, the ratio is taken as
+    ``(norm(x / px) / norm(y / py)) * (px / py)``, ``px`` and ``py`` the
+    largest magnitudes, one scale per array, so that neither norm overflows
+    nor flushes to zero; it is infinite when ``x`` holds an infinite entry.
+    """
     num, den = norm(x), norm(y)
     if den == 0.0:
         return 0.0 if num == 0.0 else float("inf")
+    if num > 0.0 and (math.isinf(num) or math.isinf(den)) and _peak(y) < math.inf:
+        x_peak, y_peak = _peak(x), _peak(y)
+        if x_peak == math.inf:
+            return math.inf
+        return norm(np.divide(x, x_peak)) / norm(np.divide(y, y_peak)) * (x_peak / y_peak)
     return num / den
 
 
 def _relative_change(new, old, work=None):
     """``norm(new - old) / norm(new)`` by ``norm_ratio``, with the difference
-    written to ``work`` when it is given."""
-    return norm_ratio(np.subtract(new, old, out=work), new)
+    written to ``work`` when it is given.  A difference that overflows is
+    infinite, without a floating-point warning."""
+    with np.errstate(over="ignore"):
+        change = np.subtract(new, old, out=work)
+    return norm_ratio(change, new)
 
 
 def solve_pdhg(problem: VarRegProblem, cfg: SolveConfig):

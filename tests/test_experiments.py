@@ -138,6 +138,39 @@ class TestLassoDriver:
         assert np.allclose(res["g_alpha"], expected)
 
 
+class TestWriteRun:
+    @staticmethod
+    def _run(out):
+        from sourcecond.experiments import _write_run
+
+        img = shepp_logan(16)
+        _write_run(str(out), "phantom", {"size": 16}, 0, {"t": 0.0},
+                   {"phantom.pgm": img, "phantom.pfm": img,
+                    "series.csv": {"x": np.arange(3.0)}, "summary.json": {"a": 1.0}},
+                   {"a": 1.0})
+
+    def test_second_run_replaces_every_file(self, tmp_path):
+        # the second run leaves the bytes of the first and no extra file; each
+        # file is a new one, so a hard link to the first run's file keeps it
+        out, kept = tmp_path / "run", tmp_path / "kept"
+        self._run(out)
+        names = sorted(os.listdir(out))
+        assert names == ["manifest.json", "phantom.pfm", "phantom.pgm", "phantom.pgm.json",
+                         "series.csv", "summary.json"]
+        first = {name: (out / name).read_bytes() for name in names}
+        kept.mkdir()
+        for name in names:
+            os.link(out / name, kept / name)
+            with open(kept / name, "ab") as f:
+                f.write(b"first run")
+        self._run(out)
+        assert sorted(os.listdir(out)) == names
+        for name in names:
+            if name != "manifest.json":  # it records the write time
+                assert (out / name).read_bytes() == first[name]
+            assert (kept / name).read_bytes() == first[name] + b"first run"
+
+
 class TestFourierDriver:
     def test_full_mask_roundtrip(self, tmp_path):
         cfg = Fourier2DConfig(size=(32, 32), mask_kind="full", cd_max_iters=20_000,

@@ -453,6 +453,79 @@ def test_project_ball_nan_group_at_every_finite_radius(radius):
     assert np.isnan(got).all()
 
 
+# signed zeros, the least subnormal, a subnormal, +-inf and NaN beside
+# finite entries; complex entries take them as either part
+_special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, np.inf, -np.inf,
+                            np.nan])
+_any_real = st.one_of(_special, st.floats(allow_nan=False, allow_infinity=False))
+_any_complex = st.builds(complex, _any_real, _any_real)
+
+
+@st.composite
+def non_finite_shrinkage_inputs(draw):
+    dtype, entries = draw(st.sampled_from([(np.float64, _any_real),
+                                           (np.complex128, _any_complex)]))
+    shape = draw(st.one_of(st.just(()), st.tuples(st.integers(1, 12)),
+                           st.tuples(st.integers(1, 4), st.integers(1, 4))))
+    return draw(hnp.arrays(dtype, shape, elements=entries))
+
+
+@settings(max_examples=300, deadline=None)
+@given(non_finite_shrinkage_inputs(), st.sampled_from([0.0, 5e-324, 1e-310, 1.0, np.inf]))
+def test_soft_threshold_every_out_form_bit_identical(z, beta):
+    # the divisor max(|z|, 5e-324) gives the bytes of the np.where formula
+    # on every entry, in the allocating form, into a separate array, into z
+    # itself and through the in-place prox that accelerated descent runs
+    want = warnings_ignored(where_soft_threshold, z, beta)
+    assert_bits_equal(warning_free(sc.soft_threshold, z, beta), want)
+    into = np.empty_like(z)
+    assert warning_free(sc.soft_threshold, z, beta, out=into) is into
+    assert_bits_equal(into, want)
+    into = z.copy()
+    assert warning_free(sc.soft_threshold, into, beta, out=into) is into
+    assert_bits_equal(into, want)
+    into = z.copy()
+    shrink = sc.ProxFunctional("l1", beta).in_place(into)
+    with np.errstate(invalid="ignore"):
+        warning_free(shrink)
+    assert_bits_equal(into, want)
+
+
+_BIG = 2.0 ** 1023
+
+
+@pytest.mark.parametrize("z", [complex(np.nextafter(_BIG, 0.0), _BIG), complex(_BIG, _BIG),
+                               complex(-_BIG, -_BIG)])
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_soft_threshold_complex_entries_near_the_float_limit(z, beta):
+    # numpy's scalar product of 0-d complex operands flags an overflow on
+    # these entries though the product is exact: the allocating form and the
+    # in-place prox give the formula's bytes without a warning
+    z = np.array(z)
+    want = warnings_ignored(where_soft_threshold, z, beta)
+    assert_bits_equal(warning_free(sc.soft_threshold, z, beta), want)
+    into = z.copy()
+    shrink = sc.ProxFunctional("l1", beta).in_place(into)
+    with np.errstate(invalid="ignore"):
+        warning_free(shrink)
+    assert_bits_equal(into, want)
+
+
+def test_in_place_prox_of_the_other_kinds_is_prox_out():
+    z = np.array([[[3.0, 0.5]], [[4.0, 0.0]]])
+    for kind in ("group_l21", "indicator_norm_ball"):
+        prox = sc.ProxFunctional(kind, 2.0)
+        into = z.copy()
+        prox.in_place(into)()
+        assert_bits_equal(into, prox.prox(z))
+
+
+@pytest.mark.parametrize("z", [np.ones(3, dtype=int), np.ones(3, dtype=np.float32)])
+def test_in_place_one_norm_prox_needs_float64_or_complex128(z):
+    with pytest.raises(InputError):
+        sc.ProxFunctional("l1").in_place(z)
+
+
 def test_soft_threshold_rejects_nan_weight():
     with pytest.raises(InputError):
         sc.soft_threshold(np.ones(3), float("nan"))

@@ -56,6 +56,78 @@ class TestVandermonde:
             sc.vandermonde(np.array([np.inf]), 1)
 
 
+def _lasso_map(coeffs):
+    from sourcecond.experiments import Lasso1DConfig, make_lasso_data
+
+    return make_lasso_data(Lasso1DConfig(coeffs_true=coeffs))[0]
+
+
+class TestMatrixProductsInto:
+    """``apply_into``/``adjoint_into`` write the bytes of ``apply``/``adjoint``
+    (``@``), through ``ndarray.dot`` where both make the same BLAS call and
+    through the copying base method elsewhere."""
+
+    @staticmethod
+    def _maps(rng):
+        from sourcecond.experiments import DEG5_COEFFS, DEG20_COEFFS
+
+        maps = [_lasso_map(DEG5_COEFFS), _lasso_map(DEG20_COEFFS)]
+        for shape in [(50, 76), (7, 3), (1, 9), (9, 1), (300, 200)]:
+            a = rng.standard_normal(shape)
+            maps += [sc.MatrixMap(a), sc.MatrixMap(np.asfortranarray(a)),
+                     sc.MatrixMap(np.repeat(a, 2, axis=1)[:, ::2])]  # strided
+        return maps
+
+    @staticmethod
+    def _vectors(rng, n):
+        x = rng.standard_normal(2 * n)
+        return [x[:n], x[::2], x[:n][::-1], np.round(10 * x[:n]).astype(int)]
+
+    def test_same_bytes_as_the_allocating_products(self, rng):
+        for m in self._maps(rng):
+            for x in self._vectors(rng, m.domain_shape[0]):
+                out = np.empty(m.codomain_shape)
+                assert m.apply_into(x, out) is out
+                assert out.tobytes() == m.apply(x).tobytes()
+            for y in self._vectors(rng, m.codomain_shape[0]):
+                out = np.empty(m.domain_shape)
+                assert m.adjoint_into(y, out) is out
+                assert out.tobytes() == m.adjoint(y).tobytes()
+
+    def test_into_a_strided_array(self, rng):
+        # dot writes only C-contiguous arrays; the base method copies
+        m = sc.MatrixMap(rng.standard_normal((4, 3)))
+        x, out = rng.standard_normal(3), np.empty(8)[::2]
+        assert m.apply_into(x, out) is out and out.tobytes() == m.apply(x).tobytes()
+
+    def test_into_its_own_input(self, rng):
+        m = sc.MatrixMap(rng.standard_normal((5, 5)))
+        x = rng.standard_normal(5)
+        want = m.apply(x)
+        assert m.apply_into(x, x) is x and x.tobytes() == want.tobytes()
+
+    def test_complex_product_into_a_complex_array(self, rng):
+        m = sc.MatrixMap(rng.standard_normal((4, 3)))
+        x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        out = np.empty(4, dtype=complex)
+        assert m.apply_into(x, out).tobytes() == m.apply(x).tobytes()
+        with pytest.raises(TypeError):
+            m.apply_into(x, np.empty(4))
+
+    @pytest.mark.parametrize("x, out", [
+        (np.ones(3), np.empty(4)),        # a vector of the wrong length
+        (np.ones(4), np.empty(3)),        # an out of the wrong length
+        (np.ones((4, 2)), np.empty((4, 2))),  # a batch of vectors
+        (np.ones(4), np.empty((4, 1))),
+    ])
+    def test_refuses_wrong_shapes(self, x, out):
+        m = sc.MatrixMap(np.ones((4, 4)))
+        with pytest.raises(InputError):
+            m.apply_into(x, out)
+        with pytest.raises(InputError):
+            m.adjoint_into(x, out)
+
+
 class TestDft2:
     def test_dc_of_ones(self):
         f = sc.dft2(np.ones((4, 4)))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -341,6 +342,60 @@ class TestSolveSourceGd:
         rep = sc.solve_source_gd(*args)
         assert rep.v.dtype == complex and rep.iterations == 400
         assert_same_solve(rep, reference_source_gd(*args))
+
+    def test_matches_reference_zero_weight(self):
+        # beta 0: every entry keeps its value, zeros included
+        from sourcecond.experiments import DEG5_COEFFS
+
+        w, phi = self._lasso(DEG5_COEFFS)
+        args = (w, phi, sc.ProxFunctional("l1", 0.0),
+                sc.SolveConfig(max_iters=3000, grad_tol=0.0, record_every=64))
+        assert_same_solve(sc.solve_source_gd(*args), reference_source_gd(*args))
+
+    def test_matches_reference_integer_u_true(self, rng):
+        fwd = sc.MatrixMap(rng.standard_normal((7, 12)))
+        u = np.array([0, 3, 0, 0, -2, 0, 0, 0, 1, 0, 0, 0])
+        args = (u, fwd, sc.ProxFunctional("l1"),
+                sc.SolveConfig(max_iters=2000, grad_tol=1e-9, record_every=8))
+        rep = sc.solve_source_gd(*args)
+        assert rep.v.dtype == np.float64
+        assert_same_solve(rep, reference_source_gd(*args))
+
+    def test_infinite_u_true_diverges_without_a_warning(self, rng):
+        fwd = sc.MatrixMap(rng.standard_normal((5, 4)))
+        u = np.array([0.0, np.inf, 1.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = sc.solve_source_gd(u, fwd, sc.ProxFunctional("l1"),
+                                     sc.SolveConfig(max_iters=50, record_every=10))
+        assert rep.termination == "diverged" and rep.iterations == 0
+        assert math.isnan(rep.final_grad_norm)
+
+    def test_complex_u_true_needs_a_complex_codomain(self):
+        with pytest.raises(InputError):
+            sc.solve_source_gd(np.array([1j, 0.0]), sc.IdentityMap((2,)),
+                               sc.ProxFunctional("l1"), sc.SolveConfig(max_iters=5))
+
+    def test_iterates_match_the_plain_steps_with_a_ball_indicator(self, rng):
+        # a prox other than the one-norm's runs as prox(z, out=z)
+        fwd = sc.MatrixMap(rng.standard_normal((6, 9)))
+        u = sc.soft_threshold(rng.standard_normal(9), 0.5)
+        prox = sc.ProxFunctional("indicator_norm_ball", 0.5)
+        tau = 1.0 / fwd.norm_bound ** 2
+        v = y = np.zeros(6)
+        t = 1.0
+        for budget in range(1, 40):
+            g = sc.source_gradient(y, u, fwd, prox)
+            v_next = y - tau * g
+            step = v_next - v
+            if sc.real_inner(g, step) > 0:
+                t, y = 1.0, v_next
+            else:
+                t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+                y, t = v_next + ((t - 1.0) / t_next) * step, t_next
+            v = v_next
+            rep = sc.solve_source_gd(u, fwd, prox, sc.SolveConfig(max_iters=budget))
+            assert rep.v.tobytes() == v.tobytes()
 
 
 class TestSolveRangeCd:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,24 @@ class TestRelativeChange:
         assert norm_ratio(y, x) == pytest.approx(0.5e-200, rel=1e-15)
         assert norm_ratio(np.zeros(2), np.zeros(2)) == 0.0
         assert norm_ratio(np.ones(2), np.zeros(2)) == float("inf")
+
+    def test_norms_past_the_float_range(self):
+        # both norms overflow, or only one does: each array is scaled by its
+        # own peak, so the ratio is kept and no norm flushes to zero
+        x = np.full(4, 1e308)
+        assert norm_ratio(x, np.full(4, 0.5e308)) == 2.0
+        assert norm_ratio(np.full(4, 0.5e308), x) == 0.5
+        assert norm_ratio(x, np.full(4, 1.0)) == 1e308
+        assert norm_ratio(np.full(4, 1.0), x) == 1e-308
+        assert norm_ratio(np.array([np.inf, 1.0]), np.full(2, 1e308)) == float("inf")
+        assert norm_ratio(np.zeros(4), x) == 0.0
+
+    def test_overflowing_difference_is_an_infinite_change(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _relative_change(np.full(4, 1e308), np.full(4, -1e308)) == float("inf")
+            assert _relative_change(np.full(4, 1e308), np.full(4, -1e308),
+                                    np.empty(4)) == float("inf")
 
     def test_non_finite_iterates_stay_non_finite(self):
         assert np.isnan(_relative_change(np.array([np.inf, 1.0]), np.zeros(2)))
