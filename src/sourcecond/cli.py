@@ -108,10 +108,14 @@ def _out_dir(args, command: str) -> str:
     return os.path.join("runs", command)
 
 
+def _add_output(parser):
+    parser.add_argument("--out", help="output directory (default: $SOURCEFORGE_OUT/<cmd>)")
+    parser.add_argument("--seed", type=int, help="seed of the run; overrides the config's")
+
+
 def _add_common(parser):
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--out", help="output directory (default: $SOURCEFORGE_OUT/<cmd>)")
-    parser.add_argument("--seed", type=int, help="overrides the config seed")
+    _add_output(parser)
     parser.add_argument("--max-iters", type=int, dest="max_iters",
                         help="overrides the primary solver budget")
     parser.add_argument("--tol", type=float, help="overrides the primary solver tolerance")
@@ -134,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("phantom", help="emit the built-in head phantom")
-    _add_common(p)
+    _add_output(p)
     p.add_argument("--size", type=int, default=400, help="grid size (square)")
 
     p = sub.add_parser("verify", help="re-check a stored certificate pair")
@@ -155,8 +159,6 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_phantom(args) -> int:
-    if args.config:
-        raise ConfigurationError("phantom takes no config file")
     seed = args.seed if args.seed is not None else 0
     if seed < 0:
         raise ConfigurationError("seed must be nonnegative")

@@ -324,9 +324,7 @@ def _write_run(out_dir: str, command: str, config: dict, seed: int, timings: dic
         names += files
     timings["write"] = time.perf_counter() - t0
     _remove_file(os.path.join(out_dir, "manifest.json"))
-    fileio.write_manifest(out_dir, fileio.RunManifest(
-        command=command, config_hash=fileio.config_hash(config), seed=seed,
-        timings=timings, artifacts=names))
+    fileio.write_manifest(out_dir, command, config, seed, timings, names)
 
 
 # ---------------------------------------------------------------------------

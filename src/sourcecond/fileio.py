@@ -12,7 +12,6 @@ import json
 import math
 import os
 import platform
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -273,52 +272,32 @@ def read_series_csv(path: str) -> dict:
 # canonical configs and run manifests
 
 
-def canonical_config_bytes(config: dict) -> bytes:
-    """Canonical serialization: stable under key reordering."""
-    return json.dumps(config, sort_keys=True, separators=(",", ":")).encode("ascii")
-
-
 def config_hash(config: dict) -> str:
-    return hashlib.sha256(canonical_config_bytes(config)).hexdigest()
+    """SHA-256 of the canonical serialization, stable under key reordering."""
+    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("ascii")).hexdigest()
 
 
-def tool_versions() -> str:
+def write_manifest(out_dir: str, command: str, config: dict, seed: int, timings: dict,
+                   artifacts: list) -> str:
+    """Persist the audit record of one run, its inputs, outputs, tool
+    versions and wall-clock timings, after checking every listed artifact
+    exists."""
     from . import __version__
 
-    return (f"sourcecond {__version__}, numpy {np.__version__}, "
-            f"python {platform.python_version()}")
-
-
-@dataclass
-class RunManifest:
-    """Audit record for one run: inputs, outputs, and wall-clock timings."""
-
-    command: str
-    config_hash: str
-    seed: int
-    artifacts: list = field(default_factory=list)
-    versions: str = ""
-    timings: dict = field(default_factory=dict)
-
-
-def write_manifest(out_dir: str, manifest: RunManifest) -> str:
-    """Persist the manifest after checking every listed artifact exists."""
-    missing = [a for a in manifest.artifacts
-               if not os.path.exists(os.path.join(out_dir, a))]
+    missing = [a for a in artifacts if not os.path.exists(os.path.join(out_dir, a))]
     if missing:
         raise InputError(f"manifest lists missing artifacts: {missing}")
-    if not manifest.versions:
-        manifest.versions = tool_versions()
     path = os.path.join(out_dir, "manifest.json")
-    payload = {
-        "command": manifest.command,
-        "config_hash": manifest.config_hash,
-        "seed": manifest.seed,
-        "artifacts": sorted(manifest.artifacts),
-        "versions": manifest.versions,
-        "timings": manifest.timings,
-    }
-    _dump_json(path, payload)
+    _dump_json(path, {
+        "command": command,
+        "config_hash": config_hash(config),
+        "seed": seed,
+        "artifacts": sorted(artifacts),
+        "versions": (f"sourcecond {__version__}, numpy {np.__version__}, "
+                     f"python {platform.python_version()}"),
+        "timings": timings,
+    })
     return path
 
 

@@ -30,23 +30,10 @@ from .operators import (LinearMap, SamplingMask, full_spectrum, irdft2, mirror_w
 
 @dataclass
 class SolveConfig:
-    """Budget of one solve.
-
-    Every solver runs the loop ``_iterate``: it records every
-    ``record_every``-th iterate and the last, and stops at a metric
-    ``<= grad_tol``, at a NaN metric ("diverged") or at the budget.
-    Accelerated descent takes its metric only at record steps; range-CD,
-    PALM and PDHG take theirs only at record steps when ``grad_tol == 0``.
-    Only an exact zero meets a zero tolerance, and then it ("tolerance") or
-    a NaN ("diverged") is found at the next record step.  When
-    ``grad_tol > 0`` they test every step, and their metric is the mean of
-    two norms, of which a non-record step takes the second only when the
-    first is not finite or is at most ``2 * grad_tol``: the mean cannot stop
-    the solve otherwise.  A NaN that only the second norm carries is then
-    found once it reaches the first or at the next record step.  Each norm
-    is ``operators.norm``; a step told that it makes a record step takes
-    the norms it can give with its work (range-CD's ``||K d||``).  Step
-    sizes are not set here: each solver derives them from its operators.
+    """Budget of one solve: at most ``max_iters`` steps, a stop at a metric
+    ``<= grad_tol``, and a record of every ``record_every``-th iterate and
+    the last.  ``_iterate`` states when the metric is taken.  Step sizes are
+    not set here: each solver derives them from its operators.
     """
 
     max_iters: int = 1000
@@ -118,27 +105,37 @@ def _source_gradient(v, u_true, fwd, prox):
     return fwd.apply(prox.prox(u_true + fwd.adjoint(v)) - u_true)
 
 
-def _iterate(cfg: SolveConfig, measure, advance, every_step: bool, start: int = 0):
-    """The iteration loop of every solver, over iterates ``start..max_iters``.
+def _iterate(cfg: SolveConfig, measure, advance, start: int = 0, halves: bool = True):
+    """The iteration loop of every solver, over iterates ``start..max_iters``,
+    and the one owner of the stop rule.
 
-    ``advance(record)`` steps from iterate ``k`` to ``k + 1``, told whether
-    that is a record step (every ``cfg.record_every``-th iterate and the
-    last); ``measure(exact)`` gives the stopping metric at the current one,
-    at record steps (which enter the history, ``exact`` True) and, with
-    ``every_step``, at all others (``exact`` False).  A non-record step only
-    tests the metric, so there ``measure`` may return any number above
-    ``cfg.grad_tol`` in its place when the metric is sure to be above it
-    (``_mean_of_halves``).  The loop stops at the first metric
-    ``<= cfg.grad_tol``, at a NaN metric or at the budget, and returns
-    ``(iterations, metric, history, termination)``, the arguments
-    ``_finish`` takes after the iterates.
+    The metric at an iterate is taken at every record step (every
+    ``cfg.record_every``-th iterate and the last), where it enters the
+    history, and, when ``halves`` is set and ``cfg.grad_tol > 0``, at every
+    other step too.  The loop stops at the first metric ``<= cfg.grad_tol``
+    ("tolerance"), at a NaN metric ("diverged") or at the budget
+    ("max_iters"); only an exact zero meets a zero tolerance.
+
+    With ``halves``, ``measure()`` returns ``(first, second)``: a norm, and
+    a function that takes the other norm.  The metric is their mean, and a
+    non-record step calls ``second`` only when ``first`` is not finite or
+    is at most ``2 * cfg.grad_tol`` (``_mean_of_halves``); a NaN that only
+    ``second`` carries is then found once it reaches ``first`` or at the
+    next record step.  Without ``halves``, ``measure()`` returns the metric.
+
+    ``advance(measured)`` steps from iterate ``k`` to ``k + 1``, told
+    whether the loop takes the metric there, so that a step can give the
+    norms it makes with its work (range-CD's ``||K d||``) only where they
+    are read.  Returns ``(iterations, metric, history, termination)``, the
+    arguments ``_finish`` takes after the iterates.
     """
     last, every, tol = cfg.max_iters, cfg.record_every, cfg.grad_tol
+    every_step = halves and tol > 0
     history = []
     record = start == last or start % every == 0
     for k in range(start, last + 1):
         if record or every_step:
-            metric = measure(record)
+            metric = _mean_of_halves(*measure(), record, tol) if halves else measure()
             if record:
                 history.append((k, metric))
             if metric <= tol:
@@ -147,35 +144,47 @@ def _iterate(cfg: SolveConfig, measure, advance, every_step: bool, start: int = 
                 return k, metric, history, "diverged"
         if k < last:
             record = k + 1 == last or (k + 1) % every == 0
-            advance(record)
+            advance(record or every_step)
     return last, metric, history, "max_iters"
 
 
-def _mean_of_halves(first: float, second, exact: bool, grad_tol: float) -> float:
+def _mean_of_halves(first: float, second, exact: bool, tol: float) -> float:
     """The two-part metric ``0.5 * (first + second())``.
 
     Unless ``exact``, ``second`` is not called when ``0.5 * first`` is finite
-    and above ``grad_tol``, and that value is returned instead: ``second()``
+    and above ``tol``, and that value is returned instead: ``second()``
     is a norm, so the mean is at least ``0.5 * first`` in floating point too
-    and cannot stop the loop.  A NaN that only ``second`` carries is then
-    seen once it reaches ``first`` or at the next exact metric.
+    and cannot stop the loop.
     """
     half = 0.5 * first
-    if not exact and half > grad_tol and math.isfinite(first):
+    if not exact and half > tol and math.isfinite(first):
         return half
     return 0.5 * (first + second())
+
+
+def _squared_bound(op: LinearMap) -> float:
+    """``||op||^2`` from the norm bound of ``op``; a bound whose square is
+    not finite (infinite, NaN or past about 1.34e154) is refused."""
+    try:
+        square = op.norm_bound ** 2
+    except OverflowError:  # a float bound whose square passes the float range
+        square = math.inf
+    if not math.isfinite(square):
+        raise ConfigurationError(
+            f"the norm bound {op.norm_bound} of {type(op).__name__} has no finite square")
+    return square
 
 
 def _data_step(fwd: LinearMap) -> float:
     """Step ``1/||K||^2`` of a data block from the norm bound of ``K``
     (1 for the zero map)."""
-    lam = fwd.norm_bound ** 2
+    lam = _squared_bound(fwd)
     return 1.0 / lam if lam > 0 else 1.0
 
 
 def _dual_step(grad_op: LinearMap) -> float:
     """Step ``1/(||A||^2 + 1)`` of a dual block from the norm bound of ``A``."""
-    return 1.0 / (grad_op.norm_bound ** 2 + 1.0)
+    return 1.0 / (_squared_bound(grad_op) + 1.0)
 
 
 def solve_source_gd(u_true: np.ndarray, fwd: LinearMap, prox: ProxFunctional,
@@ -185,9 +194,8 @@ def solve_source_gd(u_true: np.ndarray, fwd: LinearMap, prox: ProxFunctional,
     Uses heavy-ball extrapolation with the classical t-sequence and a
     gradient-based adaptive restart, with the step ``tau = 1/||K||^2`` from
     the norm bound of ``fwd`` (1 for the zero map), the inverse Lipschitz
-    constant of the gradient.  The iteration starts from zero and stops once
-    the gradient norm at the iterate drops to ``cfg.grad_tol`` (checked every
-    ``cfg.record_every`` iterations) or the budget runs out.
+    constant of the gradient.  The iteration starts from zero; its metric,
+    taken at record steps only, is the norm of the gradient at the iterate.
 
     The iterates and the gradient's terms live in work arrays allocated once
     per solve, and the shapes are checked once, here.  ``v`` and the next
@@ -240,10 +248,10 @@ def solve_source_gd(u_true: np.ndarray, fwd: LinearMap, prox: ProxFunctional,
         def ascent():  # real_inner's sum, into a work array
             return np.add.reduce(np.multiply(g, step, out=product), axis=None)
 
-    def measure(exact):
+    def measure():
         return norm(_source_gradient(v, u_true, fwd, prox))
 
-    def advance(_record):
+    def advance(_measured):
         nonlocal v, v_next, t
         fwd.adjoint_into(y, z)
         np.add(u, z, out=z)
@@ -266,7 +274,7 @@ def solve_source_gd(u_true: np.ndarray, fwd: LinearMap, prox: ProxFunctional,
         v, v_next = v_next, v
 
     with np.errstate(invalid="ignore"):
-        outcome = _iterate(cfg, measure, advance, every_step=False)
+        outcome = _iterate(cfg, measure, advance, halves=False)
     return _finish(v, None, *outcome)
 
 
@@ -278,11 +286,8 @@ def solve_range_cd(u_true: np.ndarray, fwd: LinearMap, grad_op: LinearMap,
     ``q`` at ``A u``, alternating explicit gradient steps in ``v`` and ``q``.
     The steps come from the norm bounds: ``tau = 1/||K||^2`` (1 for the zero
     map) and ``sigma = 1/(||A||^2 + 1)``.  The stopping metric is the mean of
-    the two partial-derivative norms evaluated at the current pair,
-    ``||K d||`` and the norm of the field residual.  It is taken at record
-    steps, and with ``cfg.grad_tol > 0`` tested on every step, where the
-    field norm is taken only when ``||K d||`` is not finite or is at most
-    ``2 * grad_tol``.
+    the two partial-derivative norms evaluated at the current pair:
+    ``||K d||`` and the norm of the field residual, its two halves.
 
     ``v`` starts at zero and each step moves it by ``-tau K d`` with
     ``d = K* v - A* q``, so ``v = K D`` for the real image ``D``, the sum of
@@ -291,9 +296,9 @@ def solve_range_cd(u_true: np.ndarray, fwd: LinearMap, grad_op: LinearMap,
     formed once, at the end.  The metric at a pair and the step from it share
     ``A* q``, ``d``, ``K* K d`` and ``prox(a + q)``, which are computed once
     per pair, by the step into it.  ``fwd.normal`` returns ``||K d||`` with
-    ``K* K d`` on the steps into a record step, which ``_iterate`` names, and
-    on every step when ``cfg.grad_tol > 0``; the other steps call
-    ``fwd.normal(d, norm=False)``.  So a step calls ``fwd.normal`` once
+    ``K* K d`` on the steps into an iterate where ``_iterate`` takes the
+    metric; the other steps call ``fwd.normal(d, norm=False)``.  So a step
+    calls ``fwd.normal`` once
     (one real FFT pair for Fourier sampling, no transform for a full mask),
     the gradient once, the divergence once and the prox once; a metric that
     takes its field norm adds one gradient, three field passes and a norm.
@@ -322,13 +327,12 @@ def solve_range_cd(u_true: np.ndarray, fwd: LinearMap, grad_op: LinearMap,
     shrunk = np.empty(grad_op.codomain_shape)
     field = np.empty(grad_op.codomain_shape)
     kkd = kd_norm = None
-    every_step = cfg.grad_tol > 0  # else only record steps read ||K d||
 
-    def share(record):
+    def share(measured):
         nonlocal kkd, kd_norm
         grad_op.adjoint_into(q, aq)
         np.subtract(kv, aq, out=d)
-        kkd, kd_norm = fwd.normal(d, norm=record or every_step)
+        kkd, kd_norm = fwd.normal(d, norm=measured)
         np.add(a_field, q, out=shrunk)
         prox_h.prox(shrunk, out=shrunk)
 
@@ -339,10 +343,10 @@ def solve_range_cd(u_true: np.ndarray, fwd: LinearMap, grad_op: LinearMap,
         np.subtract(field, a_field, out=field)
         return norm(field)
 
-    def measure(exact):
-        return _mean_of_halves(kd_norm, field_norm, exact, cfg.grad_tol)
+    def measure():
+        return kd_norm, field_norm
 
-    def advance(record):
+    def advance(measured):
         np.multiply(tau, d, out=scaled)
         np.subtract(image, scaled, out=image)
         np.multiply(tau, kkd, out=scaled)
@@ -353,10 +357,10 @@ def solve_range_cd(u_true: np.ndarray, fwd: LinearMap, grad_op: LinearMap,
         np.subtract(field, a_field, out=field)
         np.multiply(sigma, field, out=field)
         np.subtract(q, field, out=q)
-        share(record)
+        share(measured)
 
     share(True)  # iterate 0 is always recorded
-    outcome = _iterate(cfg, measure, advance, every_step)
+    outcome = _iterate(cfg, measure, advance)
     return _finish(fwd.apply(image), q, *outcome)
 
 
@@ -368,16 +372,14 @@ def solve_palm(u_true: np.ndarray, grad_op: LinearMap, prox_h: ProxFunctional,
     ``beta`` (complex modulus shrinkage) so that its zero set defines a
     Fourier sampling pattern.  It couples through the unitary DFT ``F``, the
     full-mask Fourier map, and the steps come from the norm bounds:
-    ``tau = 1/||F||^2``, which is 1 because a unitary map has norm 1, and
-    ``sigma = 1/(||A||^2 + 1)``.
+    ``tau = 1/||F||^2``, which is 1 because a unitary map has norm 1 (so the
+    data step is written without it), and ``sigma = 1/(||A||^2 + 1)``.
 
-    The stopping metric at iterate ``k`` is the mean of ``||dv||/tau`` and
-    ``||dq||/sigma`` over the step *from* ``k``, so each step is computed
-    once, into the iterate it comes from, and the metric takes only the two
-    displacement norms; at the budget it measures a step not taken.  The
-    metric is taken at record steps, and with ``cfg.grad_tol > 0`` tested
-    on every step, where ``||dq||`` is taken only when ``||dv||/tau`` is not
-    finite or is at most ``2 * grad_tol``.
+    The stopping metric at iterate ``k`` is the mean of its two halves,
+    ``||dv||/tau`` and ``||dq||/sigma``, over the step *from* ``k``, so each
+    step is computed once, into the iterate it comes from, and the metric
+    takes only the two displacement norms; at the budget it measures a step
+    not taken.
 
     ``v`` starts at zero, and each step shrinks a combination of ``v`` and
     ``F`` of a real image, so ``v`` stays Hermitian.  The solver holds its
@@ -393,7 +395,6 @@ def solve_palm(u_true: np.ndarray, grad_op: LinearMap, prox_h: ProxFunctional,
     if beta <= 0:
         raise ConfigurationError("beta must be positive")
     shape = u_true.shape
-    tau = 1.0
     sigma = _dual_step(grad_op)
     weights = mirror_weights(shape[1])
 
@@ -412,10 +413,9 @@ def solve_palm(u_true: np.ndarray, grad_op: LinearMap, prox_h: ProxFunctional,
     def step():
         grad_op.adjoint_into(q, aq)
         rdft2(aq, out=coupled)
-        np.subtract(vt, coupled, out=coupled)  # vt - tau (vt - F aq)
-        np.multiply(tau, coupled, out=coupled)
+        np.subtract(vt, coupled, out=coupled)  # vt - (vt - F aq), with tau = 1
         np.subtract(vt, coupled, out=coupled)
-        soft_threshold(coupled, tau * beta, out=vt_new)
+        soft_threshold(coupled, beta, out=vt_new)
         back = irdft2(vt_new, shape)
         np.subtract(aq, back, out=back)  # q - sigma (A (aq - back) + prox(q + a) - a)
         grad_op.apply_into(back, field)
@@ -430,18 +430,18 @@ def solve_palm(u_true: np.ndarray, grad_op: LinearMap, prox_h: ProxFunctional,
         np.subtract(q_new, q, out=field)
         return norm(field) / sigma
 
-    def measure(exact):
+    def measure():
         np.subtract(vt_new, vt, out=coupled)
-        return _mean_of_halves(norm(coupled, weights) / tau, dq_norm, exact, cfg.grad_tol)
+        return norm(coupled, weights), dq_norm
 
-    def advance(_record):
+    def advance(_measured):
         nonlocal vt, q, vt_new, q_new
         vt, vt_new = vt_new, vt
         q, q_new = q_new, q
         step()
 
     step()
-    outcome = _iterate(cfg, measure, advance, every_step=cfg.grad_tol > 0)
+    outcome = _iterate(cfg, measure, advance)
     nnz = int(np.count_nonzero(vt, axis=0) @ weights)
     return _finish(full_spectrum(vt, shape[1]), q, *outcome, nnz=nnz)
 

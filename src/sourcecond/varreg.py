@@ -11,7 +11,7 @@ import numpy as np
 from .errors import ConfigurationError, InputError, VerificationError
 from .functionals import project_group_ball, tv_value
 from .operators import LinearMap, grad2, norm, real_inner
-from .solvers import SolveConfig, _finish, _iterate, _mean_of_halves
+from .solvers import SolveConfig, _finish, _iterate, _squared_bound
 
 _BOUND_SLACK = 1.0 + 1e-12  # tolerate roundoff when tau*sigma*||A||^2 is exactly 1
 
@@ -107,12 +107,9 @@ def solve_pdhg(problem: VarRegProblem, cfg: SolveConfig):
     for the supported forward maps.  The steps are ``tau = 1/8`` and
     ``sigma = 1``, so that ``tau * sigma * ||A||^2 <= 1`` for the gradient
     (``||A|| <= sqrt(8)``); a caller-supplied ``A`` whose norm bound breaks
-    that is refused.  Stops when the mean relative change of primal and dual
-    iterates is at most ``cfg.grad_tol``; the change is first taken after one
-    step, and only at record steps if ``grad_tol == 0``.  With
-    ``grad_tol > 0`` it is tested on every step, where the change of ``q``
-    is taken only when that of ``u`` is not finite or is at most
-    ``2 * grad_tol``.
+    that is refused.  The stopping metric is the mean of its two halves,
+    the relative changes of the primal and the dual iterate over the last
+    step, so it is first taken after one step.
 
     The iterates, the extrapolated primal point and the right-hand side of
     the data prox live in work arrays allocated once per solve.  The
@@ -132,7 +129,7 @@ def solve_pdhg(problem: VarRegProblem, cfg: SolveConfig):
     Returns ``(solution, dual_field, report)``.
     """
     tau, sigma = 1.0 / 8.0, 1.0
-    lam_a = problem.A.norm_bound ** 2
+    lam_a = _squared_bound(problem.A)
     if tau * sigma * lam_a > _BOUND_SLACK:
         raise ConfigurationError(
             f"tau*sigma*||A||^2 = {tau * sigma * lam_a} exceeds 1")
@@ -148,11 +145,10 @@ def solve_pdhg(problem: VarRegProblem, cfg: SolveConfig):
     def q_change():
         return _relative_change(q, q_old, q_diff)
 
-    def measure(exact):
-        return _mean_of_halves(_relative_change(u, u_old, u_diff), q_change, exact,
-                               cfg.grad_tol)
+    def measure():
+        return _relative_change(u, u_old, u_diff), q_change
 
-    def advance(_record):
+    def advance(_measured):
         nonlocal u, q, u_old, q_old
         # the new u and q overwrite the ones before the last
         u_old, u, q_old, q = u, u_old, q, q_old
@@ -168,7 +164,7 @@ def solve_pdhg(problem: VarRegProblem, cfg: SolveConfig):
         np.subtract(u_bar, u_old, out=u_bar)
 
     advance(None)  # into iterate 1, where the loop starts
-    outcome = _iterate(cfg, measure, advance, every_step=cfg.grad_tol > 0, start=1)
+    outcome = _iterate(cfg, measure, advance, start=1)
     return u, q, _finish(u, q, *outcome)
 
 

@@ -51,6 +51,15 @@ class TestUsageErrors:
     def test_unknown_flag(self):
         assert main(["phantom", "--wat"]) == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--config", "cfg.json"), ("--max-iters", "3"), ("--tol", "0.3")])
+    def test_phantom_refuses_solver_flags(self, tmp_path, flag, value):
+        # phantom runs no solve and reads no config: it takes --size, --out
+        # and --seed only
+        out = tmp_path / "o"
+        assert main(["phantom", "--size", "16", "--out", str(out), flag, value]) == 2
+        assert not out.exists()
+
     def test_unknown_config_key(self, tmp_path):
         cfg = write_cfg(tmp_path, "bad.json", {"size": [32, 32], "nope": 1})
         assert main(["fourier2d", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

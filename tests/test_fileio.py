@@ -117,27 +117,23 @@ class TestConfigHash:
 
 class TestManifest:
     def test_requires_existing_artifacts(self, tmp_path):
-        m = fileio.RunManifest(command="x", config_hash="00", seed=0,
-                               artifacts=["missing.csv"])
         with pytest.raises(InputError):
-            fileio.write_manifest(str(tmp_path), m)
+            fileio.write_manifest(str(tmp_path), "x", {}, 0, {}, ["missing.csv"])
 
     def test_written_manifest_contents(self, tmp_path):
         (tmp_path / "a.csv").write_text("x\r\n")
-        m = fileio.RunManifest(command="demo", config_hash="ff", seed=3,
-                               artifacts=["a.csv"], timings={"total": 0.5})
-        path = fileio.write_manifest(str(tmp_path), m)
+        path = fileio.write_manifest(str(tmp_path), "demo", {"size": 8}, 3, {"total": 0.5},
+                                     ["a.csv"])
         data = json.loads(Path(path).read_text())
         assert data["command"] == "demo"
+        assert data["config_hash"] == fileio.config_hash({"size": 8})
         assert data["seed"] == 3
         assert data["artifacts"] == ["a.csv"]
         assert "sourcecond" in data["versions"] and "numpy" in data["versions"]
 
     def test_non_finite_timing_refused(self, tmp_path):
-        m = fileio.RunManifest(command="demo", config_hash="ff", seed=0,
-                               timings={"total": float("inf")})
         with pytest.raises(ValueError):
-            fileio.write_manifest(str(tmp_path), m)
+            fileio.write_manifest(str(tmp_path), "demo", {}, 0, {"total": float("inf")}, [])
         assert not (tmp_path / "manifest.json").exists()
 
 

@@ -135,3 +135,71 @@ def test_norm_scan_finds_each_spelling():
     assert norm_sum_calls(source) == [
         (3, "linalg.norm"), (3, "linalg.norm"), (4, "dot"), (4, "vdot"),
         (5, "linalg.norm"), (6, "norm"), (7, "dot"), (7, "vdot")]
+
+
+# the stop rule has one owner, ``solvers._iterate``: solvers hand it a metric
+# and a step, and no solver body reads the tolerance or forms the two-part
+# metric itself
+def named_outside(source, name, allowed=(), filename="<source>"):
+    """``(line, owner)`` of every place ``source`` names ``name``, as a bare
+    name, an attribute or an import, outside the top-level functions and
+    classes in ``allowed``; ``owner`` is the top-level definition around
+    it, or None at module level."""
+    tree = ast.parse(source, filename=filename)
+    found = []
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        if owner in allowed:
+            continue
+        for node in ast.walk(top):
+            if ((isinstance(node, ast.Name) and node.id == name)
+                    or (isinstance(node, ast.Attribute) and node.attr == name)
+                    or (isinstance(node, ast.alias) and name in (node.name, node.asname))):
+                found.append((node.lineno, owner))
+    return sorted(found)
+
+
+def module_named_outside(module, name, allowed=()):
+    path = os.path.join(SRC, module)
+    with open(path, encoding="utf-8") as f:
+        return named_outside(f.read(), name, allowed, path)
+
+
+@pytest.mark.parametrize("module", ["solvers.py", "varreg.py"])
+def test_tolerance_read_only_by_the_loop(module):
+    reads = module_named_outside(module, "grad_tol", ("SolveConfig", "_iterate"))
+    assert not reads, f"{module} reads grad_tol at {reads}; the stop rule is _iterate's"
+
+
+@pytest.mark.parametrize("module", sorted(
+    name for name in os.listdir(SRC) if name.endswith(".py")))
+def test_two_part_metric_formed_only_by_the_loop(module):
+    allowed = ("_iterate", "_mean_of_halves") if module == "solvers.py" else ()
+    uses = module_named_outside(module, "_mean_of_halves", allowed)
+    assert not uses, f"{module} names _mean_of_halves at {uses}; only _iterate calls it"
+
+
+def test_loop_is_seen_to_own_the_stop_rule():
+    # the scans find the names where they are, so an empty scan means something
+    owners = {owner for _, owner in module_named_outside("solvers.py", "grad_tol")}
+    assert owners == {"SolveConfig", "_iterate"}
+    owners = {owner for _, owner in module_named_outside("solvers.py", "_mean_of_halves")}
+    assert owners == {"_iterate"}
+
+
+def test_name_scan_finds_each_spelling():
+    source = "\n".join([
+        "from .solvers import _iterate, _mean_of_halves",
+        "import x as grad_tol",
+        "class SolveConfig:",
+        "    grad_tol: float = 0.0",
+        "def _iterate(cfg):",
+        "    return cfg.grad_tol",
+        "def solve(cfg):",
+        "    tol = cfg.grad_tol + getattr(cfg, 'other')",
+        "    return _mean_of_halves(tol, grad_tol, True, tol)",
+        "cfg.grad_tol = 1.0",
+    ])
+    assert named_outside(source, "grad_tol", ("SolveConfig", "_iterate")) == [
+        (2, None), (8, "solve"), (9, "solve"), (10, None)]
+    assert named_outside(source, "_mean_of_halves") == [(1, None), (9, "solve")]

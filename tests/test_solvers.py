@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sourcecond as sc
+from sourcecond import solvers
 from sourcecond.errors import ConfigurationError, InputError
 from sourcecond.solvers import _finish, _iterate
 
@@ -563,6 +564,59 @@ class TestSolvePalm:
         assert rep.v.tobytes() == reference_palm(*args).v.tobytes()
 
 
+class _Bounded(sc.LinearMap):
+    """The identity on a shape, with a given norm bound."""
+
+    def __init__(self, shape, bound):
+        super().__init__(shape, shape, bound)
+
+    def apply(self, x):
+        return np.array(x, dtype=float)
+
+    def adjoint(self, y):
+        return np.array(y, dtype=float)
+
+
+class TestSquaredBound:
+    """A norm bound whose square is not finite sets no step: the solve is
+    refused instead of running its budget with a step of 0."""
+
+    @staticmethod
+    def _huge_matrix(value):
+        # power iteration overflows while the map is built: its bound is inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            fwd = sc.MatrixMap(np.full((3, 3), value))
+        assert fwd.norm_bound == math.inf
+        return fwd
+
+    @pytest.mark.parametrize("value", [1e200, 1e160])
+    def test_descent_refuses_an_infinite_bound(self, value):
+        with pytest.raises(ConfigurationError, match="no finite square"):
+            sc.solve_source_gd(1e-200 * np.array([1.0, 0.0, -1.0]), self._huge_matrix(value),
+                               sc.ProxFunctional("l1"), sc.SolveConfig(max_iters=20))
+
+    @pytest.mark.parametrize("value", [1e200, 1e160])
+    def test_range_cd_refuses_an_infinite_bound(self, value):
+        with pytest.raises(ConfigurationError, match="no finite square"):
+            sc.solve_range_cd(np.array([1.0, 0.0, -1.0]), self._huge_matrix(value),
+                              sc.MatrixMap(np.eye(3)), sc.ProxFunctional("l1"),
+                              sc.SolveConfig(max_iters=20))
+
+    @pytest.mark.parametrize("bound", [2e154, math.inf, math.nan])
+    def test_palm_refuses_a_bound_without_a_finite_square(self, bound):
+        # 2e154 ** 2 passes the float range: Python raises OverflowError
+        u = np.zeros((4, 4))
+        with pytest.raises(ConfigurationError, match="no finite square"):
+            sc.solve_palm(u, _Bounded((2, 4, 4), bound), sc.ProxFunctional("group_l21"),
+                          0.1, sc.SolveConfig(max_iters=5))
+
+    def test_largest_finite_square_is_kept(self):
+        # 1.3e154 squares to about 1.69e308, below the float range
+        bound = 1.3e154
+        assert solvers._dual_step(_Bounded((3,), bound)) == 1.0 / (bound ** 2 + 1.0)
+        assert solvers._data_step(_Bounded((3,), bound)) == 1.0 / bound ** 2
+
+
 class TestMetricAtRecordSteps:
     """With ``grad_tol == 0`` range-CD and PALM take their metric only at
     record steps.  ``grad_tol = 5e-324``, the least positive float, stops
@@ -768,46 +822,76 @@ class TestStopTest:
             assert np.isnan(rep.q).any() == (stop == 30)
 
 
+def _same(x, y):
+    # equal floats, or both NaN
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
 class TestIterate:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 30), st.integers(1, 7), st.sampled_from([0.0, 0.5]),
            st.booleans(), st.integers(0, 1),
-           st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 2.0, math.nan]),
+           st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, math.inf, math.nan]),
+                    min_size=31, max_size=31),
+           st.lists(st.sampled_from([0.0, 0.5, 2.0, math.inf, math.nan]),
                     min_size=31, max_size=31))
-    def test_scripted_metrics(self, max_iters, record_every, grad_tol, every_step, start,
-                              metrics):
+    def test_scripted_metrics(self, max_iters, record_every, grad_tol, halves, start,
+                              firsts, seconds):
+        # with halves, iterate j's metric is the mean of firsts[j] and
+        # seconds[j]; without, it is firsts[j]
         cfg = sc.SolveConfig(max_iters=max_iters, grad_tol=grad_tol,
                              record_every=record_every)
         at = [start]
-        measured = []
+        measured, second_taken = [], []
 
         def recorded(j):
             return j % record_every == 0 or j == max_iters
 
-        def measure(exact):
-            # exact at the record steps, the ones that enter the history
-            assert exact == recorded(at[0])
+        def taken(j):
+            return recorded(j) or (halves and grad_tol > 0)
+
+        def second():
+            second_taken.append(at[0])
+            return seconds[at[0]]
+
+        def measure():
             measured.append(at[0])
-            return metrics[at[0]]
+            return (firsts[at[0]], second) if halves else firsts[at[0]]
 
-        def advance(record):
-            # told whether the iterate it steps into is a record step
+        def advance(will_measure):
+            # told whether the loop takes the metric at the iterate it steps into
             at[0] += 1
-            assert record == recorded(at[0])
+            assert will_measure == taken(at[0])
 
-        k, metric, history, termination = _iterate(cfg, measure, advance, every_step, start)
+        k, metric, history, termination = _iterate(cfg, measure, advance, start, halves)
 
-        taken = [j for j in range(start, max_iters + 1) if every_step or recorded(j)]
-        stop = next((j for j in taken if metrics[j] <= grad_tol or math.isnan(metrics[j])),
+        def decided(j):
+            # half the first norm, finite and above the tolerance, cannot stop
+            return 0.5 * firsts[j] > grad_tol and math.isfinite(firsts[j])
+
+        def expected(j):
+            if not halves:
+                return firsts[j]
+            if not recorded(j) and decided(j):
+                return 0.5 * firsts[j]
+            return 0.5 * (firsts[j] + seconds[j])
+
+        steps = [j for j in range(start, max_iters + 1) if taken(j)]
+        stop = next((j for j in steps if expected(j) <= grad_tol or math.isnan(expected(j))),
                     max_iters)
         assert k == stop and at[0] == stop  # one advance call per step taken
-        assert measured == [j for j in taken if j <= stop]
-        # list equality tries identity first, so the scripted NaN compares equal
-        assert history == [(j, metrics[j]) for j in measured if recorded(j)]
-        assert metric is metrics[stop]
-        if metrics[stop] <= grad_tol:
+        assert measured == [j for j in steps if j <= stop]
+        if not halves:  # a one-part metric only at record steps, at any tolerance
+            assert measured == [j for j in measured if recorded(j)]
+        # the second norm only where the first cannot decide, or at a record step
+        assert second_taken == [j for j in measured if halves and (recorded(j) or not decided(j))]
+        want = [(j, expected(j)) for j in measured if recorded(j)]
+        assert [j for j, _ in history] == [j for j, _ in want]
+        assert all(_same(got, wanted) for (_, got), (_, wanted) in zip(history, want))
+        assert _same(metric, expected(stop))
+        if expected(stop) <= grad_tol:
             assert termination == "tolerance"
-        elif math.isnan(metrics[stop]):
+        elif math.isnan(expected(stop)):
             assert termination == "diverged"
         else:
             assert termination == "max_iters"

@@ -262,6 +262,17 @@ class TestSolvePdhg:
         with pytest.raises(ConfigurationError):
             sc.solve_pdhg(prob, sc.SolveConfig(max_iters=5))
 
+    def test_bound_without_a_finite_square_refused(self):
+        # 2e154 ** 2 passes the float range; the check refuses it instead
+        # of letting Python's OverflowError out
+        class Huge(sc.LinearMap):
+            apply = adjoint = staticmethod(np.copy)
+
+        prob = sc.VarRegProblem(K=sc.IdentityMap((4, 4)), data=np.zeros((4, 4)), alpha=1.0,
+                                A=Huge((4, 4), (4, 4), 2e154))
+        with pytest.raises(ConfigurationError, match="no finite square"):
+            sc.solve_pdhg(prob, sc.SolveConfig(max_iters=5))
+
     def test_dense_forward_map(self, rng):
         # small dense forward map goes through the normal-equations prox
         u, prob = dense_problem(rng)
