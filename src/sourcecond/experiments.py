@@ -400,8 +400,9 @@ def make_lasso_data(cfg: Lasso1DConfig):
     """Equispaced samples of the true polynomial plus seeded Gaussian noise.
 
     Returns ``(Phi, f_clean, f_noisy, delta)`` with ``delta`` the realized
-    data-error norm.  Data that overflow (an entry of ``Phi``, its norm
-    bound, a noisy sample or ``delta`` not finite) are an input error.
+    data-error norm.  Data that overflow (an entry of ``Phi``, a noisy
+    sample or ``delta`` not finite) are an input error, and a ``Phi`` whose
+    norm bound overflows is refused by ``MatrixMap``.
     """
     lo, hi = cfg.sample_interval
     with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
@@ -412,8 +413,8 @@ def make_lasso_data(cfg: Lasso1DConfig):
         noise = cfg.noise_std * rng.standard_normal(cfg.n_samples)
         f_noisy = f_clean + noise
         delta = norm(f_clean - f_noisy)
-    if not (np.all(np.isfinite(phi.matrix)) and math.isfinite(phi.norm_bound)
-            and np.all(np.isfinite(f_noisy)) and math.isfinite(delta)):
+    if not (np.all(np.isfinite(phi.matrix)) and np.all(np.isfinite(f_noisy))
+            and math.isfinite(delta)):
         raise InputError("the lasso data overflow: shrink the sample interval, "
                          "the coefficients or the noise")
     return phi, f_clean, f_noisy, delta

@@ -4,8 +4,8 @@ All maps act on plain numpy arrays.  Complex arrays are treated as pairs of
 real arrays, so the relevant inner product is ``Re <x, y>`` and adjoints are
 taken with respect to it.  Apply/adjoint are pure functions and instances are
 immutable after construction, so maps can be shared freely between threads.
-``apply_into``/``adjoint_into`` write the same result into a caller's array,
-so that a solver can hold its work arrays for a whole solve.
+``apply(x, out=)``/``adjoint(y, out=)`` write the same result into a caller's
+array, so that a solver can hold its work arrays for a whole solve.
 """
 
 from __future__ import annotations
@@ -64,11 +64,25 @@ def _check_out(out, shape) -> None:
                          f"got {np.shape(out)}")
 
 
+def _write(result, out, shape):
+    """``result``, or ``out``, checked to be of ``shape``, with ``result``
+    copied into it when it is given: the ``out=`` of a map without an
+    in-place form."""
+    if out is None:
+        return result
+    _check_out(out, shape)
+    np.copyto(out, result)
+    return out
+
+
 class LinearMap(ABC):
     """A forward/adjoint pair with shape metadata and a norm bound.
 
     ``norm_bound`` is an upper bound on the operator norm with respect to the
     real inner product, used by the solvers to derive admissible step sizes.
+    ``apply`` and ``adjoint`` write their result into ``out`` when it is
+    given, an array of the result's shape, and return it; a subclass must
+    accept ``out=None``.
     """
 
     domain_complex = False
@@ -80,26 +94,12 @@ class LinearMap(ABC):
         self.norm_bound = float(norm_bound)
 
     @abstractmethod
-    def apply(self, x: np.ndarray) -> np.ndarray:
+    def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Forward action."""
 
     @abstractmethod
-    def adjoint(self, y: np.ndarray) -> np.ndarray:
+    def adjoint(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Adjoint action with respect to the real inner product."""
-
-    def apply_into(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``apply(x)`` written into ``out``, which is returned.  This default
-        copies the result of ``apply``; maps with an in-place form override
-        it."""
-        _check_out(out, self.codomain_shape)
-        np.copyto(out, self.apply(x))
-        return out
-
-    def adjoint_into(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``adjoint(y)`` written into ``out``, which is returned."""
-        _check_out(out, self.domain_shape)
-        np.copyto(out, self.adjoint(y))
-        return out
 
     def normal(self, x: np.ndarray, norm: bool = True) -> tuple[np.ndarray, float | None]:
         """Normal operator and image norm: ``(K* K x, ||K x||)``, or
@@ -142,7 +142,8 @@ def _scalar_resolvent(tau):
 
 class MatrixMap(LinearMap):
     """Dense matrix as a LinearMap; adjoint is the transpose.  The norm bound
-    is the power-iteration estimate ``power_norm`` of the matrix."""
+    is the power-iteration estimate ``power_norm`` of the matrix; a matrix
+    whose estimate overflows sets no step and is refused."""
 
     def __init__(self, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=float)
@@ -152,37 +153,35 @@ class MatrixMap(LinearMap):
         self._transpose = matrix.T
         self._blas = matrix.flags.c_contiguous or matrix.flags.f_contiguous
         super().__init__((matrix.shape[1],), (matrix.shape[0],), 0.0)
-        self.norm_bound = power_norm(self)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+            self.norm_bound = power_norm(self)
+        if not math.isfinite(self.norm_bound):
+            raise ConfigurationError("the matrix's norm bound is not finite: "
+                                     "its products overflow")
 
-    def apply(self, x):
-        self._check_domain(x)
-        return self.matrix @ x
-
-    def adjoint(self, y):
-        self._check_codomain(y)
-        return self.matrix.T @ y
-
-    # ``ndarray.dot`` writes the product into ``out``.  On a contiguous matrix
-    # and a C-contiguous float64 vector it makes the BLAS call of ``@``; on
-    # others ``@`` may take its own loop, so they go through the base method.
-    # ``dot`` refuses a vector of the wrong length, or an ``out`` that is not
-    # a C-contiguous float64 vector of the product's length, with ValueError,
-    # and then the base method refuses it too or copies the product into it.
-    def apply_into(self, x, out):
-        if self._blas and _blas_vector(x):
+    # Given ``out``, ``ndarray.dot`` writes the product into it.  On a
+    # contiguous matrix and a C-contiguous float64 vector it makes the BLAS
+    # call of ``@``; on others ``@`` may take its own loop, so they take ``@``
+    # and a copy.  ``dot`` refuses a vector of the wrong length, or an ``out``
+    # that is not a C-contiguous float64 vector of the product's length, with
+    # ValueError, and then the checks refuse it too or the product is copied.
+    def apply(self, x, out=None):
+        if out is not None and self._blas and _blas_vector(x):
             try:
                 return self.matrix.dot(x, out=out)
             except ValueError:
                 pass
-        return super().apply_into(x, out)
+        self._check_domain(x)
+        return _write(self.matrix @ x, out, self.codomain_shape)
 
-    def adjoint_into(self, y, out):
-        if self._blas and _blas_vector(y):
+    def adjoint(self, y, out=None):
+        if out is not None and self._blas and _blas_vector(y):
             try:
                 return self._transpose.dot(y, out=out)
             except ValueError:
                 pass
-        return super().adjoint_into(y, out)
+        self._check_codomain(y)
+        return _write(self._transpose @ y, out, self.domain_shape)
 
     def normal_resolvent(self, tau):
         """Cholesky factor ``L`` of ``I + tau M^T M`` once; a call solves with
@@ -191,12 +190,8 @@ class MatrixMap(LinearMap):
         factor = np.linalg.cholesky(np.eye(m.shape[1]) + tau * (m.T @ m))
 
         def solve(r, out=None):
-            x = np.linalg.solve(factor.T, np.linalg.solve(factor, r))
-            if out is None:
-                return x
-            _check_out(out, self.domain_shape)
-            np.copyto(out, x)
-            return out
+            return _write(np.linalg.solve(factor.T, np.linalg.solve(factor, r)), out,
+                          self.domain_shape)
 
         return solve
 
@@ -205,13 +200,13 @@ class IdentityMap(LinearMap):
     def __init__(self, shape):
         super().__init__(shape, shape, 1.0)
 
-    def apply(self, x):
+    def apply(self, x, out=None):
         self._check_domain(x)
-        return np.array(x, copy=True)
+        return _write(np.array(x, copy=True), out, self.codomain_shape)
 
-    def adjoint(self, y):
+    def adjoint(self, y, out=None):
         self._check_codomain(y)
-        return np.array(y, copy=True)
+        return _write(np.array(y, copy=True), out, self.domain_shape)
 
     def normal(self, x, norm=True):
         """``(x, ||x||)``, with ``x`` itself returned."""
@@ -283,12 +278,12 @@ class SamplingMap(LinearMap):
         bound = 1.0 if mask.count > 0 else 0.0
         super().__init__(mask.shape, mask.shape, bound)
 
-    def apply(self, x):
+    def apply(self, x, out=None):
         self._check_domain(x)
-        return np.where(self.mask.grid, x, 0)
+        return _write(np.where(self.mask.grid, x, 0), out, self.codomain_shape)
 
-    def adjoint(self, y):
-        return self.apply(y)
+    def adjoint(self, y, out=None):
+        return self.apply(y, out)
 
 
 class FourierSamplingMap(LinearMap):
@@ -326,13 +321,15 @@ class FourierSamplingMap(LinearMap):
         flipped = np.roll(g[::-1, ::-1], (1, 1), axis=(0, 1))
         return 0.5 * (g + flipped)
 
-    def apply(self, x):
+    def apply(self, x, out=None):
         self._check_domain(x)
-        return np.where(self.mask.grid, np.fft.fft2(x, norm="ortho"), 0)
+        return _write(np.where(self.mask.grid, np.fft.fft2(x, norm="ortho"), 0), out,
+                      self.codomain_shape)
 
-    def adjoint(self, y):
+    def adjoint(self, y, out=None):
         self._check_codomain(y)
-        return np.real(np.fft.ifft2(np.where(self.mask.grid, y, 0), norm="ortho"))
+        return _write(np.real(np.fft.ifft2(np.where(self.mask.grid, y, 0), norm="ortho")),
+                      out, self.domain_shape)
 
     def normal(self, x, norm=True):
         """``(K* K x, ||K x||)`` from one ``rdft2`` and one ``irdft2``, or
@@ -373,8 +370,8 @@ class GradientMap(LinearMap):
     difference is one subtraction of two shifted views of the flattened
     image, and each divergence term one update of the flattened result.
 
-    ``apply`` and ``adjoint`` take an optional ``out`` array of the result's
-    shape, C-contiguous, and write into it instead of allocating.
+    ``apply`` and ``adjoint`` compute into ``out`` when it is given, which
+    must also be C-contiguous, instead of allocating.
     """
 
     def __init__(self, n_y: int, n_x: int):
@@ -426,14 +423,6 @@ class GradientMap(LinearMap):
         np.subtract(first, dy[1:-1, 0], out=first)
         np.subtract(first, dx[1:-1, 0], out=first)
         return out
-
-    # the in-place forms go through apply/adjoint, so that a wrapper
-    # installed on those sees every call
-    def apply_into(self, u, out):
-        return self.apply(u, out=out)
-
-    def adjoint_into(self, q, out):
-        return self.adjoint(q, out=out)
 
 
 def _flat_out(out, shape) -> np.ndarray:

@@ -201,8 +201,8 @@ def solve_source_gd(u_true: np.ndarray, fwd: LinearMap, prox: ProxFunctional,
     per solve, and the shapes are checked once, here.  ``v`` and the next
     ``v`` swap two buffers; ``y``, the step, the gradient ``g`` and
     ``z = u + K* y`` have one each, and a restart copies the next ``v`` into
-    ``y``.  A step takes ``K* y`` and ``K z`` by ``adjoint_into`` and
-    ``apply_into``, shrinks ``z`` in place (``ProxFunctional.in_place``: for
+    ``y``.  A step takes ``K* y`` and ``K z`` by ``adjoint(y, out=)`` and
+    ``apply(z, out=)``, shrinks ``z`` in place (``ProxFunctional.in_place``: for
     the one-norm, ``soft_threshold``'s arithmetic with its divisor
     ``max(|z|, 5e-324)``, in two more work arrays) and updates by in-place
     ufuncs in the order of the plain formulas, with ``tau`` and the momentum
@@ -253,11 +253,11 @@ def solve_source_gd(u_true: np.ndarray, fwd: LinearMap, prox: ProxFunctional,
 
     def advance(_measured):
         nonlocal v, v_next, t
-        fwd.adjoint_into(y, z)
+        fwd.adjoint(y, out=z)
         np.add(u, z, out=z)
         shrink()
         np.subtract(z, u, out=z)
-        fwd.apply_into(z, g)
+        fwd.apply(z, out=g)
         np.multiply(tau, g, out=v_next)
         np.subtract(y, v_next, out=v_next)
         np.subtract(v_next, v, out=step)
@@ -305,10 +305,10 @@ def solve_range_cd(u_true: np.ndarray, fwd: LinearMap, grad_op: LinearMap,
 
     The iterates and the shared terms live in work arrays allocated once per
     solve.  The gradient, divergence and prox write into them through
-    ``apply_into``, ``adjoint_into`` and ``prox(..., out=)``, and the updates
-    are in-place ufuncs that keep the order of every operation, so the
-    iterates are those of the plain formulas, bit for bit, whichever steps
-    take the metric.  A step allocates no image or field of its own; a
+    ``apply(..., out=)``, ``adjoint(..., out=)`` and ``prox(..., out=)``, and
+    the updates are in-place ufuncs that keep the order of every operation,
+    so the iterates are those of the plain formulas, bit for bit, whichever
+    steps take the metric.  A step allocates no image or field of its own; a
     masked ``fwd.normal`` still allocates its half spectra, and the group
     shrinkage its squared-norm plane, the mask of the groups that may cross
     the threshold and, when more than one group in ten may, the factors of
@@ -330,14 +330,14 @@ def solve_range_cd(u_true: np.ndarray, fwd: LinearMap, grad_op: LinearMap,
 
     def share(measured):
         nonlocal kkd, kd_norm
-        grad_op.adjoint_into(q, aq)
+        grad_op.adjoint(q, out=aq)
         np.subtract(kv, aq, out=d)
         kkd, kd_norm = fwd.normal(d, norm=measured)
         np.add(a_field, q, out=shrunk)
         prox_h.prox(shrunk, out=shrunk)
 
     def field_norm():
-        grad_op.apply_into(d, field)  # -A d + prox(a + q) - a
+        grad_op.apply(d, out=field)  # -A d + prox(a + q) - a
         np.negative(field, out=field)
         np.add(field, shrunk, out=field)
         np.subtract(field, a_field, out=field)
@@ -352,7 +352,7 @@ def solve_range_cd(u_true: np.ndarray, fwd: LinearMap, grad_op: LinearMap,
         np.multiply(tau, kkd, out=scaled)
         np.subtract(kv, scaled, out=kv)
         np.subtract(aq, kv, out=aq)
-        grad_op.apply_into(aq, field)  # A (A* q - K* v) + prox(a + q) - a
+        grad_op.apply(aq, out=field)  # A (A* q - K* v) + prox(a + q) - a
         np.add(field, shrunk, out=field)
         np.subtract(field, a_field, out=field)
         np.multiply(sigma, field, out=field)
@@ -411,14 +411,14 @@ def solve_palm(u_true: np.ndarray, grad_op: LinearMap, prox_h: ProxFunctional,
     shrunk = np.empty(grad_op.codomain_shape)
 
     def step():
-        grad_op.adjoint_into(q, aq)
+        grad_op.adjoint(q, out=aq)
         rdft2(aq, out=coupled)
         np.subtract(vt, coupled, out=coupled)  # vt - (vt - F aq), with tau = 1
         np.subtract(vt, coupled, out=coupled)
         soft_threshold(coupled, beta, out=vt_new)
         back = irdft2(vt_new, shape)
         np.subtract(aq, back, out=back)  # q - sigma (A (aq - back) + prox(q + a) - a)
-        grad_op.apply_into(back, field)
+        grad_op.apply(back, out=field)
         np.add(q, a_field, out=shrunk)
         prox_h.prox(shrunk, out=shrunk)
         np.add(field, shrunk, out=field)

@@ -113,9 +113,10 @@ def solve_pdhg(problem: VarRegProblem, cfg: SolveConfig):
 
     The iterates, the extrapolated primal point and the right-hand side of
     the data prox live in work arrays allocated once per solve.  The
-    gradient, divergence, ball projection and data prox write into them,
-    and the updates are in-place ufuncs in the order of the plain formulas,
-    so the iterates are theirs bit for bit.  ``u`` and the iterate before it
+    gradient and divergence (``A.apply(u_bar, out=)``, ``A.adjoint(q,
+    out=)``), ball projection and data prox write into them, and the
+    updates are in-place ufuncs in the order of the plain formulas, so the
+    iterates are theirs bit for bit.  ``u`` and the iterate before it
     swap two image buffers: a step builds the data prox's right-hand side in
     the buffer of the iterate before the last and solves it in place
     (``solve(r, out=r)``), so it allocates no image or field of its own.
@@ -152,10 +153,10 @@ def solve_pdhg(problem: VarRegProblem, cfg: SolveConfig):
         nonlocal u, q, u_old, q_old
         # the new u and q overwrite the ones before the last
         u_old, u, q_old, q = u, u_old, q, q_old
-        A.apply_into(u_bar, q)
+        A.apply(u_bar, out=q)
         np.add(q_old, q, out=q)
         project_group_ball(q, problem.alpha, out=q)
-        A.adjoint_into(q, u)  # the data prox's rhs, u_old - tau A* q + tau K* g
+        A.adjoint(q, out=u)  # the data prox's rhs, u_old - tau A* q + tau K* g
         np.multiply(tau, u, out=u)
         np.subtract(u_old, u, out=u)
         np.add(u, kg, out=u)

@@ -1,6 +1,7 @@
 """Layout rules of the package that no single module's tests can see."""
 
 import ast
+import inspect
 import os
 
 import pytest
@@ -203,3 +204,49 @@ def test_name_scan_finds_each_spelling():
     assert named_outside(source, "grad_tol", ("SolveConfig", "_iterate")) == [
         (2, None), (8, "solve"), (9, "solve"), (10, None)]
     assert named_outside(source, "_mean_of_halves") == [(1, None), (9, "solve")]
+
+
+# a map writes its result into an array one way, ``apply(x, out=)`` and
+# ``adjoint(y, out=)``: no second pair of names does the same work
+def defined(source, name, filename="<source>"):
+    """Lines of every function or class that ``source`` defines as ``name``."""
+    tree = ast.parse(source, filename=filename)
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and node.name == name)
+
+
+@pytest.mark.parametrize("module", sorted(
+    name for name in os.listdir(SRC) if name.endswith(".py")))
+@pytest.mark.parametrize("name", ["apply_into", "adjoint_into"])
+def test_no_second_pair_of_out_forms(module, name):
+    with open(os.path.join(SRC, module), encoding="utf-8") as f:
+        source = f.read()
+    found = defined(source, name) + [line for line, _ in named_outside(source, name)]
+    assert not found, f"{module} names {name} at {sorted(found)}; pass out= to apply/adjoint"
+
+
+def test_definition_scan_finds_each_spelling():
+    source = "\n".join([
+        "class M:",
+        "    def apply_into(self, x, out):",
+        "        return self.apply(x)",
+        "async def apply_into(): pass",
+        "class apply_into: pass",
+        "m.apply_into(x, out)",
+    ])
+    assert defined(source, "apply_into") == [2, 4, 5]
+    assert named_outside(source, "apply_into") == [(6, None)]
+
+
+def test_every_map_takes_out():
+    from sourcecond import operators
+
+    maps = {name: cls for name, cls in inspect.getmembers(operators, inspect.isclass)
+            if issubclass(cls, operators.LinearMap) and cls.__module__ == operators.__name__}
+    assert set(maps) >= {"LinearMap", "IdentityMap", "SamplingMap", "FourierSamplingMap",
+                         "MatrixMap", "GradientMap"}
+    for name, cls in maps.items():
+        for method in (cls.apply, cls.adjoint):
+            out = inspect.signature(method).parameters.get("out")
+            assert out is not None and out.default is None, f"{name}.{method.__name__}"

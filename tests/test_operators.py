@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import sourcecond as sc
-from sourcecond.errors import InputError
+from sourcecond.errors import ConfigurationError, InputError
 from sourcecond.operators import irdft2, norm, rdft2
 
 
@@ -18,15 +19,23 @@ REAL_PAIR = ["rfft", "fft", "ifft", "irfft"]
 
 
 def all_test_maps(rng):
-    """One instance of every concrete map type."""
+    """One instance of every concrete map type, with the layouts that the
+    ``out=`` paths tell apart: C, F and strided matrices, and masked, full
+    and odd-shaped sampling."""
     mask = sc.lowpass_mask((12, 16), 5, 3)
+    odd = sc.SamplingMask(rng.random((7, 9)) < 0.4)
+    a = rng.standard_normal((6, 4))
     return [
-        sc.MatrixMap(rng.standard_normal((6, 4))),
+        sc.MatrixMap(a),
+        sc.MatrixMap(np.asfortranarray(a)),
+        sc.MatrixMap(np.repeat(a, 2, axis=1)[:, ::2]),  # strided
         sc.vandermonde(rng.uniform(-1, 1, 8), 5),
         sc.IdentityMap((7,)),
         sc.sampling(mask),
+        sc.sampling(odd),
         sc.fourier_sampling(mask),
         sc.fourier_sampling(sc.full_mask((8, 8))),
+        sc.fourier_sampling(odd),
         sc.grad2(9, 7),
     ]
 
@@ -63,9 +72,9 @@ def _lasso_map(coeffs):
 
 
 class TestMatrixProductsInto:
-    """``apply_into``/``adjoint_into`` write the bytes of ``apply``/``adjoint``
-    (``@``), through ``ndarray.dot`` where both make the same BLAS call and
-    through the copying base method elsewhere."""
+    """``apply(x, out=)``/``adjoint(y, out=)`` write the bytes of
+    ``apply``/``adjoint`` (``@``), through ``ndarray.dot`` where both make
+    the same BLAS call and through ``@`` and a copy elsewhere."""
 
     @staticmethod
     def _maps(rng):
@@ -87,32 +96,32 @@ class TestMatrixProductsInto:
         for m in self._maps(rng):
             for x in self._vectors(rng, m.domain_shape[0]):
                 out = np.empty(m.codomain_shape)
-                assert m.apply_into(x, out) is out
+                assert m.apply(x, out=out) is out
                 assert out.tobytes() == m.apply(x).tobytes()
             for y in self._vectors(rng, m.codomain_shape[0]):
                 out = np.empty(m.domain_shape)
-                assert m.adjoint_into(y, out) is out
+                assert m.adjoint(y, out=out) is out
                 assert out.tobytes() == m.adjoint(y).tobytes()
 
     def test_into_a_strided_array(self, rng):
-        # dot writes only C-contiguous arrays; the base method copies
+        # dot writes only C-contiguous arrays; the product is copied instead
         m = sc.MatrixMap(rng.standard_normal((4, 3)))
         x, out = rng.standard_normal(3), np.empty(8)[::2]
-        assert m.apply_into(x, out) is out and out.tobytes() == m.apply(x).tobytes()
+        assert m.apply(x, out=out) is out and out.tobytes() == m.apply(x).tobytes()
 
     def test_into_its_own_input(self, rng):
         m = sc.MatrixMap(rng.standard_normal((5, 5)))
         x = rng.standard_normal(5)
         want = m.apply(x)
-        assert m.apply_into(x, x) is x and x.tobytes() == want.tobytes()
+        assert m.apply(x, out=x) is x and x.tobytes() == want.tobytes()
 
     def test_complex_product_into_a_complex_array(self, rng):
         m = sc.MatrixMap(rng.standard_normal((4, 3)))
         x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         out = np.empty(4, dtype=complex)
-        assert m.apply_into(x, out).tobytes() == m.apply(x).tobytes()
+        assert m.apply(x, out=out).tobytes() == m.apply(x).tobytes()
         with pytest.raises(TypeError):
-            m.apply_into(x, np.empty(4))
+            m.apply(x, out=np.empty(4))
 
     @pytest.mark.parametrize("x, out", [
         (np.ones(3), np.empty(4)),        # a vector of the wrong length
@@ -123,9 +132,52 @@ class TestMatrixProductsInto:
     def test_refuses_wrong_shapes(self, x, out):
         m = sc.MatrixMap(np.ones((4, 4)))
         with pytest.raises(InputError):
-            m.apply_into(x, out)
+            m.apply(x, out=out)
         with pytest.raises(InputError):
-            m.adjoint_into(x, out)
+            m.adjoint(x, out=out)
+
+
+class TestEveryMapWritesIntoOut:
+    """Every shipped map takes ``out=`` on ``apply`` and ``adjoint``: the
+    call returns ``out``, holding the bytes of the allocating call, and
+    refuses an ``out`` of the wrong shape."""
+
+    @staticmethod
+    def _pairs(rng):
+        """``(map, x, y)``, with ``x`` in its domain and ``y`` in its codomain."""
+        for m in all_test_maps(rng):
+            x = rng.standard_normal(m.domain_shape)
+            y = rng.standard_normal(m.codomain_shape)
+            if m.domain_complex:
+                x = x + 1j * rng.standard_normal(m.domain_shape)
+            if m.codomain_complex:
+                y = y + 1j * rng.standard_normal(m.codomain_shape)
+            yield m, x, y
+
+    def test_same_bytes_as_the_allocating_call(self, rng):
+        for m, x, y in self._pairs(rng):
+            for call, arg in ((m.apply, x), (m.adjoint, y)):
+                want = call(arg)
+                out = np.full_like(want, np.nan)  # stale contents must not reach it
+                assert call(arg, out=out) is out
+                assert out.tobytes() == want.tobytes(), type(m).__name__
+
+    def test_refuses_an_out_of_the_wrong_shape(self, rng):
+        for m, x, y in self._pairs(rng):
+            for call, arg in ((m.apply, x), (m.adjoint, y)):
+                want = call(arg)
+                for shape in (want.shape + (1,), (want.size + 1,)):
+                    with pytest.raises(InputError):
+                        call(arg, out=np.empty(shape, dtype=want.dtype))
+
+
+@pytest.mark.parametrize("value", [1e160, 1e200])
+def test_matrix_whose_bound_overflows_is_refused(value):
+    # power iteration overflows on the matrix, so its bound can set no step
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match="not finite"):
+            sc.MatrixMap(np.full((3, 3), value))
 
 
 class TestDft2:

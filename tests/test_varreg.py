@@ -67,11 +67,12 @@ class FlatGrad(sc.LinearMap):
         super().__init__((16,), (2, 4, 4), np.sqrt(8.0))
         self.inner = sc.grad2(4, 4)
 
-    def apply(self, x):
-        return self.inner.apply(x.reshape(4, 4))
+    def apply(self, x, out=None):
+        return self.inner.apply(x.reshape(4, 4), out=out)
 
-    def adjoint(self, y):
-        return self.inner.adjoint(y).ravel()
+    def adjoint(self, y, out=None):
+        image = None if out is None else out.reshape(4, 4)  # a view that writes through
+        return self.inner.adjoint(y, out=image).reshape(16)
 
 
 def dense_problem(rng):
@@ -266,7 +267,7 @@ class TestSolvePdhg:
         # 2e154 ** 2 passes the float range; the check refuses it instead
         # of letting Python's OverflowError out
         class Huge(sc.LinearMap):
-            apply = adjoint = staticmethod(np.copy)
+            apply = adjoint = staticmethod(np.positive)  # a copy, into ``out=`` if given
 
         prob = sc.VarRegProblem(K=sc.IdentityMap((4, 4)), data=np.zeros((4, 4)), alpha=1.0,
                                 A=Huge((4, 4), (4, 4), 2e154))
