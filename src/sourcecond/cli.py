@@ -100,12 +100,15 @@ def _load_config(args, cls, overrides: dict):
 
 
 def _out_dir(args, command: str) -> str:
-    if args.out:
-        return args.out
-    root = os.environ.get("SOURCEFORGE_OUT")
-    if root:
-        return os.path.join(root, command)
-    return os.path.join("runs", command)
+    """The run's output directory, refused before any work when a file
+    stands at its path or at a parent's."""
+    out = args.out or os.path.join(os.environ.get("SOURCEFORGE_OUT") or "runs", command)
+    path = os.path.abspath(out)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigurationError(f"cannot write to {out!r}: {path!r} is not a directory")
+    return out
 
 
 def _add_output(parser):
@@ -162,9 +165,9 @@ def _cmd_phantom(args) -> int:
     seed = args.seed if args.seed is not None else 0
     if seed < 0:
         raise ConfigurationError("seed must be nonnegative")
+    out = _out_dir(args, "phantom")
     t0 = time.perf_counter()
     img = experiments.shepp_logan(args.size)
-    out = _out_dir(args, "phantom")
     experiments._write_run(out, "phantom", {"size": args.size}, seed,
                            {"setup": time.perf_counter() - t0},
                            {"phantom.pgm": img, "phantom.pfm": img}, {})

@@ -716,12 +716,8 @@ def tune_mask_beta(u_true: np.ndarray, target_fraction: float,
         return extract_mask(rep.v).count / u_true.size
 
     fractions = _fork_map(density, [(f"beta {beta}", beta) for beta in betas])
-    best_beta, best_gap = None, float("inf")
-    for beta, frac in zip(betas, fractions):
-        gap = abs(frac - target_fraction)
-        if gap < best_gap:
-            best_beta, best_gap = beta, gap
-    return best_beta
+    # of equally close weights, min keeps the first
+    return min(zip(betas, fractions), key=lambda bf: abs(bf[1] - target_fraction))[0]
 
 
 def run_optimal_sampling(cfg: Fourier2DConfig, out_dir: str | None = None) -> dict:

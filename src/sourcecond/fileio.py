@@ -102,9 +102,9 @@ def read_pgm16(path: str) -> np.ndarray:
     raw, maxval = _read_pnm(path, (b"P5",))
     sidecar = path + ".json"
     if os.path.exists(sidecar):
-        with open(sidecar, "r", encoding="ascii") as f:
+        with _open_input(sidecar) as f:
             try:
-                meta = json.load(f)
+                meta = json.loads(f.read().decode("ascii"))
                 lo, hi = float(meta["min"]), float(meta["max"])
             except (ValueError, KeyError, TypeError) as exc:
                 raise InputError(f"bad scaling sidecar {sidecar}: {exc!r}") from None
@@ -245,14 +245,8 @@ def write_series_csv(path: str, columns: dict) -> None:
         writer = csv.writer(f)
         writer.writerow(names)
         for i in range(length):
-            row = []
-            for a in arrays:
-                x = a[i]
-                if isinstance(x, (np.integer, int)):
-                    row.append(str(int(x)))
-                else:
-                    row.append(_float_repr(x))
-            writer.writerow(row)
+            writer.writerow([str(int(a[i])) if isinstance(a[i], (np.integer, int))
+                             else _float_repr(a[i]) for a in arrays])
 
 
 def read_series_csv(path: str) -> dict:

@@ -386,9 +386,10 @@ def verify_tv_subgradient(v: np.ndarray, q: np.ndarray, u: np.ndarray,
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     q = np.asarray(q, dtype=float)
-    a = grad2(*u.shape)
-    if v.shape != u.shape or q.shape != a.codomain_shape:
-        raise InputError("inconsistent shapes for TV subgradient check")
+    a = grad2(*u.shape) if u.ndim == 2 else None
+    if a is None or v.shape != u.shape or q.shape != a.codomain_shape:
+        raise InputError(f"TV subgradient check needs a 2-D image u, with v of its shape and "
+                         f"q of its gradient's; got {u.shape}, {v.shape} and {q.shape}")
     residual = norm(v - a.adjoint(q))
     norm_ok = residual <= tol * max(1.0, norm(v))
     # the pads of q hold no group; the adjoint reads them as zero too

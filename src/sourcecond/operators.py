@@ -38,13 +38,18 @@ def norm(x: np.ndarray, weights=None) -> float:
     summed.  ``weights`` (broadcast against ``x``) count each entry that
     many times, as a half spectrum counts its mirrors (``mirror_weights``).
 
+    The plain sum is ``einsum``'s loop over the flat float view, not BLAS's
+    ``ddot``, which sums in another order when it threads.
+
     A sum of squares that overflows (past about 1e154) is taken again of
     ``x / peak``, ``peak`` its largest magnitude, and scaled by ``peak``, so
     a finite ``x`` has a finite norm unless the norm passes the float range.
     """
     with np.errstate(over="ignore"):  # an overflowing sum is rescaled below
         if weights is None:
-            n = float(np.linalg.norm(x))
+            f = np.ravel(x, order="K")
+            f = f.view(f.real.dtype)  # complex entries as real pairs
+            n = math.sqrt(float(np.einsum("i,i->", f, f)))
         else:
             n = math.sqrt(float(np.add.reduce(weights * (x.real * x.real + x.imag * x.imag),
                                               axis=None)))
@@ -143,7 +148,8 @@ def _scalar_resolvent(tau):
 class MatrixMap(LinearMap):
     """Dense matrix as a LinearMap; adjoint is the transpose.  The norm bound
     is the power-iteration estimate ``power_norm`` of the matrix; a matrix
-    whose estimate overflows sets no step and is refused."""
+    whose estimate overflows sets no step and is refused.  Its products stay
+    on BLAS, which does not thread them at the lasso's sizes (50x76 at most)."""
 
     def __init__(self, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=float)

@@ -346,12 +346,45 @@ class TestMalformedInputs:
         fileio.write_pfm(mask, np.full((16, 16), np.nan))
         assert self.run_with_image(tmp_path, image, mask_kind="file", mask_path=mask) == 2
 
+    def test_graymap_sidecar_that_is_a_directory(self, tmp_path):
+        image = str(tmp_path / "a.pgm")
+        fileio.write_pgm16(image, np.linspace(0.0, 1.0, 256).reshape(16, 16))
+        os.remove(image + ".json")
+        os.mkdir(image + ".json")
+        assert self.run_with_image(tmp_path, image) == 2
+        assert not (tmp_path / "o").exists()
+
     def test_mask_file_of_wrong_size(self, tmp_path):
         image = str(tmp_path / "img.pfm")
         fileio.write_pfm(image, np.linspace(0.0, 1.0, 256).reshape(16, 16))
         mask = str(tmp_path / "mask.pfm")
         fileio.write_pfm(mask, np.ones((16, 15)))
         assert self.run_with_image(tmp_path, image, mask_kind="file", mask_path=mask) == 2
+
+
+class TestOutputPath:
+    """An ``--out`` that cannot be a directory is refused (exit 2) before
+    any work, and nothing is written."""
+
+    @pytest.mark.parametrize("below", [False, True])
+    def test_phantom(self, tmp_path, below):
+        taken = tmp_path / "f"
+        taken.write_bytes(b"kept")
+        out = taken / "sub" if below else taken
+        assert main(["phantom", "--size", "16", "--out", str(out)]) == 2
+        assert taken.read_bytes() == b"kept" and os.listdir(tmp_path) == ["f"]
+
+    def test_experiment_refused_before_its_solve(self, tmp_path, monkeypatch):
+        def not_run(*args, **kwargs):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr("sourcecond.experiments.run_fourier_experiment", not_run)
+        taken = tmp_path / "f"
+        taken.write_bytes(b"kept")
+        cfg = write_cfg(tmp_path, "c.json", {"size": [16, 16]})
+        assert main(["fourier2d", "--config", cfg, "--out", str(taken)]) == 2
+        assert taken.read_bytes() == b"kept"
+        assert sorted(os.listdir(tmp_path)) == ["c.json", "f"]
 
 
 class TestLassoCommand:
@@ -494,6 +527,26 @@ class TestVerifyCommand:
         args = ["verify", "--u", files[0], "--v", files[1], "--q", files[2], "--tol"]
         assert main(args + ["1e-6"]) == 0
         assert main(args + [tol]) == 2
+
+    def test_verify_refuses_a_color_image(self, stored_run, tmp_path):
+        # a three-channel float map as u is malformed input, not a crash
+        out, _ = stored_run
+        u = fileio.read_pfm(os.path.join(out, "u_true.pfm"))
+        color = str(tmp_path / "u.pfm")
+        fileio.write_pfm(color, np.stack([u, u, u], axis=2))
+        rc = main(["verify", "--u", color, "--v", os.path.join(out, "backprojection.pfm"),
+                   "--q", os.path.join(out, "q.pfm")])
+        assert rc == 2
+
+    def test_verify_refuses_an_unreadable_sidecar(self, stored_run, tmp_path):
+        out, _ = stored_run
+        pgm = str(tmp_path / "u.pgm")
+        fileio.write_pgm16(pgm, fileio.read_pfm(os.path.join(out, "u_true.pfm")))
+        os.remove(pgm + ".json")
+        os.mkdir(pgm + ".json")
+        rc = main(["verify", "--u", pgm, "--v", os.path.join(out, "backprojection.pfm"),
+                   "--q", os.path.join(out, "q.pfm")])
+        assert rc == 2
 
     def test_verify_with_pgm_input(self, stored_run, tmp_path):
         out, res = stored_run

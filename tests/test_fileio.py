@@ -203,6 +203,15 @@ class TestMalformedImages:
         with pytest.raises(InputError):
             fileio.load_grayscale(path)
 
+    def test_sidecar_that_cannot_be_opened(self, tmp_path):
+        # a directory where the scaling sidecar should be
+        path = str(tmp_path / "g.pgm")
+        fileio.write_pgm16(path, np.eye(4))
+        os.remove(path + ".json")
+        os.mkdir(path + ".json")
+        with pytest.raises(InputError, match="cannot read"):
+            fileio.read_pgm16(path)
+
     def test_ascii_graymap_reads(self, tmp_path):
         path = str(tmp_path / "ok.pgm")
         with open(path, "wb") as f:

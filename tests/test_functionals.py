@@ -197,6 +197,12 @@ class TestVerifyTvSubgradient:
         assert not chk.passed
         assert chk.residual == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("shape", [(5, 5, 3), (5,)])
+    def test_image_that_is_not_2d(self, shape):
+        # a color map read as u: refused, not passed on to the gradient
+        with pytest.raises(InputError, match="2-D image u"):
+            sc.verify_tv_subgradient(np.zeros((5, 5)), np.zeros((2, 5, 5)), np.ones(shape))
+
     def test_passed_is_python_bool(self):
         u = np.full((5, 5), 1.0)
         chk = sc.verify_tv_subgradient(np.zeros((5, 5)), np.zeros((2, 5, 5)), u,

@@ -472,7 +472,7 @@ class TestNormal:
         x = rng.standard_normal((6, 7))
         for k in maps:
             got, norm = k.normal(x)
-            assert got is x and norm == np.linalg.norm(x)
+            assert got is x and norm == sc.operators.norm(x)
             assert np.array_equal(k.normal_resolvent(0.125)(x), x / 1.125)
 
     def test_only_full_mask_is_identity(self, rng, monkeypatch):
@@ -529,13 +529,18 @@ class TestNorm:
     """``operators.norm``, the one place where a norm is summed."""
 
     def test_bytes_of_the_plain_norm(self, rng):
-        # real, complex and field inputs: np.linalg.norm, bit for bit
-        for x in (rng.standard_normal(7), rng.standard_normal((5, 6)),
-                  rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3)),
-                  rng.standard_normal((2, 9, 8)), np.zeros((3, 3))):
+        # real, complex, field and strided inputs: einsum's sum of squares
+        # over the flat float view, complex entries as real pairs, bit for bit
+        xs = [rng.standard_normal(7), rng.standard_normal((5, 6)),
+              rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3)),
+              rng.standard_normal((2, 9, 8)), np.zeros((3, 3))]
+        for x in xs + [xs[3][:, ::2, 1:]]:
+            f = np.ravel(x, order="K")
+            f = f.view(float) if f.dtype.kind == "c" else f
+            want = math.sqrt(float(np.einsum("i,i->", f, f)))
             got = norm(x)
             assert isinstance(got, float)
-            assert np.float64(got).tobytes() == np.float64(np.linalg.norm(x)).tobytes()
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     @pytest.mark.parametrize("shape", [(8, 8), (7, 9)])
     def test_bytes_of_the_weighted_half_spectrum_sum(self, rng, shape):
