@@ -99,16 +99,10 @@ def _load_config(args, cls, overrides: dict):
         raise ConfigurationError(f"bad config value: {exc}") from exc
 
 
-def _out_dir(args, command: str) -> str:
-    """The run's output directory, refused before any work when a file
-    stands at its path or at a parent's."""
-    out = args.out or os.path.join(os.environ.get("SOURCEFORGE_OUT") or "runs", command)
-    path = os.path.abspath(out)
-    while not os.path.lexists(path):
-        path = os.path.dirname(path)
-    if not os.path.isdir(path):
-        raise ConfigurationError(f"cannot write to {out!r}: {path!r} is not a directory")
-    return out
+def _out(args) -> str:
+    """``--out``, else ``$SOURCEFORGE_OUT/<command>`` or ``runs/<command>``;
+    the drivers refuse a path that cannot be a directory."""
+    return args.out or os.path.join(os.environ.get("SOURCEFORGE_OUT") or "runs", args.command)
 
 
 def _add_output(parser):
@@ -155,8 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_experiment(args) -> int:
     cls, driver, overrides = _EXPERIMENTS[args.command]
     cfg = _load_config(args, cls, overrides)
-    out = _out_dir(args, args.command)
-    result = getattr(experiments, driver)(cfg, out_dir=out)
+    result = getattr(experiments, driver)(cfg, out_dir=_out(args))
     print(json.dumps(result["summary"], sort_keys=True))
     return 0
 
@@ -165,7 +158,7 @@ def _cmd_phantom(args) -> int:
     seed = args.seed if args.seed is not None else 0
     if seed < 0:
         raise ConfigurationError("seed must be nonnegative")
-    out = _out_dir(args, "phantom")
+    out = _out(args)
     t0 = time.perf_counter()
     img = experiments.shepp_logan(args.size)
     experiments._write_run(out, "phantom", {"size": args.size}, seed,

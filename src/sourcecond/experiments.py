@@ -4,7 +4,8 @@ Three drivers are provided: sparse polynomial regression in 1D, Fourier
 sub-sampling of images with a total-variation penalty, and learning of the
 Fourier sampling pattern itself.  Each driver returns its results in memory
 and, when given an output directory, writes a deterministic artifact set plus
-a JSON metric summary and a run manifest.
+a JSON metric summary and a run manifest.  An output directory that cannot be
+made raises ``ConfigurationError`` before the driver does any work.
 """
 
 from __future__ import annotations
@@ -273,6 +274,19 @@ def _remove_file(path: str) -> None:
         pass
 
 
+def _check_out_dir(out_dir: str | None) -> None:
+    """Raise ``ConfigurationError`` unless the first existing ancestor of
+    ``out_dir`` (itself, if it exists) is a directory; ``None`` passes.
+    Each driver calls this before any work, so a bad path costs no solve."""
+    if out_dir is None:
+        return
+    path = os.path.abspath(out_dir)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigurationError(f"cannot write to {out_dir!r}: {path!r} is not a directory")
+
+
 def _write_run(out_dir: str, command: str, config: dict, seed: int, timings: dict,
                artifacts: dict, summary: dict) -> None:
     """Write a run's artifacts in order, then its manifest.
@@ -284,12 +298,14 @@ def _write_run(out_dir: str, command: str, config: dict, seed: int, timings: dic
     manifest records the hash of ``config`` and the run's ``seed``.  A file
     that an earlier run left under a name written here is removed first.
 
-    The run's ``summary`` and its ``.pfm`` payloads are checked first, and a
-    failed check raises ``VerificationError`` before any file or directory
-    is made.  Standard JSON has no NaN or infinity, so a non-finite summary
-    value is refused, naming its key; a float map stores float32, so a
-    finite entry beyond float32's range is refused, naming its artifact.
+    ``out_dir`` is checked first (``_check_out_dir``).  The run's ``summary``
+    and its ``.pfm`` payloads are checked next, and a failed check raises
+    ``VerificationError`` before any file or directory is made.  Standard
+    JSON has no NaN or infinity, so a non-finite summary value is refused,
+    naming its key; a float map stores float32, so a finite entry beyond
+    float32's range is refused, naming its artifact.
     """
+    _check_out_dir(out_dir)
     key = _non_finite_key(summary)
     if key is not None:
         raise VerificationError(
@@ -427,6 +443,7 @@ def run_lasso_experiment(cfg: Lasso1DConfig, out_dir: str | None = None) -> dict
     one-norm subdifferential membership of ``Phi^T v`` a-posteriori, and
     derives the noise-adapted weight and exact range data.
     """
+    _check_out_dir(out_dir)
     timings = {}
     t0 = time.perf_counter()
     phi, f_clean, f_noisy, delta = make_lasso_data(cfg)
@@ -648,6 +665,7 @@ def _artifact_verify_tol(out_dir: str) -> float | None:
 def run_fourier_experiment(cfg: Fourier2DConfig, out_dir: str | None = None) -> dict:
     """Certificate computation, verification and range-data sanity check for
     one sampling pattern."""
+    _check_out_dir(out_dir)
     timings = {}
     t0 = time.perf_counter()
     u_true = _load_image(cfg)
@@ -661,7 +679,7 @@ def run_fourier_experiment(cfg: Fourier2DConfig, out_dir: str | None = None) -> 
     summary = {**_header(cfg, "fourier2d"), "mask_kind": cfg.mask_kind, **stage["summary"]}
     result = {**stage, "summary": summary, "u_true": u_true, "mask": mask}
     if palm is not None:
-        summary["palm_nnz"] = palm.nnz
+        summary["palm_nnz"] = int(np.count_nonzero(palm.v))
         result["palm_report"] = palm
 
     if out_dir is not None:
@@ -725,6 +743,7 @@ def run_optimal_sampling(cfg: Fourier2DConfig, out_dir: str | None = None) -> di
     low-pass and largest-coefficient patterns."""
     if cfg.mask_kind != "learned" or cfg.mask_beta is None:
         raise ConfigurationError("optimal sampling needs mask_kind 'learned' and a beta")
+    _check_out_dir(out_dir)
     timings = {}
     t0 = time.perf_counter()
     u_true = _load_image(cfg)
@@ -758,7 +777,7 @@ def run_optimal_sampling(cfg: Fourier2DConfig, out_dir: str | None = None) -> di
     summary = {
         **_header(cfg, "optimal-sampling"),
         "beta": cfg.mask_beta,
-        "palm_nnz": palm.nnz,
+        "palm_nnz": int(np.count_nonzero(palm.v)),
         "mask_count": count,
         "mask_fraction": count / learned_mask.grid.size,
         "stages": stage_summaries,

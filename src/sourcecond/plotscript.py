@@ -4,6 +4,36 @@ The core package never renders; these scripts let anyone with matplotlib turn
 the emitted CSV/PFM data into figures after the fact.
 """
 
+# the last lines of every script
+_SAVE = '''\
+fig.tight_layout()
+fig.savefig("plots.png", dpi=150)
+print("wrote plots.png")
+'''
+
+# the imports, the float-map reader and the summary of both Fourier studies
+_PFM_PRELUDE = '''\
+import json
+
+import numpy as np
+import matplotlib
+matplotlib.use("Agg")
+import matplotlib.pyplot as plt
+
+
+def read_pfm(path):
+    with open(path, "rb") as f:
+        magic = f.readline().strip()
+        w, h = (int(t) for t in f.readline().split())
+        scale = float(f.readline())
+        ch = 3 if magic == b"PF" else 1
+        data = np.frombuffer(f.read(), dtype="<f4" if scale < 0 else ">f4",
+                             count=w * h * ch).reshape(h, w, ch)[::-1]
+    return data[:, :, 0] if ch == 1 else data
+
+metrics = json.load(open("metrics.json"))
+'''
+
 LASSO_PLOT = '''\
 #!/usr/bin/env python3
 """Render the polynomial-regression run in this directory (needs matplotlib)."""
@@ -43,33 +73,12 @@ ax = axes[1][1]
 hist = read_csv("history.csv")
 ax.semilogy(hist["iteration"], hist["grad_norm"])
 ax.set_title("gradient norm")
-fig.tight_layout()
-fig.savefig("plots.png", dpi=150)
-print("wrote plots.png")
-'''
+''' + _SAVE
 
 FOURIER_PLOT = '''\
 #!/usr/bin/env python3
 """Render the Fourier-sampling run in this directory (needs matplotlib)."""
-import json
-
-import numpy as np
-import matplotlib
-matplotlib.use("Agg")
-import matplotlib.pyplot as plt
-
-
-def read_pfm(path):
-    with open(path, "rb") as f:
-        magic = f.readline().strip()
-        w, h = (int(t) for t in f.readline().split())
-        scale = float(f.readline())
-        ch = 3 if magic == b"PF" else 1
-        data = np.frombuffer(f.read(), dtype="<f4" if scale < 0 else ">f4",
-                             count=w * h * ch).reshape(h, w, ch)[::-1]
-    return data[:, :, 0] if ch == 1 else data
-
-metrics = json.load(open("metrics.json"))
+''' + _PFM_PRELUDE + '''\
 panels = [
     ("u_true.pfm", "ground truth"),
     ("backprojection.pfm", "certificate backprojection"),
@@ -86,33 +95,12 @@ for ax, (name, title) in zip(axes.ravel(), panels):
     ax.imshow(img, cmap="gray")
     ax.set_title(title); ax.axis("off")
 fig.suptitle(f"rel error {metrics['rel_error']:.4f}, ||v||={metrics['v_norm']:.2f}")
-fig.tight_layout()
-fig.savefig("plots.png", dpi=150)
-print("wrote plots.png")
-'''
+''' + _SAVE
 
 SAMPLING_PLOT = '''\
 #!/usr/bin/env python3
 """Render the sampling-pattern study in this directory (needs matplotlib)."""
-import json
-
-import numpy as np
-import matplotlib
-matplotlib.use("Agg")
-import matplotlib.pyplot as plt
-
-
-def read_pfm(path):
-    with open(path, "rb") as f:
-        magic = f.readline().strip()
-        w, h = (int(t) for t in f.readline().split())
-        scale = float(f.readline())
-        ch = 3 if magic == b"PF" else 1
-        data = np.frombuffer(f.read(), dtype="<f4" if scale < 0 else ">f4",
-                             count=w * h * ch).reshape(h, w, ch)[::-1]
-    return data[:, :, 0] if ch == 1 else data
-
-metrics = json.load(open("metrics.json"))
+''' + _PFM_PRELUDE + '''\
 fig, axes = plt.subplots(2, 4, figsize=(15, 7))
 axes[0][0].imshow(read_pfm("u_true.pfm"), cmap="gray")
 axes[0][0].set_title("ground truth")
@@ -127,7 +115,4 @@ axes[1][0].imshow(np.abs(read_pfm("vt_re.pfm") + 1j * read_pfm("vt_im.pfm")),
 axes[1][0].set_title("|data-space certificate|")
 for ax in axes.ravel():
     ax.axis("off")
-fig.tight_layout()
-fig.savefig("plots.png", dpi=150)
-print("wrote plots.png")
-'''
+''' + _SAVE

@@ -61,16 +61,14 @@ class SolveReport:
     v_norm: float
     history: list = field(default_factory=list)
     termination: str = "max_iters"
-    nnz: int | None = None
 
 
-def _finish(v, q, iterations, grad_norm, history, termination, nnz=None) -> SolveReport:
+def _finish(v, q, iterations, grad_norm, history, termination) -> SolveReport:
     history = list(history)
     if not history or history[-1][0] != iterations:
         history.append((iterations, grad_norm))
     return SolveReport(v=v, q=q, iterations=iterations, final_grad_norm=grad_norm,
-                       v_norm=norm(v), history=history,
-                       termination=termination, nnz=nnz)
+                       v_norm=norm(v), history=history, termination=termination)
 
 
 def bregman_loss(u: np.ndarray, p: np.ndarray, prox: ProxFunctional) -> float:
@@ -80,7 +78,7 @@ def bregman_loss(u: np.ndarray, p: np.ndarray, prox: ProxFunctional) -> float:
     ``0.5 * ||u - w||^2 + J(u) - J(w) - <p - w, u - w>``.
     """
     w = prox.prox(p)
-    quad = 0.5 * float(np.sum(np.abs(u - w) ** 2))
+    quad = 0.5 * norm(u - w) ** 2
     return quad + prox.value(u) - prox.value(w) - real_inner(p - w, u - w)
 
 
@@ -384,13 +382,13 @@ def solve_palm(u_true: np.ndarray, grad_op: LinearMap, prox_h: ProxFunctional,
     ``v`` starts at zero, and each step shrinks a combination of ``v`` and
     ``F`` of a real image, so ``v`` stays Hermitian.  The solver holds its
     half spectrum (``rdft2``): a step takes one ``rdft2``/``irdft2`` pair,
-    ``||dv||`` and ``nnz`` count each stored entry with its mirror
-    multiplicity, and the full ``v`` is formed once, at the end.  The
+    ``||dv||`` counts each stored entry with its mirror multiplicity, and
+    the full ``v`` is formed once, at the end.  The
     iterates live in work arrays allocated once per solve, written by
     in-place ufuncs in the order of the plain formulas.
 
-    Returns the complex certificate in ``report.v``, the dual field in
-    ``report.q`` and the number of nonzero entries in ``report.nnz``.
+    Returns the complex certificate in ``report.v`` and the dual field in
+    ``report.q``.
     """
     if beta <= 0:
         raise ConfigurationError("beta must be positive")
@@ -442,8 +440,7 @@ def solve_palm(u_true: np.ndarray, grad_op: LinearMap, prox_h: ProxFunctional,
 
     step()
     outcome = _iterate(cfg, measure, advance)
-    nnz = int(np.count_nonzero(vt, axis=0) @ weights)
-    return _finish(full_spectrum(vt, shape[1]), q, *outcome, nnz=nnz)
+    return _finish(full_spectrum(vt, shape[1]), q, *outcome)
 
 
 def extract_mask(v_tilde: np.ndarray) -> SamplingMask:

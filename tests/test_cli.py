@@ -376,9 +376,9 @@ class TestOutputPath:
 
     def test_experiment_refused_before_its_solve(self, tmp_path, monkeypatch):
         def not_run(*args, **kwargs):
-            raise AssertionError("the experiment ran")
+            raise AssertionError("the solve ran")
 
-        monkeypatch.setattr("sourcecond.experiments.run_fourier_experiment", not_run)
+        monkeypatch.setattr("sourcecond.experiments.solve_range_cd", not_run)
         taken = tmp_path / "f"
         taken.write_bytes(b"kept")
         cfg = write_cfg(tmp_path, "c.json", {"size": [16, 16]})

@@ -171,6 +171,36 @@ class TestWriteRun:
             assert (kept / name).read_bytes() == first[name] + b"first run"
 
 
+class TestOutputDirRefused:
+    """A driver given an ``out_dir`` that cannot be a directory (a file
+    stands at it or at a parent's) raises ``ConfigurationError`` before any
+    solve, and the file is left as it was."""
+
+    @pytest.fixture
+    def no_solve(self, monkeypatch):
+        def not_run(*args, **kwargs):
+            raise AssertionError("a solver ran")
+
+        for name in ("solve_range_cd", "solve_palm", "solve_source_gd"):
+            monkeypatch.setattr(f"sourcecond.experiments.{name}", not_run)
+
+    @pytest.mark.parametrize("driver, cfg", [
+        (run_fourier_experiment, Fourier2DConfig(size=(64, 64))),
+        (run_optimal_sampling, Fourier2DConfig(size=(64, 64), mask_kind="learned",
+                                               mask_beta=0.08)),
+        (run_lasso_experiment, Lasso1DConfig()),
+    ], ids=["fourier2d", "optimal-sampling", "lasso1d"])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+    def test_refused_before_the_solve(self, tmp_path, no_solve, driver, cfg, below):
+        taken = tmp_path / "f"
+        taken.write_bytes(b"kept")
+        out = str(taken / "sub" / "run" if below else taken)
+        with pytest.raises(ConfigurationError) as err:
+            driver(cfg, out_dir=out)
+        assert str(err.value) == f"cannot write to {out!r}: {str(taken)!r} is not a directory"
+        assert taken.read_bytes() == b"kept" and os.listdir(tmp_path) == ["f"]
+
+
 class TestFourierDriver:
     def test_full_mask_roundtrip(self, tmp_path):
         cfg = Fourier2DConfig(size=(32, 32), mask_kind="full", cd_max_iters=20_000,

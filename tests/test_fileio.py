@@ -76,6 +76,24 @@ class TestPfm:
             assert f.readline() == b"3 2\n"  # width height
             assert float(f.readline()) == -1.0
 
+    def test_plot_scripts_read_what_is_written(self, tmp_path, rng):
+        # the reader that the Fourier studies' plot.py files share, run
+        # without the rest of the script (which needs matplotlib)
+        from sourcecond import plotscript
+
+        for script in (plotscript.LASSO_PLOT, plotscript.FOURIER_PLOT,
+                       plotscript.SAMPLING_PLOT):
+            compile(script, "plot.py", "exec")
+        prelude = plotscript._PFM_PRELUDE
+        namespace = {"np": np}
+        exec(prelude[prelude.index("def read_pfm"):prelude.index("metrics =")], namespace)
+        arr = rng.standard_normal((5, 7))
+        plain, field = str(tmp_path / "a.pfm"), str(tmp_path / "q.pfm")
+        fileio.write_pfm(plain, arr)
+        fileio.write_pfm(field, np.stack([arr, -arr, arr], axis=-1))
+        assert namespace["read_pfm"](plain).tobytes() == arr.astype(np.float32).tobytes()
+        assert namespace["read_pfm"](field).tobytes() == fileio.read_pfm(field).tobytes()
+
 
 class TestSeriesCsv:
     def test_line_count(self, tmp_path):

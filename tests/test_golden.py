@@ -6,9 +6,16 @@ verification flags exactly, the floating-point metrics at ``RTOL``.  The
 tolerance leaves room for FFT rounding across numpy builds, not for a change
 of algorithm.
 
-Regenerate the file (only in a change that says so) with::
+The paper-size runs (``PAPER_RUNS``, 400x400) are locked the same way
+against ``tests/data/golden_paper.json``.  They take seconds to minutes each,
+so they run only when the environment sets ``SOURCECOND_PAPER_GOLDEN=1``::
 
-    PYTHONPATH=src python tests/test_golden.py --write
+    SOURCECOND_PAPER_GOLDEN=1 PYTHONPATH=src python -m pytest -q tests/test_golden.py
+
+Regenerate a file (only in a change that says so) with::
+
+    PYTHONPATH=src python tests/test_golden.py --write          # desk
+    PYTHONPATH=src python tests/test_golden.py --write-paper    # paper size
 """
 
 import contextlib
@@ -23,6 +30,7 @@ from sourcecond.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "data", "golden_desk.json")
+GOLDEN_PAPER = os.path.join(ROOT, "tests", "data", "golden_paper.json")
 RTOL = 1e-9
 
 # name -> (subcommand, config file)
@@ -32,6 +40,10 @@ DESK_RUNS = {
     "sampling_desk": ("optimal-sampling", "configs/sampling_desk.json"),
     "lasso_deg5": ("lasso1d", "configs/lasso_deg5.json"),
 }
+PAPER_RUNS = {
+    "fourier_denoise_full": ("fourier2d", "configs/fourier_denoise_full.json"),
+}
+RUNS = {**DESK_RUNS, **PAPER_RUNS}
 
 _STAGE_EXACT = ("cd_iterations", "cd_termination", "pdhg_iterations", "mask_count")
 _STAGE_CLOSE = ("v_norm", "residual", "rel_error", "pdhg_metric")
@@ -66,8 +78,9 @@ def pinned_metrics(summary):
 
 
 def run_desk(name, out_dir):
-    """Run one desk config through the CLI; returns the printed summary."""
-    command, config = DESK_RUNS[name]
+    """Run one desk or paper-size config through the CLI; returns the
+    printed summary."""
+    command, config = RUNS[name]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         rc = main([command, "--config", os.path.join(ROOT, config), "--out", out_dir])
@@ -81,16 +94,18 @@ def _compare(got, want, where):
         assert got["close"][key] == pytest.approx(value, rel=RTOL, abs=0.0), f"{where}: {key}"
 
 
-@pytest.fixture(scope="module")
-def golden():
-    with open(GOLDEN, encoding="ascii") as f:
+def _read(path):
+    with open(path, encoding="ascii") as f:
         return json.load(f)
 
 
-@pytest.mark.parametrize("name", sorted(DESK_RUNS))
-def test_desk_metrics_match_golden(name, golden, tmp_path):
+@pytest.fixture(scope="module")
+def golden():
+    return _read(GOLDEN)
+
+
+def _check_run(name, want, tmp_path):
     got = pinned_metrics(run_desk(name, str(tmp_path / name)))
-    want = golden[name]
     if "stages" in want:
         assert got["exact"] == want["exact"], name
         assert sorted(got["stages"]) == sorted(want["stages"])
@@ -100,16 +115,30 @@ def test_desk_metrics_match_golden(name, golden, tmp_path):
         _compare(got, want, name)
 
 
+@pytest.mark.parametrize("name", sorted(DESK_RUNS))
+def test_desk_metrics_match_golden(name, golden, tmp_path):
+    _check_run(name, golden[name], tmp_path)
+
+
+@pytest.mark.skipif(os.environ.get("SOURCECOND_PAPER_GOLDEN") != "1",
+                    reason="paper-size runs: set SOURCECOND_PAPER_GOLDEN=1")
+@pytest.mark.parametrize("name", sorted(PAPER_RUNS))
+def test_paper_metrics_match_golden(name, tmp_path):
+    _check_run(name, _read(GOLDEN_PAPER)[name], tmp_path)
+
+
 if __name__ == "__main__":
     import tempfile
 
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    targets = {"--write": (GOLDEN, DESK_RUNS), "--write-paper": (GOLDEN_PAPER, PAPER_RUNS)}
+    if len(sys.argv) != 2 or sys.argv[1] not in targets:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write|--write-paper")
+    path, runs = targets[sys.argv[1]]
     with tempfile.TemporaryDirectory() as tmp:
         payload = {name: pinned_metrics(run_desk(name, os.path.join(tmp, name)))
-                   for name in sorted(DESK_RUNS)}
-    os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
-    with open(GOLDEN, "w", encoding="ascii") as f:
+                   for name in sorted(runs)}
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w", encoding="ascii") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
-    print(f"wrote {GOLDEN}")
+    print(f"wrote {path}")

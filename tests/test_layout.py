@@ -133,6 +133,60 @@ def test_norm_scan_finds_each_spelling():
         (5, "linalg.norm"), (6, "norm"), (7, "dot"), (7, "vdot")]
 
 
+def _is_square(node):
+    # ``x ** 2`` or ``np.square(x)``
+    if isinstance(node, ast.BinOp):
+        return (isinstance(node.op, ast.Pow) and isinstance(node.right, ast.Constant)
+                and node.right.value == 2)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "square" and _is_numpy(node.func.value))
+
+
+def square_sum_calls(source, filename="<source>"):
+    """``(line, name)`` of every ``np.sum``, ``np.add.reduce`` and
+    ``.sum()`` whose summand holds a square (``** 2`` or ``np.square``):
+    a squared norm summed by hand."""
+    tree = ast.parse(source, filename=filename)
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        func = node.func
+        if func.attr == "sum" and _is_numpy(func.value):
+            name, summand = "sum", node.args[:1]
+        elif (func.attr == "reduce" and isinstance(func.value, ast.Attribute)
+              and func.value.attr == "add" and _is_numpy(func.value.value)):
+            name, summand = "add.reduce", node.args[:1]
+        elif func.attr == "sum":
+            name, summand = ".sum()", [func.value]
+        else:
+            continue
+        if any(_is_square(inner) for arg in summand for inner in ast.walk(arg)):
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module", sorted(
+    name for name in os.listdir(SRC) if name.endswith(".py") and name != "operators.py"))
+def test_sums_of_squares_only_in_operators(module):
+    # a squared norm is ``norm(x) ** 2``: the sum is operators.norm's
+    with open(os.path.join(SRC, module), encoding="utf-8") as f:
+        calls = square_sum_calls(f.read(), module)
+    assert not calls, f"{module} sums squares at {calls}; call operators.norm"
+
+
+def test_square_sum_scan_finds_each_spelling():
+    source = "\n".join([
+        "a = np.sum(np.abs(u - w) ** 2) + numpy.sum(np.square(x))",
+        "b = np.add.reduce(x ** 2, axis=None) + (x ** 2).sum() + np.square(x).sum(axis=0)",
+        "c = np.sum(x * x) + np.sum(x ** 3) + (x ** 2).max() + sum(x ** 2)",
+        "d = np.add.reduce(weights * (x.real ** 2 + x.imag ** 2))",
+    ])
+    assert square_sum_calls(source) == [
+        (1, "sum"), (1, "sum"), (2, ".sum()"), (2, ".sum()"), (2, "add.reduce"),
+        (4, "add.reduce")]
+
+
 # the stop rule has one owner, ``solvers._iterate``: solvers hand it a metric
 # and a step, and no solver body reads the tolerance or forms the two-part
 # metric itself
