@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 import os
 import pickle
 import time
@@ -25,7 +24,7 @@ from .errors import ConfigurationError, InputError, VerificationError
 from .functionals import ProxFunctional, _magnitudes, verify_l1_subgradient, verify_tv_subgradient
 from .operators import (SamplingMask, dft2, full_mask, fourier_sampling, grad2,
                         lowpass_mask, norm, vandermonde)
-from .solvers import (SolveConfig, extract_mask, range_data, solve_palm,
+from .solvers import (SolveConfig, _fits, check_fields, extract_mask, range_data, solve_palm,
                       solve_range_cd, solve_source_gd)
 from .varreg import VarRegProblem, error_estimate, norm_ratio, solve_pdhg
 
@@ -347,15 +346,14 @@ def _write_run(out_dir: str, command: str, config: dict, seed: int, timings: dic
 # 1D polynomial regression
 
 
-def finite_number(v) -> bool:
-    """Whether ``v`` is a number, not a bool, that converts to a finite
-    float: an integer too large for a float is refused."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Real):
-        return False
+def _degree(key) -> int | None:
+    """A ``coeffs_true`` key as its degree: an int, or a string of one as
+    JSON writes it (``"2"``); None for any other key."""
     try:
-        return math.isfinite(v)
-    except OverflowError:
-        return False
+        degree = int(key) if isinstance(key, str) else key
+    except ValueError:
+        return None
+    return degree if _fits(degree, int) and str(degree) == str(key) else None
 
 
 @dataclass
@@ -381,10 +379,13 @@ class Lasso1DConfig:
     verify_tol: float = 1e-6
 
     def __post_init__(self):
-        for v in self.coeffs_true.values():
-            if not finite_number(v):
-                raise ConfigurationError(f"coeffs_true value {v!r} is not a finite number")
-        self.coeffs_true = {int(k): float(v) for k, v in self.coeffs_true.items()}
+        check_fields(self)
+        coeffs = {_degree(k): v for k, v in self.coeffs_true.items()}
+        if (None in coeffs or len(coeffs) < len(self.coeffs_true)
+                or not all(_fits(v, float) for v in coeffs.values())):
+            raise ConfigurationError(f"bad config value: coeffs_true={self.coeffs_true!r} needs "
+                                     "distinct integer degrees and finite numbers")
+        self.coeffs_true = {k: float(v) for k, v in coeffs.items()}
         self.sample_interval = tuple(self.sample_interval)
         if self.n_samples < 1:
             raise ConfigurationError("n_samples must be at least 1")
@@ -536,6 +537,7 @@ class Fourier2DConfig:
     record_every: int = 1
 
     def __post_init__(self):
+        check_fields(self)
         self.size = tuple(self.size)
         n_y, n_x = self.size
         if n_y < 2 or n_x < 2:
@@ -741,7 +743,7 @@ def tune_mask_beta(u_true: np.ndarray, target_fraction: float,
 def run_optimal_sampling(cfg: Fourier2DConfig, out_dir: str | None = None) -> dict:
     """Learn a sampling pattern, then benchmark it against equal-cardinality
     low-pass and largest-coefficient patterns."""
-    if cfg.mask_kind != "learned" or cfg.mask_beta is None:
+    if cfg.mask_kind != "learned":
         raise ConfigurationError("optimal sampling needs mask_kind 'learned' and a beta")
     _check_out_dir(out_dir)
     timings = {}

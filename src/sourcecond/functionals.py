@@ -13,6 +13,7 @@ that every group kernel maps to zero.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -356,12 +357,20 @@ class SubgradientCheck:
     passed: bool
 
 
+def _check_tol(tol) -> None:
+    """Refuse a ``tol`` that is not a finite, nonnegative number (a bool is none)."""
+    if isinstance(tol, bool) or not (isinstance(tol, (int, float))
+                                     and 0 <= tol <= sys.float_info.max):
+        raise InputError(f"tol must be a finite, nonnegative number, got {tol!r}")
+
+
 def verify_l1_subgradient(p: np.ndarray, w: np.ndarray, tol: float = 1e-6) -> SubgradientCheck:
     """Check ``p`` against the componentwise subdifferential of the one-norm at ``w``.
 
     On the support of ``w`` the entries of ``p`` must match ``sign(w)``; off
     the support they must lie in [-1, 1], up to ``tol``.
     """
+    _check_tol(tol)
     p = np.asarray(p, dtype=float)
     w = np.asarray(w, dtype=float)
     if p.shape != w.shape:
@@ -383,6 +392,7 @@ def verify_tv_subgradient(v: np.ndarray, q: np.ndarray, u: np.ndarray,
     has the ``(2, n_y, n_x)`` layout of ``grad2(*u.shape)``, whose pads hold
     no group: their values are ignored.
     """
+    _check_tol(tol)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     q = np.asarray(q, dtype=float)

@@ -17,8 +17,9 @@ are given, so a solve is set by its budget alone.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, field
+import sys
+import typing
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -26,6 +27,34 @@ from .errors import ConfigurationError, InputError
 from .functionals import ProxFunctional, soft_threshold
 from .operators import (LinearMap, SamplingMask, full_spectrum, irdft2, mirror_weights, norm,
                         rdft2, real_inner)
+
+
+def _fits(value, kind) -> bool:
+    """Whether ``value`` can stand for a field annotated ``kind``: an int (no
+    bool), a finite int or float, a string, a dict, a list or tuple whose
+    entries fit a ``tuple[...]``, or any of these for ``X | None``."""
+    args = typing.get_args(kind)
+    if typing.get_origin(kind) is tuple:
+        return (isinstance(value, (list, tuple)) and len(value) == len(args)
+                and all(map(_fits, value, args)))
+    if args:  # ``X | None``
+        return any(_fits(value, k) for k in args)
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:  # NaN, inf and integers beyond float's range fail the bound
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, kind)
+
+
+def check_fields(config) -> None:
+    """Refuse, with ``ConfigurationError``, a field of the dataclass ``config``
+    that does not fit its annotation; every config calls it first."""
+    kinds = typing.get_type_hints(type(config))
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if not _fits(value, kinds[f.name]):
+            raise ConfigurationError(
+                f"bad config value: {f.name}={value!r} is not of type {f.type}")
 
 
 @dataclass
@@ -41,13 +70,13 @@ class SolveConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        # ``not x >= 0`` and ``not x > 0`` also refuse NaN
-        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
-            raise ConfigurationError("max_iters must be an integer of at least 1")
-        if not self.grad_tol >= 0:
+        check_fields(self)
+        if self.max_iters < 1:
+            raise ConfigurationError("max_iters must be at least 1")
+        if self.grad_tol < 0:
             raise ConfigurationError("grad_tol must be nonnegative")
-        if not isinstance(self.record_every, numbers.Integral) or self.record_every < 1:
-            raise ConfigurationError("record_every must be an integer of at least 1")
+        if self.record_every < 1:
+            raise ConfigurationError("record_every must be at least 1")
 
 
 @dataclass

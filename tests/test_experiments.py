@@ -13,6 +13,8 @@ from sourcecond.experiments import (DEG5_COEFFS, DEG20_COEFFS, Fourier2DConfig,
                                     run_optimal_sampling, shepp_logan,
                                     textured_image, tune_mask_beta)
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 
 class TestMakeLassoData:
     def test_noiseless(self):
@@ -199,6 +201,77 @@ class TestOutputDirRefused:
             driver(cfg, out_dir=out)
         assert str(err.value) == f"cannot write to {out!r}: {str(taken)!r} is not a directory"
         assert taken.read_bytes() == b"kept" and os.listdir(tmp_path) == ["f"]
+
+
+class TestConfigFields:
+    """A config refuses, when it is built, a field value that does not fit
+    the field's annotation or is not finite, so no data is made and no solve
+    runs; a JSON config file builds as it stands."""
+
+    @pytest.mark.parametrize("kwargs", [
+        {"size": (64, 64), "cd_max_iters": np.int64(300), "pdhg_max_iters": 200},
+        {"alpha": float("nan")},
+        {"cd_max_iters": True},
+        {"verify_tol": float("nan")},
+        {"alpha": "0.5"},
+        {"size": (16.0, 16)},
+        {"mask_kind": "learned", "mask_beta": float("inf")},
+    ], ids="-".join)
+    def test_fourier_refuses(self, kwargs):
+        with pytest.raises(ConfigurationError, match="bad config value"):
+            Fourier2DConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"verify_tol": float("inf")},
+        {"degree": 5.0},
+        {"seed": 1.5},
+        {"noise_std": float("nan")},
+        # a degree is an int, or a string of one as JSON writes it, and
+        # appears once
+        {"coeffs_true": {1.5: 2.0}},
+        {"coeffs_true": {True: 2.0}},
+        {"coeffs_true": {np.int64(1): 2.0}},
+        {"coeffs_true": {"02": 2.0}},
+        {"coeffs_true": {2: 1.0, "2": 1.0}},
+    ], ids="-".join)
+    def test_lasso_refuses(self, kwargs):
+        with pytest.raises(ConfigurationError, match="bad config value"):
+            Lasso1DConfig(**kwargs)
+
+    def test_json_degrees_load(self):
+        cfg = Lasso1DConfig(coeffs_true={"0": -1, "2": 5.0, 5: -3.0})
+        assert cfg.coeffs_true == DEG5_COEFFS
+        assert all(type(k) is int and type(v) is float for k, v in cfg.coeffs_true.items())
+
+    @pytest.fixture
+    def no_solve(self, monkeypatch):
+        def not_run(*args, **kwargs):
+            raise AssertionError("a solver ran")
+
+        for name in ("solve_range_cd", "solve_source_gd"):
+            monkeypatch.setattr(f"sourcecond.experiments.{name}", not_run)
+
+    def test_fourier_refused_before_its_solve(self, tmp_path, no_solve):
+        # a numpy integer would run the whole solve and then fail to be
+        # written into metrics.json, leaving a run without its summary
+        out = tmp_path / "run"
+        with pytest.raises(ConfigurationError):
+            run_fourier_experiment(Fourier2DConfig(size=(64, 64), cd_max_iters=np.int64(300),
+                                                   pdhg_max_iters=200), out_dir=str(out))
+        assert not out.exists()
+
+    def test_lasso_refused_before_its_solve(self, tmp_path, no_solve):
+        # an infinite tolerance would pass any certificate
+        out = tmp_path / "run"
+        with pytest.raises(ConfigurationError):
+            run_lasso_experiment(Lasso1DConfig(verify_tol=float("inf")), out_dir=str(out))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", sorted(os.listdir(os.path.join(ROOT, "configs"))))
+    def test_shipped_config_builds_directly(self, name):
+        cls = Lasso1DConfig if name.startswith("lasso") else Fourier2DConfig
+        with open(os.path.join(ROOT, "configs", name), encoding="utf-8") as f:
+            assert isinstance(cls(**json.load(f)), cls)
 
 
 class TestFourierDriver:

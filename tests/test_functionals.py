@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,16 @@ class TestVerifyL1Subgradient:
         chk = sc.verify_l1_subgradient(np.array([1.0, 0.3]), np.array([2.0, 0.0]),
                                        np.float64(1e-6))
         assert type(chk.passed) is bool
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, True, "1e-6", 10 ** 400],
+                         ids=["inf", "nan", "negative", "bool", "str", "int-beyond-float"])
+def test_verify_refuses_a_tol_that_is_no_finite_nonnegative_number(tol):
+    # an infinite tol would pass any candidate, and a NaN one fail every one
+    with pytest.raises(InputError, match="tol must be"):
+        sc.verify_l1_subgradient(np.array([5.0, -7.0]), np.array([1.0, 0.0]), tol)
+    with pytest.raises(InputError, match="tol must be"):
+        sc.verify_tv_subgradient(np.zeros((5, 5)), np.zeros((2, 5, 5)), np.ones((5, 5)), tol)
 
 
 class TestVerifyTvSubgradient:

@@ -42,6 +42,8 @@ DESK_RUNS = {
 }
 PAPER_RUNS = {
     "fourier_denoise_full": ("fourier2d", "configs/fourier_denoise_full.json"),
+    "fourier_lowpass_full": ("fourier2d", "configs/fourier_lowpass_full.json"),
+    "sampling_full": ("optimal-sampling", "configs/sampling_full.json"),
 }
 RUNS = {**DESK_RUNS, **PAPER_RUNS}
 

@@ -299,3 +299,17 @@ def test_every_map_takes_out():
         for method in (cls.apply, cls.adjoint):
             out = inspect.signature(method).parameters.get("out")
             assert out is not None and out.default is None, f"{name}.{method.__name__}"
+
+
+# a config's schema has one owner: ``solvers.check_fields`` reads the
+# dataclass annotations, and every config calls it when it is built
+@pytest.mark.parametrize("module", sorted(
+    name for name in os.listdir(SRC) if name.endswith(".py") and name != "solvers.py"))
+def test_annotations_read_only_by_the_schema_check(module):
+    reads = module_named_outside(module, "get_type_hints")
+    assert not reads, f"{module} reads annotations at {reads}; configs call check_fields"
+
+
+def test_schema_check_is_seen_to_read_annotations():
+    owners = {owner for _, owner in module_named_outside("solvers.py", "get_type_hints")}
+    assert owners == {"check_fields"}

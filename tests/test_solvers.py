@@ -221,6 +221,16 @@ class TestSolveConfig:
         with pytest.raises(ConfigurationError):
             sc.SolveConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"max_iters": True}, {"record_every": True}, {"max_iters": np.int64(5)},
+        {"grad_tol": math.inf}, {"grad_tol": "0.1"},
+    ], ids=["max_iters-bool", "record_every-bool", "max_iters-numpy", "grad_tol-inf",
+            "grad_tol-str"])
+    def test_refuses_a_value_of_another_type(self, kwargs):
+        # a bool, a numpy scalar or a string is no int or float of the schema
+        with pytest.raises(ConfigurationError, match="bad config value"):
+            sc.SolveConfig(**kwargs)
+
 
 class TestSourceGradient:
     def test_identity_example(self):
